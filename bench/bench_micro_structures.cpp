@@ -15,7 +15,6 @@
 #include "sim/simulator.h"
 #include "topology/disc_graph.h"
 #include "topology/field.h"
-#include "util/arena.h"
 #include "util/rng.h"
 
 namespace {
@@ -110,37 +109,6 @@ void BM_HmacSerialSign(benchmark::State& state) {
                           static_cast<std::int64_t>(fanout));
 }
 BENCHMARK(BM_HmacSerialSign)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_ArenaPoolAllocFree(benchmark::State& state) {
-  // Pool-arena recycle cost at a mixed working set: what every
-  // steady-state container refill pays instead of malloc/free. The vector
-  // round-trips release each block back to the size-class freelist.
-  for (auto _ : state) {
-    lw::util::PoolVector<std::uint64_t> small;
-    small.resize(16);
-    lw::util::PoolVector<std::uint64_t> medium;
-    medium.resize(256);
-    benchmark::DoNotOptimize(small.data());
-    benchmark::DoNotOptimize(medium.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_ArenaPoolAllocFree);
-
-void BM_MallocFreeReference(benchmark::State& state) {
-  // Heap reference for BM_ArenaPoolAllocFree: identical shapes through the
-  // global allocator.
-  for (auto _ : state) {
-    std::vector<std::uint64_t> small;
-    small.resize(16);
-    std::vector<std::uint64_t> medium;
-    medium.resize(256);
-    benchmark::DoNotOptimize(small.data());
-    benchmark::DoNotOptimize(medium.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_MallocFreeReference);
 
 void BM_PairwiseKeyDerivation(benchmark::State& state) {
   lw::crypto::KeyManager keys(7);

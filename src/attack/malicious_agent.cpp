@@ -44,7 +44,7 @@ NodeId MaliciousAgent::fake_prev_hop(NodeId colluder) const {
   // The "smarter" attacker names one of its genuine neighbors, so the
   // two-hop admission check passes and only the guards of that fake link
   // can expose the lie.
-  util::PoolVector<NodeId> candidates = table_.active_neighbors();
+  std::vector<NodeId> candidates = table_.active_neighbors();
   std::erase(candidates, colluder);
   if (candidates.empty()) return colluder;
   auto index = env_.rng().uniform_int(0, candidates.size() - 1);

@@ -11,7 +11,6 @@
 #include <unordered_set>
 
 #include "attack/coordinator.h"
-#include "util/arena.h"
 #include "neighbor/neighbor_table.h"
 #include "node/node_env.h"
 
@@ -67,10 +66,10 @@ class MaliciousAgent {
   WormholeCoordinator& coordinator_;
   AttackObserver* observer_;
 
-  util::PoolUnorderedSet<FlowKey> tunneled_flows_;
-  util::PoolUnorderedSet<FlowKey> rebroadcast_flows_;
-  util::PoolUnorderedSet<FlowKey> relayed_flows_;
-  util::PoolUnorderedSet<FlowKey> rushed_flows_;
+  std::unordered_set<FlowKey> tunneled_flows_;
+  std::unordered_set<FlowKey> rebroadcast_flows_;
+  std::unordered_set<FlowKey> relayed_flows_;
+  std::unordered_set<FlowKey> rushed_flows_;
   NodeId relay_victim_a_ = kInvalidNode;
   NodeId relay_victim_b_ = kInvalidNode;
   /// Sticky lie for AttackParams::fixed_fake_prev.

@@ -89,22 +89,14 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
 void HmacBatch::push(const HmacKey& key) {
   inner_.push_back(key.inner_state());
   outer_.push_back(key.outer_state());
-  expected_.emplace_back();  // keeps the two queues index-aligned
-}
-
-void HmacBatch::push(const HmacKey& key, const AuthTag& tag) {
-  inner_.push_back(key.inner_state());
-  outer_.push_back(key.outer_state());
-  expected_.push_back(tag);
 }
 
 void HmacBatch::clear() {
   inner_.clear();
   outer_.clear();
-  expected_.clear();
 }
 
-void HmacBatch::run(std::string_view message) {
+void HmacBatch::sign_into(std::string_view message, AuthTag* out) {
   const std::size_t n = inner_.size();
   inner_digests_.resize(n);
   digests_.resize(n);
@@ -122,28 +114,10 @@ void HmacBatch::run(std::string_view message) {
   for (std::size_t i = 0; i < n; ++i) ptrs_[i] = inner_digests_[i].data();
   sha256_many(outer_.data(), ptrs_.data(), sizeof(Digest), n,
               digests_.data());
-}
 
-void HmacBatch::sign_into(std::string_view message, AuthTag* out) {
-  run(message);
-  for (std::size_t i = 0; i < digests_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     std::copy_n(digests_[i].begin(), out[i].size(), out[i].begin());
   }
-}
-
-bool HmacBatch::verify_all(std::string_view message) {
-  run(message);
-  results_.resize(digests_.size());
-  bool all = true;
-  for (std::size_t i = 0; i < digests_.size(); ++i) {
-    std::uint8_t diff = 0;
-    for (std::size_t b = 0; b < expected_[i].size(); ++b) {
-      diff |= expected_[i][b] ^ digests_[i][b];
-    }
-    results_[i] = diff == 0 ? 1 : 0;
-    all &= results_[i] != 0;
-  }
-  return all;
 }
 
 bool digests_equal(const Digest& a, const Digest& b) {

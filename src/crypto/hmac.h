@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "crypto/sha256.h"
-#include "util/arena.h"
 
 namespace lw::crypto {
 
@@ -59,43 +58,27 @@ class HmacKey {
 /// k-lane sha256_many sweeps (inner pass over the message, outer pass
 /// over the 32-byte inner digests) instead of 2k serial hashes.
 ///
-/// Reuse one instance and clear() between batches: all scratch lives in
-/// pool-arena vectors, so steady-state batches allocate nothing.
+/// Reuse one instance and clear() between batches: the scratch vectors
+/// keep their capacity.
 class HmacBatch {
  public:
   /// Queues a key; tags come out of sign_into in queue order.
   void push(const HmacKey& key);
-  /// Queues a key plus the tag to check against (verification batches).
-  void push(const HmacKey& key, const AuthTag& tag);
 
   void clear();
-  std::size_t size() const { return inner_.size(); }
-  bool empty() const { return inner_.empty(); }
 
   /// One sweep: out[i] = HMAC tag of `message` under queued key i.
-  /// `out` must hold size() tags. The queue is left intact (clear() to
-  /// start the next batch).
+  /// `out` must hold one tag per queued key. The queue is left intact
+  /// (clear() to start the next batch).
   void sign_into(std::string_view message, AuthTag* out);
 
-  /// One sweep verifying every queued (key, tag) pair against `message`.
-  /// Returns true iff all tags match (constant-time per-tag compare);
-  /// per-entry results are in results()[i] (1 = match) until the next
-  /// batch operation.
-  bool verify_all(std::string_view message);
-  const util::PoolVector<std::uint8_t>& results() const { return results_; }
-
  private:
-  /// Runs the two sweeps; digests_ holds the final digests afterwards.
-  void run(std::string_view message);
-
-  util::PoolVector<Sha256State> inner_;
-  util::PoolVector<Sha256State> outer_;
-  util::PoolVector<AuthTag> expected_;
+  std::vector<Sha256State> inner_;
+  std::vector<Sha256State> outer_;
   // Scratch recycled across batches.
-  util::PoolVector<Digest> digests_;
-  util::PoolVector<Digest> inner_digests_;
-  util::PoolVector<const std::uint8_t*> ptrs_;
-  util::PoolVector<std::uint8_t> results_;
+  std::vector<Digest> digests_;
+  std::vector<Digest> inner_digests_;
+  std::vector<const std::uint8_t*> ptrs_;
 };
 
 /// Computes HMAC-SHA-256(key, message).

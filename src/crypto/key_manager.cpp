@@ -96,16 +96,6 @@ void KeyManager::sign_batch(NodeId self, std::span<const NodeId> peers,
   batch_.sign_into(message, out);
 }
 
-bool KeyManager::verify_batch(NodeId self, std::span<const NodeId> peers,
-                              std::string_view message,
-                              const AuthTag* tags) const {
-  batch_.clear();
-  for (std::size_t i = 0; i < peers.size(); ++i) {
-    batch_.push(pairwise_state(self, peers[i]), tags[i]);
-  }
-  return batch_.verify_all(message);
-}
-
 bool KeyManager::verify(NodeId a, NodeId b, std::string_view message,
                         const AuthTag& tag) const {
   return pairwise_state(a, b).verify(message, tag);

@@ -13,10 +13,10 @@
 #include <deque>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "crypto/hmac.h"
-#include "util/arena.h"
 #include "util/ids.h"
 
 namespace lw::crypto {
@@ -47,11 +47,6 @@ class KeyManager {
   void sign_batch(NodeId self, std::span<const NodeId> peers,
                   std::string_view message, AuthTag* out) const;
 
-  /// Verifies tags[i] against sign(self, peers[i], message) in one sweep.
-  /// Returns true iff every tag matches.
-  bool verify_batch(NodeId self, std::span<const NodeId> peers,
-                    std::string_view message, const AuthTag* tags) const;
-
   /// Verifies a tag allegedly produced with the key shared by {a, b}.
   bool verify(NodeId a, NodeId b, std::string_view message,
               const AuthTag& tag) const;
@@ -71,13 +66,13 @@ class KeyManager {
   /// Dense triangular index for ids < reserved_nodes_: pair (lo, hi) maps
   /// to slot_index_[hi*(hi+1)/2 + lo], which is -1 or an index into
   /// states_. states_ is a deque so cached HmacKey references are stable
-  /// across growth (batch verification holds several at once).
+  /// across growth.
   std::size_t reserved_nodes_ = 0;
   mutable std::vector<std::int32_t> slot_index_;
-  mutable std::deque<HmacKey, util::PoolAllocator<HmacKey>> states_;
+  mutable std::deque<HmacKey> states_;
   /// Fallback for ids outside the reservation (tests, ad-hoc tools).
-  mutable util::PoolUnorderedMap<std::uint64_t, HmacKey> overflow_;
-  /// Scratch for the batch paths (pool-backed, recycled per call).
+  mutable std::unordered_map<std::uint64_t, HmacKey> overflow_;
+  /// Scratch for sign_batch (recycled per call).
   mutable HmacBatch batch_;
 };
 

@@ -173,7 +173,8 @@ __attribute__((target("avx2"))) void sha256_group8(
   alignas(32) std::uint8_t tail[kLanes][128];
   for (int l = 0; l < 8; ++l) {
     std::memset(tail[l], 0, sizeof(tail[l]));
-    std::memcpy(tail[l], data[l] + 64 * full_blocks, rem);
+    // An empty message may come with a null pointer, which memcpy forbids.
+    if (rem != 0) std::memcpy(tail[l], data[l] + 64 * full_blocks, rem);
     tail[l][rem] = 0x80;
     std::uint8_t* lenp = tail[l] + 64 * tail_blocks - 8;
     for (int i = 0; i < 8; ++i) {

@@ -158,7 +158,7 @@ void ZScoreDefense::detect_and_alert(NodeId suspect) {
 }
 
 void ZScoreDefense::send_alert(NodeId suspect) {
-  const util::PoolVector<NodeId>* recipients = table_.list_of(suspect);
+  const std::vector<NodeId>* recipients = table_.list_of(suspect);
   pkt::Packet alert = env_.packet_factory().make(pkt::PacketType::kAlert);
   alert.origin = env_.id();
   alert.seq = ++alert_seq_;  // fresh flow per (re)transmission
@@ -166,7 +166,7 @@ void ZScoreDefense::send_alert(NodeId suspect) {
   alert.accusing_guard = env_.id();
   alert.ttl = static_cast<std::uint8_t>(params_.alert_ttl);
   alert.auth_payload_into(auth_buf_);
-  const util::PoolString& payload = auth_buf_;
+  const std::string& payload = auth_buf_;
   if (recipients != nullptr) {
     sign_peers_.clear();
     for (NodeId recipient : *recipients) {

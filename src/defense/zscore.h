@@ -22,8 +22,10 @@
 #pragma once
 
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "crypto/hmac.h"
 #include "defense/defense.h"
@@ -78,10 +80,10 @@ class ZScoreDefense final : public Defense {
   routing::OnDemandRouting& routing_;
   ZScoreParams params_;
   DetectionObserver* observer_;
-  util::PoolString auth_buf_;
+  std::string auth_buf_;
   /// Scratch for the batched alert-signing fan-out (recycled per alert).
-  util::PoolVector<NodeId> sign_peers_;
-  util::PoolVector<crypto::AuthTag> sign_tags_;
+  std::vector<NodeId> sign_peers_;
+  std::vector<crypto::AuthTag> sign_tags_;
 
   lite::WatchBuffer watch_;
   /// Ordered map: the leave-one-out baseline iterates it, and ordered

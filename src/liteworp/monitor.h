@@ -16,8 +16,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "crypto/hmac.h"
 #include "liteworp/watch_buffer.h"
@@ -181,10 +183,10 @@ class LocalMonitor {
   routing::OnDemandRouting& routing_;
   LiteworpParams params_;
   /// Reusable serialization buffer for alert auth payloads.
-  util::PoolString auth_buf_;
+  std::string auth_buf_;
   /// Scratch for the batched alert-signing fan-out (recycled per alert).
-  util::PoolVector<NodeId> sign_peers_;
-  util::PoolVector<crypto::AuthTag> sign_tags_;
+  std::vector<NodeId> sign_peers_;
+  std::vector<crypto::AuthTag> sign_tags_;
   MonitorObserver* observer_;
 
   struct SuspectState {
@@ -193,16 +195,15 @@ class LocalMonitor {
   };
 
   WatchBuffer watch_;
-  util::PoolUnorderedMap<NodeId, SuspectState> malc_;
-  util::PoolUnorderedSet<NodeId> detected_;   // crossed C_t locally
-  util::PoolUnorderedSet<NodeId> isolated_;   // revoked (locally or by alerts)
-  util::PoolUnorderedMap<NodeId, util::PoolUnorderedSet<NodeId>> alert_buffer_;
-  /// (flow, forwarder) pairs already counted as fabrications this window —
-  /// one insert per overheard control frame, so pool-arena backed.
-  util::PoolUnorderedSet<FlowNodeKey, FlowNodeKeyHash> suspected_;
-  util::PoolUnorderedSet<FlowKey> seen_alerts_;
+  std::unordered_map<NodeId, SuspectState> malc_;
+  std::unordered_set<NodeId> detected_;   // crossed C_t locally
+  std::unordered_set<NodeId> isolated_;   // revoked (locally or by alerts)
+  std::unordered_map<NodeId, std::unordered_set<NodeId>> alert_buffer_;
+  /// (flow, forwarder) pairs already counted as fabrications this window.
+  std::unordered_set<FlowNodeKey, FlowNodeKeyHash> suspected_;
+  std::unordered_set<FlowKey> seen_alerts_;
   /// Last (re)alert time per detected node (rate limiting).
-  util::PoolUnorderedMap<NodeId, Time> last_alert_;
+  std::unordered_map<NodeId, Time> last_alert_;
   SeqNo alert_seq_ = 0;
   std::uint64_t alerts_transmitted_ = 0;
   std::uint64_t alert_bytes_ = 0;

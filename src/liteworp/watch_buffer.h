@@ -21,9 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/simulator.h"
-#include "util/arena.h"
 #include "util/ids.h"
 #include "util/sim_time.h"
 
@@ -123,16 +123,14 @@ class WatchBuffer {
   struct FlowRecord {
     /// max over all recorded expiries — backs has_any_transmit.
     Time flow_expiry = 0.0;
-    util::PoolVector<TransmitRecord> nodes;
+    std::vector<TransmitRecord> nodes;
   };
 
   void purge_transmits(Time now);
   void note_size();
 
-  /// Guards churn one record per overheard control frame; the maps and the
-  /// per-flow node vectors recycle through the thread pool arena.
-  util::PoolUnorderedMap<FlowKey, FlowRecord> transmits_;
-  util::PoolUnorderedMap<LinkWatchKey, DropWatch, LinkWatchKeyHash> watches_;
+  std::unordered_map<FlowKey, FlowRecord> transmits_;
+  std::unordered_map<LinkWatchKey, DropWatch, LinkWatchKeyHash> watches_;
   /// Live (flow, node) pair count — the paper's per-entry storage unit.
   std::size_t transmit_pairs_ = 0;
   std::size_t peak_entries_ = 0;

@@ -27,7 +27,6 @@
 #include "phy/medium.h"
 #include "phy/radio.h"
 #include "sim/simulator.h"
-#include "util/arena.h"
 #include "util/rng.h"
 
 namespace lw::mac {
@@ -165,9 +164,7 @@ class CsmaMac {
   SendFailedCallback send_failed_;
   /// Bumped by reset(); scheduled lambdas from an earlier epoch no-op.
   int epoch_ = 0;
-  /// Pool-backed: deque chunk churn (a node enqueues/drains continuously
-  /// in the steady state) recycles through the arena freelists.
-  std::deque<Outgoing, util::PoolAllocator<Outgoing>> queue_;
+  std::deque<Outgoing> queue_;
   bool retry_scheduled_ = false;
   /// Control responses (ACK/CTS) inside their SIFS delay.
   int pending_responses_ = 0;
@@ -177,7 +174,7 @@ class CsmaMac {
   std::optional<Exchange> exchange_;
   sim::EventHandle response_timer_;
   /// Last unicast frame uid accepted per claimed sender (ARQ dedupe).
-  util::PoolUnorderedMap<NodeId, PacketUid> last_accepted_;
+  std::unordered_map<NodeId, PacketUid> last_accepted_;
   MacStats stats_;
 };
 

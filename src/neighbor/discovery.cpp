@@ -41,9 +41,9 @@ void DiscoveryAgent::send_hello() {
   env_.send(std::move(hello));
 }
 
-const util::PoolString& DiscoveryAgent::reply_auth_message(NodeId replier,
-                                                      NodeId announcer,
-                                                      SeqNo hello_seq) {
+const std::string& DiscoveryAgent::reply_auth_message(NodeId replier,
+                                                       NodeId announcer,
+                                                       SeqNo hello_seq) {
   auth_buf_.clear();
   auth_buf_ += "hello-reply|";
   auth_buf_ += std::to_string(replier);
@@ -81,10 +81,9 @@ void DiscoveryAgent::broadcast_list() {
   pkt::Packet list = env_.packet_factory().make(pkt::PacketType::kNeighborList);
   list.origin = env_.id();
   list.seq = 1;
-  list.neighbor_list.assign(table_.neighbors().begin(),
-                            table_.neighbors().end());
+  list.neighbor_list = table_.neighbors();
   list.auth_payload_into(auth_buf_);
-  const util::PoolString& payload = auth_buf_;
+  const std::string& payload = auth_buf_;
   // One multi-buffer sweep tags the list for every member at once.
   sign_tags_.resize(list.neighbor_list.size());
   env_.keys().sign_batch(env_.id(), list.neighbor_list, payload,
@@ -131,7 +130,7 @@ void DiscoveryAgent::handle_reply(const pkt::Packet& packet) {
   if (packet.final_dst != env_.id()) return;
   if (!hello_sent_ || env_.now() > hello_time_ + params_.reply_timeout) return;
   if (packet.seq != hello_seq_) return;
-  const util::PoolString& message =
+  const std::string& message =
       reply_auth_message(packet.origin, env_.id(), packet.seq);
   if (!env_.keys().verify(packet.origin, env_.id(), message, packet.tag)) {
     ++rejected_replies_;
@@ -145,7 +144,7 @@ void DiscoveryAgent::handle_reply(const pkt::Packet& packet) {
 void DiscoveryAgent::handle_list(const pkt::Packet& packet) {
   if (packet.origin == env_.id()) return;
   packet.auth_payload_into(auth_buf_);
-  const util::PoolString& payload = auth_buf_;
+  const std::string& payload = auth_buf_;
   for (const pkt::AlertAuth& entry : packet.alert_auth) {
     if (entry.recipient != env_.id()) continue;
     if (env_.keys().verify(packet.origin, env_.id(), payload, entry.tag)) {

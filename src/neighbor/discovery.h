@@ -11,7 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "crypto/hmac.h"
 #include "neighbor/neighbor_table.h"
@@ -79,15 +81,15 @@ class DiscoveryAgent {
   void handle_reply(const pkt::Packet& packet);
   void handle_list(const pkt::Packet& packet);
 
-  const util::PoolString& reply_auth_message(NodeId replier, NodeId announcer,
-                                        SeqNo hello_seq);
+  const std::string& reply_auth_message(NodeId replier, NodeId announcer,
+                                       SeqNo hello_seq);
 
   node::NodeEnv& env_;
   /// Reusable serialization buffer for auth payloads (sign/verify are
   /// per-packet hot spots; keep the capacity across calls).
-  util::PoolString auth_buf_;
+  std::string auth_buf_;
   /// Scratch for the batched list-signing fan-out (recycled per broadcast).
-  util::PoolVector<crypto::AuthTag> sign_tags_;
+  std::vector<crypto::AuthTag> sign_tags_;
   NeighborTable& table_;
   DiscoveryParams params_;
   bool hello_sent_ = false;

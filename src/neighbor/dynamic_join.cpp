@@ -185,10 +185,9 @@ void DynamicJoinAgent::share_list(NodeId unicast_to) {
   list.origin = env_.id();
   list.seq = 1000 + ++seq_;  // distinct from the deployment-time broadcast
   list.link_dst = unicast_to;
-  list.neighbor_list.assign(table_.neighbors().begin(),
-                            table_.neighbors().end());
+  list.neighbor_list = table_.neighbors();
   list.auth_payload_into(auth_buf_);
-  const util::PoolString& payload = auth_buf_;
+  const std::string& payload = auth_buf_;
   // One multi-buffer sweep tags the list for every member at once.
   sign_tags_.resize(list.neighbor_list.size());
   env_.keys().sign_batch(env_.id(), list.neighbor_list, payload,

@@ -25,8 +25,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "crypto/hmac.h"
 #include "neighbor/neighbor_table.h"
@@ -94,9 +96,9 @@ class DynamicJoinAgent {
   node::NodeEnv& env_;
   NeighborTable& table_;
   /// Reusable serialization buffer for list auth payloads.
-  util::PoolString auth_buf_;
+  std::string auth_buf_;
   /// Scratch for the batched list-signing fan-out (recycled per share).
-  util::PoolVector<crypto::AuthTag> sign_tags_;
+  std::vector<crypto::AuthTag> sign_tags_;
   JoinParams params_;
   bool joining_ = false;
   /// True once this join emitted its nbr.join_complete event (the span

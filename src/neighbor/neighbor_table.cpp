@@ -4,7 +4,7 @@
 
 namespace lw::nbr {
 
-void NeighborTable::set(util::PoolVector<std::uint8_t>& flags, NodeId id) {
+void NeighborTable::set(std::vector<std::uint8_t>& flags, NodeId id) {
   if (id == kInvalidNode) return;  // sentinel, never a table member
   if (id >= flags.size()) flags.resize(id + 1, 0);
   flags[id] = 1;
@@ -20,7 +20,7 @@ void NeighborTable::set_neighbor_list(NodeId owner,
                                       std::span<const NodeId> list) {
   if (!knows_neighbor(owner)) return;
   if (owner >= list_flags_.size()) list_flags_.resize(owner + 1);
-  util::PoolVector<std::uint8_t> flags;
+  std::vector<std::uint8_t> flags;
   for (NodeId member : list) set(flags, member);
   list_flags_[owner] = std::move(flags);
   lists_[owner].assign(list.begin(), list.end());
@@ -30,7 +30,7 @@ bool NeighborTable::has_list_of(NodeId owner) const {
   return lists_.count(owner) != 0;
 }
 
-const util::PoolVector<NodeId>* NeighborTable::list_of(NodeId owner) const {
+const std::vector<NodeId>* NeighborTable::list_of(NodeId owner) const {
   auto it = lists_.find(owner);
   return it == lists_.end() ? nullptr : &it->second;
 }
@@ -39,7 +39,7 @@ bool NeighborTable::is_within_two_hops(NodeId id) const {
   if (knows_neighbor(id)) return true;
   return std::any_of(
       list_flags_.begin(), list_flags_.end(),
-      [id](const util::PoolVector<std::uint8_t>& flags) {
+      [id](const std::vector<std::uint8_t>& flags) {
         return test(flags, id);
       });
 }
@@ -67,8 +67,8 @@ void NeighborTable::clear() {
   list_flags_.clear();
 }
 
-util::PoolVector<NodeId> NeighborTable::active_neighbors() const {
-  util::PoolVector<NodeId> active;
+std::vector<NodeId> NeighborTable::active_neighbors() const {
+  std::vector<NodeId> active;
   active.reserve(order_.size());
   for (NodeId id : order_) {
     if (!is_revoked(id)) active.push_back(id);

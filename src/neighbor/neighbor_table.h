@@ -18,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/arena.h"
 #include "util/ids.h"
 
 namespace lw::nbr {
@@ -47,7 +46,7 @@ class NeighborTable {
   bool has_list_of(NodeId owner) const;
 
   /// R_owner, or nullptr if not stored.
-  const util::PoolVector<NodeId>* list_of(NodeId owner) const;
+  const std::vector<NodeId>* list_of(NodeId owner) const;
 
   /// True if `candidate` appears in the stored list R_owner — i.e. the
   /// claim "owner received this from candidate" is topologically plausible.
@@ -73,11 +72,10 @@ class NeighborTable {
   void clear();
 
   /// All first-hop neighbors (including revoked); insertion order.
-  const util::PoolVector<NodeId>& neighbors() const { return order_; }
+  const std::vector<NodeId>& neighbors() const { return order_; }
 
-  /// First-hop neighbors in good standing. Pool-backed: callers on the
-  /// per-frame attack path build and drop this without touching the heap.
-  util::PoolVector<NodeId> active_neighbors() const;
+  /// First-hop neighbors in good standing.
+  std::vector<NodeId> active_neighbors() const;
 
   std::size_t neighbor_count() const { return order_.size(); }
   std::size_t revoked_count() const { return revoked_count_; }
@@ -87,20 +85,20 @@ class NeighborTable {
   std::size_t storage_bytes() const;
 
  private:
-  static bool test(const util::PoolVector<std::uint8_t>& flags, NodeId id) {
+  static bool test(const std::vector<std::uint8_t>& flags, NodeId id) {
     return id < flags.size() && flags[id] != 0;
   }
   /// Sets flags[id], growing the vector on demand (ids are dense, so the
   /// vector tops out at the network size).
-  static void set(util::PoolVector<std::uint8_t>& flags, NodeId id);
+  static void set(std::vector<std::uint8_t>& flags, NodeId id);
 
-  util::PoolVector<NodeId> order_;
-  util::PoolVector<std::uint8_t> neighbor_flags_;
-  util::PoolVector<std::uint8_t> revoked_flags_;
+  std::vector<NodeId> order_;
+  std::vector<std::uint8_t> neighbor_flags_;
+  std::vector<std::uint8_t> revoked_flags_;
   std::size_t revoked_count_ = 0;
-  util::PoolUnorderedMap<NodeId, util::PoolVector<NodeId>> lists_;
+  std::unordered_map<NodeId, std::vector<NodeId>> lists_;
   /// list_flags_[owner][candidate] mirrors lists_[owner] for O(1) checks.
-  util::PoolVector<util::PoolVector<std::uint8_t>> list_flags_;
+  std::vector<std::vector<std::uint8_t>> list_flags_;
 };
 
 }  // namespace lw::nbr

@@ -84,12 +84,12 @@ void append_decimal(Str& out, Int value) {
 }  // namespace
 
 std::string Packet::auth_payload() const {
-  util::PoolString out;
+  std::string out;
   auth_payload_into(out);
-  return std::string(out.begin(), out.end());
+  return out;
 }
 
-void Packet::auth_payload_into(util::PoolString& out) const {
+void Packet::auth_payload_into(std::string& out) const {
   out.clear();
   append_decimal(out, static_cast<int>(type));
   out.push_back('|');

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "crypto/hmac.h"
-#include "util/arena.h"
 #include "util/ids.h"
 #include "util/sim_time.h"
 
@@ -52,11 +51,9 @@ struct AlertAuth {
   crypto::AuthTag tag{};
 };
 
-/// Packet-borne lists live on the thread pool arena: packets are created,
-/// copied, and destroyed once per hop, so their vectors are the single
-/// biggest steady-state allocation source.
-using NodeList = util::PoolVector<NodeId>;
-using AlertAuthList = util::PoolVector<AlertAuth>;
+/// Packet-borne lists.
+using NodeList = std::vector<NodeId>;
+using AlertAuthList = std::vector<AlertAuth>;
 
 struct Packet {
   PacketUid uid = 0;
@@ -166,9 +163,9 @@ struct Packet {
   std::string auth_payload() const;
 
   /// Serializes the auth payload into `out` (cleared first). Agents that
-  /// sign or verify per packet keep one pool-backed buffer and reuse its
-  /// capacity instead of building a fresh string each time.
-  void auth_payload_into(util::PoolString& out) const;
+  /// sign or verify per packet keep one buffer and reuse its capacity
+  /// instead of building a fresh string each time.
+  void auth_payload_into(std::string& out) const;
 
   /// Human-readable one-liner for traces.
   std::string describe() const;

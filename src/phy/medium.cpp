@@ -1,10 +1,10 @@
 #include "phy/medium.h"
 
 #include <cassert>
+#include <memory>
 #include <stdexcept>
 
 #include "obs/profiler.h"
-#include "util/arena.h"
 
 namespace lw::phy {
 
@@ -100,10 +100,7 @@ void Medium::transmit(NodeId sender, pkt::Packet packet,
     packet.leash_y = at.y;
     packet.leash_located = true;
   }
-  // Packet + shared_ptr control block in one pooled arena block: one of
-  // these is built per frame, the hot-path allocation of the whole PHY.
-  auto shared = std::allocate_shared<const pkt::Packet>(
-      util::PoolAllocator<pkt::Packet>{}, std::move(packet));
+  auto shared = std::make_shared<const pkt::Packet>(std::move(packet));
 
   const Time now = simulator_.now();
   const Duration duration = transmit_duration(*shared);
@@ -197,8 +194,7 @@ void Medium::transmit(NodeId sender, pkt::Packet packet,
           // Flip the authentication-tag bytes: the frame still parses
           // (fixed-layout struct), but dies at HMAC verification in
           // whichever layer checks it.
-          auto damaged = std::allocate_shared<pkt::Packet>(
-              util::PoolAllocator<pkt::Packet>{}, *shared);
+          auto damaged = std::make_shared<pkt::Packet>(*shared);
           for (auto& byte : damaged->tag) byte ^= 0xFF;
           for (auto& auth : damaged->alert_auth) {
             for (auto& byte : auth.tag) byte ^= 0xFF;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "packet/packet.h"
-#include "util/arena.h"
 #include "util/ids.h"
 #include "util/sim_time.h"
 
@@ -129,7 +128,7 @@ class Radio {
   TxDoneSink tx_done_sink_;
   Time tx_busy_until_ = kTimeZero;
   Time nav_until_ = kTimeZero;
-  util::PoolVector<Reception> ongoing_;
+  std::vector<Reception> ongoing_;
 };
 
 }  // namespace lw::phy

@@ -14,15 +14,13 @@
 #include <vector>
 
 #include "packet/packet.h"
-#include "util/arena.h"
 #include "util/ids.h"
 #include "util/sim_time.h"
 
 namespace lw::routing {
 
 struct Route {
-  /// Full node sequence, source first, destination last. Pool-backed like
-  /// the packet route vectors it is copied from/into.
+  /// Full node sequence, source first, destination last.
   pkt::NodeList path;
   Time established = kTimeZero;
   Time expires = kTimeZero;
@@ -63,7 +61,7 @@ class RouteCache {
 
  private:
   Duration route_timeout_;
-  util::PoolUnorderedMap<NodeId, Route> routes_;
+  std::unordered_map<NodeId, Route> routes_;
 };
 
 }  // namespace lw::routing

@@ -17,7 +17,6 @@
 #include "neighbor/neighbor_table.h"
 #include "node/node_env.h"
 #include "routing/route_cache.h"
-#include "util/arena.h"
 
 namespace lw::routing {
 
@@ -109,7 +108,7 @@ class OnDemandRouting {
     Time created_at;
   };
   struct Discovery {
-    std::deque<PendingData, util::PoolAllocator<PendingData>> queue;
+    std::deque<PendingData> queue;
     Time last_request = -1e9;
     int attempts = 0;
   };
@@ -154,14 +153,13 @@ class OnDemandRouting {
   };
 
   SeqNo next_seq_ = 0;
-  /// Flood bookkeeping churns an entry per REQ copy; pool-backed so the
-  /// insert/erase cycle recycles nodes instead of hitting the heap.
-  util::PoolUnorderedMap<FlowKey, Time> seen_requests_;
-  util::PoolUnorderedMap<FlowKey, PendingForward> pending_forwards_;
+  /// Flood bookkeeping: one entry per REQ copy.
+  std::unordered_map<FlowKey, Time> seen_requests_;
+  std::unordered_map<FlowKey, PendingForward> pending_forwards_;
   /// Destination-side reply policy: shortest hop count already answered
   /// per REQ flow (answer again only for strictly shorter copies).
-  util::PoolUnorderedMap<FlowKey, std::size_t> replied_requests_;
-  util::PoolUnorderedMap<NodeId, Discovery> discoveries_;
+  std::unordered_map<FlowKey, std::size_t> replied_requests_;
+  std::unordered_map<NodeId, Discovery> discoveries_;
   std::uint64_t refused_next_hop_revoked_ = 0;
 };
 

@@ -120,7 +120,7 @@ void Node::touch_neighbor(NodeId peer) {
 void Node::age_out_neighbors() {
   const Time now = simulator_.now();
   // Copy: expire_neighbor edits the order vector we iterate.
-  const util::PoolVector<NodeId> neighbors = table_.neighbors();
+  const std::vector<NodeId> neighbors = table_.neighbors();
   for (NodeId peer : neighbors) {
     if (table_.is_revoked(peer)) continue;  // isolation outlives silence
     const Time heard =

@@ -46,9 +46,8 @@ RunResult RunResult::from_metrics(const Network& network) {
   r.nodes_crashed = network.fault_crashes();
   r.nodes_recovered = network.fault_recoveries();
   r.recovery_latencies = network.recovery_latencies();
-  r.drop_times.assign(m.drop_times.begin(), m.drop_times.end());
-  r.wormhole_route_times.assign(m.wormhole_route_times.begin(),
-                                m.wormhole_route_times.end());
+  r.drop_times = m.drop_times;
+  r.wormhole_route_times = m.wormhole_route_times;
   r.trace_jsonl = network.trace_jsonl();
   r.registry = network.registry_snapshot();
   r.profile = network.profile();

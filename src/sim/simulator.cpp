@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/arena.h"
 
 namespace lw::sim {
 
@@ -161,10 +160,7 @@ void Simulator::schedule_at(Time when, SmallFn action) {
 EventHandle Simulator::schedule_cancellable(Duration delay,
                                             SmallFn action) {
   if (delay < 0) throw std::invalid_argument("negative schedule delay");
-  // Flag + control block in one pooled block: cancellable timers (MAC
-  // response timers, drop-watch expiries) recur every few events.
-  auto flag =
-      std::allocate_shared<bool>(util::PoolAllocator<bool>{}, false);
+  auto flag = std::make_shared<bool>(false);
   push(now_ + delay, std::move(action), flag);
   return EventHandle(std::move(flag));
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sim/small_fn.h"
-#include "util/arena.h"
 #include "util/sim_time.h"
 
 namespace lw::sim {
@@ -190,11 +189,10 @@ class Simulator {
     SmallFn action;
   };
 
-  /// A committed fan-out. Recycled through a freelist (pool-backed item
-  /// vectors keep their capacity), so steady-state broadcasts allocate
-  /// nothing.
+  /// A committed fan-out. Recycled through a freelist (item vectors keep
+  /// their capacity).
   struct FanoutBatch {
-    util::PoolVector<FanoutItem> items;
+    std::vector<FanoutItem> items;
     std::uint32_t next_free = kFreeListEnd;
   };
 

@@ -14,8 +14,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "util/arena.h"
-
 namespace lw::sim {
 
 class SmallFn {
@@ -36,11 +34,7 @@ class SmallFn {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
       ops_ = &kInlineOps<Fn>;
     } else {
-      // Oversize captures (MAC closures carrying a whole Packet) spill to
-      // the thread pool arena instead of the system heap, so the spill is
-      // allocation-free in the steady state too.
-      void* raw = util::thread_arena().allocate(sizeof(Fn), alignof(Fn));
-      heap_ = ::new (raw) Fn(std::forward<F>(fn));
+      heap_ = new Fn(std::forward<F>(fn));
       ops_ = &kHeapOps<Fn>;
     }
   }
@@ -97,8 +91,7 @@ class SmallFn {
   }
   template <typename Fn>
   static void heap_destroy(SmallFn& f) noexcept {
-    static_cast<Fn*>(f.heap_)->~Fn();
-    util::thread_arena().deallocate(f.heap_, sizeof(Fn), alignof(Fn));
+    delete static_cast<Fn*>(f.heap_);
   }
 
   template <typename Fn>

@@ -18,7 +18,6 @@
 
 #include "attack/malicious_agent.h"
 #include "liteworp/monitor.h"
-#include "util/arena.h"
 #include "routing/routing.h"
 #include "topology/disc_graph.h"
 
@@ -100,14 +99,13 @@ class MetricsCollector : public routing::RoutingObserver,
   std::uint64_t false_isolations = 0;
 
   // ---- Event times (for time-series post-processing) ----
-  // Pool-backed: these grow one entry per delivered/dropped packet for
-  // the whole run, and are the last per-event heap touch of the stats
-  // layer (reports copy them out at the end).
-  util::PoolVector<Time> drop_times;
-  util::PoolVector<Time> wormhole_route_times;
-  util::PoolVector<Time> route_times;
+  // These grow one entry per delivered/dropped packet for the whole run
+  // (reports copy them out at the end).
+  std::vector<Time> drop_times;
+  std::vector<Time> wormhole_route_times;
+  std::vector<Time> route_times;
   /// End-to-end delivery latency of each delivered data packet.
-  util::PoolVector<Duration> delivery_latencies;
+  std::vector<Duration> delivery_latencies;
 
   /// Mean end-to-end data latency (0 if nothing delivered).
   double mean_delivery_latency() const;

@@ -3,6 +3,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "crypto/key_manager.h"
 
@@ -63,6 +64,26 @@ TEST(KeyManager, OutsiderForgeryFails) {
 TEST(KeyManager, KeyLengthIsDigestLength) {
   KeyManager keys(7);
   EXPECT_EQ(keys.pairwise_key(0, 1).size(), 32u);
+}
+
+TEST(KeyManager, SignKnownAnswer) {
+  // Pins the tag bytes themselves: traces carry no tags, so a key
+  // derivation or HMAC change that stays self-consistent would otherwise
+  // pass every golden check. {3, 9} resolves through the dense pair table,
+  // {3, 40} (beyond the reservation) through the overflow map.
+  KeyManager keys(0xFEEDFACEu);
+  keys.reserve_nodes(16);
+  const std::string message = "alert|accused=7|guard=3";
+  const AuthTag dense = {0x56, 0x16, 0xb3, 0x76, 0xe4, 0x10, 0xa5, 0x73};
+  const AuthTag overflow = {0x91, 0xa7, 0x17, 0xd6, 0x9c, 0x96, 0x5d, 0x66};
+  EXPECT_EQ(keys.sign(3, 9, message), dense);
+  EXPECT_EQ(keys.sign(40, 3, message), overflow);
+
+  const std::vector<NodeId> peers = {9, 40};
+  std::vector<AuthTag> batch(peers.size());
+  keys.sign_batch(3, peers, message, batch.data());
+  EXPECT_EQ(batch[0], dense);
+  EXPECT_EQ(batch[1], overflow);
 }
 
 TEST(KeyManager, CachedSignMatchesDerivedKeyHmac) {

@@ -88,7 +88,7 @@ class ZScoreTest : public ::testing::Test {
     p.accused = accused;
     p.accusing_guard = guard;
     p.ttl = 2;
-    lw::util::PoolString payload;
+    std::string payload;
     p.auth_payload_into(payload);
     p.alert_auth.push_back({kGuard, env_.keys().sign(guard, kGuard, payload)});
     return p;
@@ -240,7 +240,7 @@ TEST_F(ZScoreTest, GammaDistinctAccusersIsolate) {
 TEST_F(ZScoreTest, UnauthenticAlertIgnored) {
   pkt::Packet forged = alert(kH1, kW, 1);
   // Re-sign with the wrong pairwise key: verification must fail.
-  lw::util::PoolString payload;
+  std::string payload;
   forged.auth_payload_into(payload);
   forged.alert_auth[0].tag = env_.keys().sign(kH2, kGuard, payload);
   defense_.handle_alert(forged);
@@ -257,7 +257,7 @@ TEST_F(ZScoreTest, AlertRelayedWithTtlDecrement) {
   // A zero-TTL alert is consumed, not relayed.
   pkt::Packet spent = alert(kH2, kW, 2);
   spent.ttl = 0;
-  lw::util::PoolString payload;
+  std::string payload;
   spent.auth_payload_into(payload);
   spent.alert_auth[0].tag = env_.keys().sign(kH2, kGuard, payload);
   defense_.handle_alert(spent);

@@ -27,7 +27,7 @@ TEST(NeighborTable, NeighborOrderPreserved) {
   table.add_neighbor(5);
   table.add_neighbor(2);
   table.add_neighbor(9);
-  EXPECT_EQ(table.neighbors(), (util::PoolVector<NodeId>{5, 2, 9}));
+  EXPECT_EQ(table.neighbors(), (std::vector<NodeId>{5, 2, 9}));
 }
 
 TEST(NeighborTable, SecondHopListsQueryable) {
@@ -38,7 +38,7 @@ TEST(NeighborTable, SecondHopListsQueryable) {
   EXPECT_TRUE(table.in_list_of(3, 7));
   EXPECT_FALSE(table.in_list_of(3, 9));
   ASSERT_NE(table.list_of(3), nullptr);
-  EXPECT_EQ(*table.list_of(3), (util::PoolVector<NodeId>{7, 8}));
+  EXPECT_EQ(*table.list_of(3), (std::vector<NodeId>{7, 8}));
 }
 
 TEST(NeighborTable, ListFromUnknownNodeIgnored) {
@@ -80,7 +80,7 @@ TEST(NeighborTable, ActiveNeighborsExcludeRevoked) {
   table.add_neighbor(2);
   table.add_neighbor(3);
   table.revoke(2);
-  EXPECT_EQ(table.active_neighbors(), (util::PoolVector<NodeId>{1, 3}));
+  EXPECT_EQ(table.active_neighbors(), (std::vector<NodeId>{1, 3}));
 }
 
 TEST(NeighborTable, StorageMatchesPaperCostModel) {
