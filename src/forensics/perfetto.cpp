@@ -1,12 +1,12 @@
 #include "forensics/perfetto.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
-#include <map>
-#include <set>
-#include <string>
-#include <utility>
+#include <cstdint>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
+
+#include "obs/json_line.h"
 
 namespace lw::forensics {
 namespace {
@@ -23,41 +23,25 @@ int layer_tid(const std::string& layer) {
   return 9;  // unknown layers share one catch-all track
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-/// Comma-separates traceEvents entries; one entry per line for greppable
-/// output (the schema allows any whitespace).
-class EventArray {
+/// Which process/thread tracks already have their M metadata event. Bit 0
+/// of a node's mask is its process name, bit `tid` its thread `tid`.
+class NamedTracks {
  public:
-  explicit EventArray(std::ostream& out) : out_(out) {
-    out_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  /// The mask for `node`. Dense ids index a vector; ids beyond it (only
+  /// hand-made or corrupt traces have them) fall back to a hash map.
+  std::uint16_t& mask(NodeId node) {
+    if (node < kDenseNodes) {
+      if (node >= dense_.size()) dense_.resize(node + 1, 0);
+      return dense_[node];
+    }
+    return sparse_[node];
   }
-  void emit(const std::string& body) {
-    out_ << (first_ ? "\n" : ",\n") << body;
-    first_ = false;
-  }
-  void close() { out_ << "\n]}\n"; }
 
  private:
-  std::ostream& out_;
-  bool first_ = true;
+  static constexpr NodeId kDenseNodes = 1 << 16;
+  std::vector<std::uint16_t> dense_;
+  std::unordered_map<NodeId, std::uint16_t> sparse_;
 };
-
-void append_f(std::string* out, const char* format, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, format);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  if (n > 0) out->append(buffer, std::min<std::size_t>(static_cast<std::size_t>(n), sizeof(buffer) - 1));
-}
 
 /// Last sighting of a packet lineage (flow-arrow source anchor).
 struct Hop {
@@ -67,38 +51,69 @@ struct Hop {
   int count = 0;
 };
 
+/// The document is built in one buffer and handed to the stream whenever
+/// this much has accumulated.
+constexpr std::size_t kFlushBytes = 64 * 1024;
+
 }  // namespace
 
 void export_perfetto(const std::vector<TraceRecord>& records,
                      std::ostream& out, const PerfettoOptions& options) {
-  EventArray events(out);
-  std::set<NodeId> named_pids;
-  std::set<std::pair<NodeId, int>> named_tids;
+  obs::JsonLine doc;
+  bool first_event = true;
+  // One traceEvents entry per line for greppable output (the schema allows
+  // any whitespace).
+  auto begin_event = [&]() -> obs::JsonLine& {
+    doc.raw(first_event ? "\n{" : ",\n{");
+    first_event = false;
+    return doc;
+  };
+  auto flush = [&] {
+    out.write(doc.data(), static_cast<std::streamsize>(doc.size()));
+    doc.clear();
+  };
+
+  NamedTracks named;
   int run_index = 0;
   double offset_us = 0.0;  // pushes each run segment past the previous one
   double max_ts_us = 0.0;  // high-water of emitted slice end times
-  std::map<LineageId, Hop> last_hop;
+  std::unordered_map<LineageId, Hop> last_hop;
 
-  auto ensure_track = [&](NodeId node, int tid, const char* label) {
-    std::string meta;
-    if (named_pids.insert(node).second) {
-      append_f(&meta,
-               "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,"
-               "\"args\":{\"name\":\"node %u\"}}",
-               node, node);
-      events.emit(meta);
-      meta.clear();
+  auto ensure_track = [&](NodeId node, int tid, std::string_view label) {
+    std::uint16_t& mask = named.mask(node);
+    if ((mask & 1u) == 0) {
+      mask |= 1u;
+      begin_event()
+          .raw("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":")
+          .u64(node)
+          .raw(",\"args\":{\"name\":\"node ")
+          .u64(node)
+          .raw("\"}}");
     }
-    if (named_tids.insert({node, tid}).second) {
-      append_f(&meta,
-               "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%u,\"tid\":%d,"
-               "\"args\":{\"name\":\"%s\"}}",
-               node, tid, label);
-      events.emit(meta);
+    const auto bit = static_cast<std::uint16_t>(1u << tid);
+    if ((mask & bit) == 0) {
+      mask |= bit;
+      begin_event()
+          .raw("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":")
+          .u64(node)
+          .raw(",\"tid\":")
+          .u64(static_cast<std::uint64_t>(tid))
+          .raw(",\"args\":{\"name\":\"")
+          .escaped(label)
+          .raw("\"}}");
     }
   };
+  // Comma-separates one event's args.
+  bool first_arg = true;
+  auto arg = [&](std::string_view key) -> obs::JsonLine& {
+    doc.raw(first_arg ? "\"" : ",\"").raw(key).raw("\":");
+    first_arg = false;
+    return doc;
+  };
 
+  doc.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
   for (const TraceRecord& record : records) {
+    if (doc.size() >= kFlushBytes) flush();
     if (record.is_run_header) {
       ++run_index;
       offset_us = max_ts_us;
@@ -106,85 +121,76 @@ void export_perfetto(const std::vector<TraceRecord>& records,
       continue;
     }
     const double ts = offset_us + record.t * 1e6;
-    std::string body;
-    bool first_arg = true;
-    auto arg = [&](const std::string& kv) {
-      if (!first_arg) body += ',';
-      first_arg = false;
-      body += kv;
-    };
+    first_arg = true;
 
     if (record.is_span) {
+      const bool begin = record.name == "begin";
       ensure_track(record.node, 8, "span");
       // Nestable async b/e keyed by sid: a node's concurrent spans overlap
       // without the LIFO constraint synchronous B/E stacks impose.
-      append_f(&body,
-               "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"%s\","
-               "\"id\":\"r%d.s%llu\",\"ts\":%.3f,\"pid\":%u,\"tid\":8,"
-               "\"args\":{",
-               json_escape(record.span_kind).c_str(),
-               record.name == "begin" ? "b" : "e", run_index,
-               static_cast<unsigned long long>(record.sid), ts, record.node);
-      if (record.name == "begin") {
-        arg("\"sid\":" + std::to_string(record.sid));
-        if (record.parent != 0) {
-          arg("\"parent\":" + std::to_string(record.parent));
-        }
-        if (record.lineage != 0) {
-          arg("\"lin\":" + std::to_string(record.lineage));
-        }
-        if (record.peer != kInvalidNode) {
-          arg("\"peer\":" + std::to_string(record.peer));
-        }
+      begin_event()
+          .raw("\"name\":\"")
+          .escaped(record.span_kind)
+          .raw(begin ? "\",\"cat\":\"span\",\"ph\":\"b\",\"id\":\"r"
+                     : "\",\"cat\":\"span\",\"ph\":\"e\",\"id\":\"r")
+          .u64(static_cast<std::uint64_t>(run_index))
+          .raw(".s")
+          .u64(record.sid)
+          .raw("\",\"ts\":")
+          .fixed<3>(ts)
+          .raw(",\"pid\":")
+          .u64(record.node)
+          .raw(",\"tid\":8,\"args\":{");
+      if (begin) {
+        arg("sid").u64(record.sid);
+        if (record.parent != 0) arg("parent").u64(record.parent);
+        if (record.lineage != 0) arg("lin").u64(record.lineage);
+        if (record.peer != kInvalidNode) arg("peer").u64(record.peer);
       } else {
-        arg("\"outcome\":\"" + json_escape(record.outcome) + "\"");
-        if (record.retries != 0) {
-          arg("\"retries\":" + std::to_string(record.retries));
-        }
+        arg("outcome").raw("\"").escaped(record.outcome).raw("\"");
+        if (record.retries != 0) arg("retries").u64(record.retries);
         if (record.has_phases) {
-          std::string phases;
-          append_f(&phases,
-                   "\"observe\":%.9f,\"corroborate\":%.9f,\"isolate\":%.9f",
-                   record.observe, record.corroborate, record.isolate);
-          arg(phases);
+          arg("observe").fixed<9>(record.observe);
+          arg("corroborate").fixed<9>(record.corroborate);
+          arg("isolate").fixed<9>(record.isolate);
         }
       }
-      body += "}}";
-      events.emit(body);
+      doc.raw("}}");
       max_ts_us = std::max(max_ts_us, ts);
       continue;
     }
 
     const int tid = layer_tid(record.layer);
-    ensure_track(record.node, tid, record.layer.c_str());
-    append_f(&body,
-             "{\"name\":\"%s.%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-             "\"pid\":%u,\"tid\":%d,\"args\":{",
-             json_escape(record.layer).c_str(),
-             json_escape(record.name).c_str(), ts, options.point_slice_us,
-             record.node, tid);
-    if (record.peer != kInvalidNode) {
-      arg("\"peer\":" + std::to_string(record.peer));
-    }
+    ensure_track(record.node, tid, record.layer);
+    begin_event()
+        .raw("\"name\":\"")
+        .escaped(record.layer)
+        .raw(".")
+        .escaped(record.name)
+        .raw("\",\"ph\":\"X\",\"ts\":")
+        .fixed<3>(ts)
+        .raw(",\"dur\":")
+        .fixed<3>(options.point_slice_us)
+        .raw(",\"pid\":")
+        .u64(record.node)
+        .raw(",\"tid\":")
+        .u64(static_cast<std::uint64_t>(tid))
+        .raw(",\"args\":{");
+    if (record.peer != kInvalidNode) arg("peer").u64(record.peer);
     if (record.has_packet) {
-      arg("\"pkt\":\"" + json_escape(record.pkt_type) + "\"");
-      arg("\"origin\":" + std::to_string(record.origin));
-      arg("\"seq\":" + std::to_string(record.seq));
-      arg("\"lin\":" + std::to_string(record.lineage));
+      arg("pkt").raw("\"").escaped(record.pkt_type).raw("\"");
+      arg("origin").u64(record.origin);
+      arg("seq").u64(record.seq);
+      arg("lin").u64(record.lineage);
     }
     if (!record.suspicion.empty()) {
-      arg("\"sus\":\"" + json_escape(record.suspicion) + "\"");
+      arg("sus").raw("\"").escaped(record.suspicion).raw("\"");
     }
     if (!record.defense.empty()) {
-      arg("\"def\":\"" + json_escape(record.defense) + "\"");
+      arg("def").raw("\"").escaped(record.defense).raw("\"");
     }
-    if (record.has_value) {
-      std::string value;
-      append_f(&value, "\"value\":%.9g", record.value);
-      arg(value);
-    }
-    body += "}}";
-    events.emit(body);
+    if (record.has_value) arg("value").general<9>(record.value);
+    doc.raw("}}");
     max_ts_us = std::max(max_ts_us, ts + options.point_slice_us);
 
     // Flow arrows: consecutive same-lineage packet events on different
@@ -193,30 +199,36 @@ void export_perfetto(const std::vector<TraceRecord>& records,
       Hop& hop = last_hop[record.lineage];
       if (hop.node != kInvalidNode && hop.node != record.node) {
         ++hop.count;
-        std::string flow;
-        append_f(&flow,
-                 "{\"name\":\"lin %llu\",\"cat\":\"flow\",\"ph\":\"s\","
-                 "\"id\":\"r%d.l%llu.h%d\",\"ts\":%.3f,\"pid\":%u,"
-                 "\"tid\":%d}",
-                 static_cast<unsigned long long>(record.lineage), run_index,
-                 static_cast<unsigned long long>(record.lineage), hop.count,
-                 hop.ts_us, hop.node, hop.tid);
-        events.emit(flow);
-        flow.clear();
-        append_f(&flow,
-                 "{\"name\":\"lin %llu\",\"cat\":\"flow\",\"ph\":\"f\","
-                 "\"bp\":\"e\",\"id\":\"r%d.l%llu.h%d\",\"ts\":%.3f,"
-                 "\"pid\":%u,\"tid\":%d}",
-                 static_cast<unsigned long long>(record.lineage), run_index,
-                 static_cast<unsigned long long>(record.lineage), hop.count,
-                 ts, record.node, tid);
-        events.emit(flow);
+        const auto flow = [&](const char* phase, double flow_ts, NodeId pid,
+                              int flow_tid) {
+          begin_event()
+              .raw("\"name\":\"lin ")
+              .u64(record.lineage)
+              .raw("\",\"cat\":\"flow\",\"ph\":")
+              .raw(phase)
+              .raw(",\"id\":\"r")
+              .u64(static_cast<std::uint64_t>(run_index))
+              .raw(".l")
+              .u64(record.lineage)
+              .raw(".h")
+              .u64(static_cast<std::uint64_t>(hop.count))
+              .raw("\",\"ts\":")
+              .fixed<3>(flow_ts)
+              .raw(",\"pid\":")
+              .u64(pid)
+              .raw(",\"tid\":")
+              .u64(static_cast<std::uint64_t>(flow_tid))
+              .raw("}");
+        };
+        flow("\"s\"", hop.ts_us, hop.node, hop.tid);
+        flow("\"f\",\"bp\":\"e\"", ts, record.node, tid);
       }
       const int count = hop.count;
       hop = Hop{record.node, tid, ts, count};
     }
   }
-  events.close();
+  doc.raw("\n]}\n");
+  flush();
 }
 
 }  // namespace lw::forensics

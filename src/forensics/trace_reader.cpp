@@ -1,7 +1,9 @@
 #include "forensics/trace_reader.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "obs/span.h"
 
@@ -11,7 +13,7 @@ namespace {
 /// Cursor over one line; fails with TraceFormatError carrying the line no.
 class Scanner {
  public:
-  Scanner(const std::string& text, std::size_t line_no)
+  Scanner(std::string_view text, std::size_t line_no)
       : text_(text), line_(line_no) {}
 
   [[noreturn]] void fail(const std::string& message) const {
@@ -34,19 +36,28 @@ class Scanner {
     return true;
   }
 
-  std::string string_value() {
+  /// The next string value with escapes resolved (a backslash takes the
+  /// following byte literally). A view into the line when the string has
+  /// no escapes, otherwise into a buffer the next call overwrites.
+  std::string_view string_value() {
     expect('"');
-    std::string out;
+    const std::size_t start = pos_;
+    while (!at_end() && text_[pos_] != '"' && text_[pos_] != '\\') ++pos_;
+    if (peek() == '"') {
+      ++pos_;
+      return text_.substr(start, pos_ - 1 - start);
+    }
+    unescaped_.assign(text_.substr(start, pos_ - start));
     while (!at_end() && text_[pos_] != '"') {
       char c = text_[pos_++];
       if (c == '\\') {
         if (at_end()) fail("dangling escape");
         c = text_[pos_++];
       }
-      out += c;
+      unescaped_ += c;
     }
     expect('"');
-    return out;
+    return unescaped_;
   }
 
   double number_value() {
@@ -61,17 +72,28 @@ class Scanner {
       }
     }
     if (pos_ == start) fail("expected a number");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("bad number '" + token + "'");
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    const auto [end, error] = std::from_chars(first, last, value);
+    if (error == std::errc() && end == last) return value;
+    // from_chars takes a subset of what strtod takes (no leading '+', no
+    // out-of-range magnitudes); strtod decides every other token, so the
+    // accepted set, each value and each error stay strtod's.
+    const std::string token(first, last);
+    char* token_end = nullptr;
+    value = std::strtod(token.c_str(), &token_end);
+    if (token_end == nullptr || *token_end != '\0') {
+      fail("bad number '" + token + "'");
+    }
     return value;
   }
 
  private:
-  const std::string& text_;
+  std::string_view text_;
   std::size_t line_;
   std::size_t pos_ = 0;
+  std::string unescaped_;
 };
 
 void parse_run_header(Scanner& scanner, TraceRecord* out) {
@@ -81,14 +103,14 @@ void parse_run_header(Scanner& scanner, TraceRecord* out) {
   while (!scanner.consume('}')) {
     if (!first) scanner.expect(',');
     first = false;
-    const std::string key = scanner.string_value();
+    const std::string_view key = scanner.string_value();
     scanner.expect(':');
     if (key == "point") {
       out->point = scanner.string_value();
     } else if (key == "seed") {
       out->run_seed = static_cast<std::uint64_t>(scanner.number_value());
     } else {
-      scanner.fail("unknown run-header key '" + key + "'");
+      scanner.fail("unknown run-header key '" + std::string(key) + "'");
     }
   }
   scanner.expect('}');
@@ -116,7 +138,7 @@ obs::Event TraceRecord::to_event() const {
   return event;
 }
 
-bool parse_trace_line(const std::string& line, std::size_t line_no,
+bool parse_trace_line(std::string_view line, std::size_t line_no,
                       TraceRecord* out) {
   if (line.empty()) return false;
   *out = TraceRecord{};
@@ -129,7 +151,7 @@ bool parse_trace_line(const std::string& line, std::size_t line_no,
   while (!scanner.consume('}')) {
     if (!first) scanner.expect(',');
     first = false;
-    const std::string key = scanner.string_value();
+    const std::string_view key = scanner.string_value();
     scanner.expect(':');
     if (key == "run") {
       if (saw_t || !out->layer.empty() || !out->name.empty()) {
@@ -190,7 +212,7 @@ bool parse_trace_line(const std::string& line, std::size_t line_no,
     } else if (key == "isolate") {
       out->isolate = scanner.number_value();
     } else {
-      scanner.fail("unknown key '" + key + "'");
+      scanner.fail("unknown key '" + std::string(key) + "'");
     }
   }
   if (!scanner.at_end()) scanner.fail("trailing characters");

@@ -13,6 +13,7 @@
 #include <istream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/event.h"
@@ -99,7 +100,7 @@ struct TraceRecord {
 
 /// Parses one JSONL line (without trailing newline). Blank lines return
 /// false. Throws TraceFormatError on malformed input.
-bool parse_trace_line(const std::string& line, std::size_t line_no,
+bool parse_trace_line(std::string_view line, std::size_t line_no,
                       TraceRecord* out);
 
 /// Reads a whole trace stream. Throws TraceFormatError on the first

@@ -1,8 +1,6 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <sstream>
 
 #include "packet/packet.h"
@@ -157,65 +155,52 @@ void SpanBuilder::finish(std::uint32_t sid, Time t, const char* outcome,
 
 void SpanBuilder::emit_begin(const OpenSpan& span) {
   if (trace_out_ == nullptr) return;
-  char buffer[256];
-  int n = std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"t\":%.9f,\"layer\":\"span\",\"event\":\"begin\",\"span\":\"%s\","
-      "\"sid\":%" PRIu32 ",\"node\":%" PRIu32,
-      span.begin, to_string(span.kind), span.sid,
-      static_cast<std::uint32_t>(span.node));
-  trace_out_->write(buffer, n);
-  if (span.peer != kInvalidNode) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"peer\":%" PRIu32,
-                      static_cast<std::uint32_t>(span.peer));
-    trace_out_->write(buffer, n);
-  }
-  if (span.parent != 0) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"parent\":%" PRIu32,
-                      span.parent);
-    trace_out_->write(buffer, n);
-  }
-  if (span.lineage != 0) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"lin\":%" PRIu64,
-                      static_cast<std::uint64_t>(span.lineage));
-    trace_out_->write(buffer, n);
-  }
-  trace_out_->write("}\n", 2);
+  line_.clear();
+  line_.raw("{\"t\":")
+      .fixed<9>(span.begin)
+      .raw(",\"layer\":\"span\",\"event\":\"begin\",\"span\":\"")
+      .raw(to_string(span.kind))
+      .raw("\",\"sid\":")
+      .u64(span.sid)
+      .raw(",\"node\":")
+      .u64(span.node);
+  if (span.peer != kInvalidNode) line_.raw(",\"peer\":").u64(span.peer);
+  if (span.parent != 0) line_.raw(",\"parent\":").u64(span.parent);
+  if (span.lineage != 0) line_.raw(",\"lin\":").u64(span.lineage);
+  line_.raw("}\n");
+  trace_out_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 void SpanBuilder::emit_end(const OpenSpan& span, Time t, double dur,
                            const char* outcome) {
   if (trace_out_ == nullptr) return;
-  char buffer[320];
-  int n = std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"t\":%.9f,\"layer\":\"span\",\"event\":\"end\",\"span\":\"%s\","
-      "\"sid\":%" PRIu32 ",\"node\":%" PRIu32,
-      t, to_string(span.kind), span.sid,
-      static_cast<std::uint32_t>(span.node));
-  trace_out_->write(buffer, n);
-  if (span.peer != kInvalidNode) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"peer\":%" PRIu32,
-                      static_cast<std::uint32_t>(span.peer));
-    trace_out_->write(buffer, n);
-  }
-  n = std::snprintf(buffer, sizeof(buffer), ",\"dur\":%.9f,\"outcome\":\"%s\"",
-                    dur, outcome);
-  trace_out_->write(buffer, n);
-  if (span.retries > 0) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"retries\":%" PRIu32,
-                      span.retries);
-    trace_out_->write(buffer, n);
-  }
+  line_.clear();
+  line_.raw("{\"t\":")
+      .fixed<9>(t)
+      .raw(",\"layer\":\"span\",\"event\":\"end\",\"span\":\"")
+      .raw(to_string(span.kind))
+      .raw("\",\"sid\":")
+      .u64(span.sid)
+      .raw(",\"node\":")
+      .u64(span.node);
+  if (span.peer != kInvalidNode) line_.raw(",\"peer\":").u64(span.peer);
+  line_.raw(",\"dur\":")
+      .fixed<9>(dur)
+      .raw(",\"outcome\":\"")
+      .raw(outcome)
+      .raw("\"");
+  if (span.retries > 0) line_.raw(",\"retries\":").u64(span.retries);
   if (span.ph_observe >= 0.0 && span.ph_corroborate >= 0.0 &&
       span.ph_isolate >= 0.0) {
-    n = std::snprintf(buffer, sizeof(buffer),
-                      ",\"observe\":%.9f,\"corroborate\":%.9f,"
-                      "\"isolate\":%.9f",
-                      span.ph_observe, span.ph_corroborate, span.ph_isolate);
-    trace_out_->write(buffer, n);
+    line_.raw(",\"observe\":")
+        .fixed<9>(span.ph_observe)
+        .raw(",\"corroborate\":")
+        .fixed<9>(span.ph_corroborate)
+        .raw(",\"isolate\":")
+        .fixed<9>(span.ph_isolate);
   }
-  trace_out_->write("}\n", 2);
+  line_.raw("}\n");
+  trace_out_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 std::uint32_t SpanBuilder::ensure_alert_round(const Event& event,

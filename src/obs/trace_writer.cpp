@@ -1,57 +1,45 @@
 #include "obs/trace_writer.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "packet/packet.h"
 
 namespace lw::obs {
 
 void TraceWriter::on_event(const Event& event) {
-  // printf-family formatting: byte-deterministic and locale-independent,
-  // unlike ostream floats.
-  char buffer[256];
-  int n = std::snprintf(buffer, sizeof(buffer),
-                        "{\"t\":%.9f,\"layer\":\"%s\",\"event\":\"%s\","
-                        "\"node\":%" PRIu32,
-                        event.t, to_string(layer_of(event.kind)),
-                        to_string(event.kind),
-                        static_cast<std::uint32_t>(event.node));
-  out_.write(buffer, n);
-  if (event.peer != kInvalidNode) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"peer\":%" PRIu32,
-                      static_cast<std::uint32_t>(event.peer));
-    out_.write(buffer, n);
-  }
+  line_.clear();
+  line_.raw("{\"t\":")
+      .fixed<9>(event.t)
+      .raw(",\"layer\":\"")
+      .raw(to_string(layer_of(event.kind)))
+      .raw("\",\"event\":\"")
+      .raw(to_string(event.kind))
+      .raw("\",\"node\":")
+      .u64(event.node);
+  if (event.peer != kInvalidNode) line_.raw(",\"peer\":").u64(event.peer);
   if (event.packet != nullptr) {
-    n = std::snprintf(buffer, sizeof(buffer),
-                      ",\"pkt\":\"%s\",\"origin\":%" PRIu32 ",\"seq\":%" PRIu64
-                      ",\"lin\":%" PRIu64,
-                      pkt::to_string(event.packet->type),
-                      static_cast<std::uint32_t>(event.packet->origin),
-                      static_cast<std::uint64_t>(event.packet->seq),
-                      static_cast<std::uint64_t>(event.packet->lineage));
-    out_.write(buffer, n);
+    line_.raw(",\"pkt\":\"")
+        .raw(pkt::to_string(event.packet->type))
+        .raw("\",\"origin\":")
+        .u64(event.packet->origin)
+        .raw(",\"seq\":")
+        .u64(event.packet->seq)
+        .raw(",\"lin\":")
+        .u64(event.packet->lineage);
   }
   if (event.kind == EventKind::kMonSuspicion) {
-    const char* sus = event.detail == kSuspicionDrop      ? "drop"
-                      : event.detail == kSuspicionAnomaly ? "anom"
-                                                          : "fab";
-    n = std::snprintf(buffer, sizeof(buffer), ",\"sus\":\"%s\"", sus);
-    out_.write(buffer, n);
+    line_.raw(event.detail == kSuspicionDrop      ? ",\"sus\":\"drop\""
+              : event.detail == kSuspicionAnomaly ? ",\"sus\":\"anom\""
+                                                  : ",\"sus\":\"fab\"");
   }
   if (event.def != 0) {
     // Non-default backend attribution; omitted for the default LITEWORP
     // monitor so pre-existing golden traces stay byte-identical.
-    n = std::snprintf(buffer, sizeof(buffer), ",\"def\":\"%s\"",
-                      to_string(static_cast<DefenseTag>(event.def)));
-    out_.write(buffer, n);
+    line_.raw(",\"def\":\"")
+        .raw(to_string(static_cast<DefenseTag>(event.def)))
+        .raw("\"");
   }
-  if (event.value != 0.0) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"value\":%.9g", event.value);
-    out_.write(buffer, n);
-  }
-  out_.write("}\n", 2);
+  if (event.value != 0.0) line_.raw(",\"value\":").general<9>(event.value);
+  line_.raw("}\n");
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 }  // namespace lw::obs

@@ -2,14 +2,17 @@
 // file.
 //
 // One JSON object per line, schema documented in docs/TRACE_FORMAT.md.
-// All formatting is locale-independent fixed printf
-// formatting, and events arrive in deterministic simulator order, so the
-// trace of a fixed-seed run is byte-identical across repeated runs and
-// across sweep thread counts (enforced by the golden-trace test).
+// Each line is formatted whole by obs::JsonLine (std::to_chars: locale-
+// independent and byte-identical to the "%.9f"/"%.9g" printf formats the
+// schema was first written with) and handed to the stream in one write.
+// Events arrive in deterministic simulator order, so the trace of a
+// fixed-seed run is byte-identical across repeated runs and across sweep
+// thread counts (enforced by the golden-trace test).
 #pragma once
 
 #include <ostream>
 
+#include "obs/json_line.h"
 #include "obs/recorder.h"
 
 namespace lw::obs {
@@ -23,6 +26,7 @@ class TraceWriter final : public EventSink {
 
  private:
   std::ostream& out_;
+  JsonLine line_;  // reused for every line
 };
 
 }  // namespace lw::obs
