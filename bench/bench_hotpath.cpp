@@ -2,8 +2,7 @@
 // large N, with and without collisions — the perf trajectory anchor.
 //
 //   ./bench_hotpath [--runs=1] [--seed=1] [--nodes=50,200,500,1000c]
-//                   [--duration=120] [--json] [--check=BENCH_baseline.json]
-//                   [--series[=B]] [--watch]
+//                   [--duration=120] [--json] [--series[=B]] [--watch]
 //
 // A --nodes entry may carry a `c` (collisions only) or `i` (ideal only)
 // suffix; bare counts run both variants. The default ends with 1000c: a
@@ -18,15 +17,12 @@
 // two colluding attackers) and reports wall-clock throughput next to the
 // deterministic work counters (frames transmitted/delivered, simulator
 // events executed, queue high-water mark). The deterministic counters are
-// recorded in BENCH_baseline.json at the repo root; --check=FILE re-runs
-// the cases and fails if any counter drifts from the recorded value — a
-// correctness guard for hot-path rewrites, not a wall-clock gate
-// (wall-clock fields are informational and machine-dependent).
-#include <cctype>
+// recorded in BENCH_history.json at the repo root: `lw-report check` on a
+// --series --json run fails if any of them drifts — a correctness guard
+// for hot-path rewrites, not a wall-clock gate (wall-clock fields are
+// informational and machine-dependent).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,7 +42,7 @@ struct Case {
 struct CaseResult {
   Case spec;
   int runs = 0;
-  // Deterministic per (seed, runs): must match the checked-in baseline.
+  // Deterministic per (seed, runs): must match the BENCH_history.json ledger.
   std::uint64_t frames_transmitted = 0;
   std::uint64_t frames_delivered = 0;
   std::uint64_t events_executed = 0;
@@ -133,86 +129,6 @@ CaseResult run_case(const Case& spec, const bench::Common& common,
   return result;
 }
 
-/// Extracts "<key>":<integer> from the baseline object that contains
-/// "case":"<name>". Returns -1 when the case or key is missing.
-long long baseline_value(const std::string& text, const std::string& name,
-                         const std::string& key) {
-  const std::string anchor = "\"case\":\"" + name + "\"";
-  const std::size_t at = text.find(anchor);
-  if (at == std::string::npos) return -1;
-  const std::size_t end = text.find('}', at);
-  const std::size_t field = text.find("\"" + key + "\":", at);
-  if (field == std::string::npos || field > end) return -1;
-  return std::atoll(text.c_str() + field + key.size() + 3);
-}
-
-/// Compares the deterministic counters of `results` against the recorded
-/// baseline; returns the number of drifted fields (0 = pass). A failure
-/// prints one expected-vs-actual table per drifted case plus the exact
-/// regeneration command, so the fix (or the investigation) needs no
-/// spelunking through the baseline file.
-int check_against_baseline(const std::string& path,
-                           const std::vector<CaseResult>& results,
-                           const bench::Common& common, double duration,
-                           const std::string& nodes_csv) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  // Normalize away whitespace so both compact and pretty-printed baselines
-  // parse (keys and case names never contain whitespace).
-  std::string text = buffer.str();
-  std::erase_if(text, [](unsigned char c) { return std::isspace(c) != 0; });
-
-  int drift = 0;
-  for (const CaseResult& r : results) {
-    struct Row {
-      const char* key;
-      long long got;
-    };
-    const Row rows[] = {
-        {"frames_transmitted", static_cast<long long>(r.frames_transmitted)},
-        {"frames_delivered", static_cast<long long>(r.frames_delivered)},
-        {"events_executed", static_cast<long long>(r.events_executed)},
-    };
-    bool header_printed = false;
-    for (const Row& row : rows) {
-      const long long want = baseline_value(text, r.spec.name, row.key);
-      if (want == row.got) continue;
-      ++drift;
-      if (!header_printed) {
-        header_printed = true;
-        std::fprintf(stderr, "DRIFT in case %s:\n", r.spec.name.c_str());
-        std::fprintf(stderr, "  %-20s %14s %14s %10s\n", "counter",
-                     "baseline", "run", "delta");
-      }
-      if (want < 0) {
-        std::fprintf(stderr, "  %-20s %14s %14lld %10s\n", row.key,
-                     "(missing)", row.got, "-");
-      } else {
-        std::fprintf(stderr, "  %-20s %14lld %14lld %+10lld\n", row.key, want,
-                     row.got, row.got - want);
-      }
-    }
-  }
-  if (drift == 0) {
-    std::fprintf(stderr, "baseline check passed: %zu cases, no drift\n",
-                 results.size());
-  } else {
-    std::fprintf(
-        stderr,
-        "%d counter(s) drifted. If the change is intended, regenerate with:\n"
-        "  bench_hotpath --json --runs=%d --seed=%llu --duration=%g "
-        "--nodes=%s > %s\n",
-        drift, common.runs, static_cast<unsigned long long>(common.seed),
-        duration, nodes_csv.c_str(), path.c_str());
-  }
-  return drift;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -220,7 +136,6 @@ int main(int argc, char** argv) {
   const bench::Common common = bench::parse_common(args, 1, 1);
   const double duration = args.get_double("duration", 120.0);
   const std::string nodes_csv = args.get_string("nodes", "50,200,500,1000c");
-  const std::string check_file = args.get_string("check", "");
   const bool show_profile = args.get_bool("profile", false);
   if (int status = bench::finish(args)) return status;
   if (common.runs < 1) {
@@ -255,13 +170,6 @@ int main(int argc, char** argv) {
       }
       std::fprintf(stderr, "\n");
     }
-  }
-
-  if (!check_file.empty()) {
-    return check_against_baseline(check_file, results, common, duration,
-                                  nodes_csv) == 0
-               ? 0
-               : 1;
   }
 
   if (common.json) {
@@ -317,7 +225,7 @@ int main(int argc, char** argv) {
                 r.max_queue_depth, r.wall_seconds, r.frames_per_second());
   }
   std::puts("\ncounters (frames, delivered, events) are deterministic per\n"
-            "seed; wall-clock columns are machine-dependent. Compare against\n"
-            "the checked-in BENCH_baseline.json with --check=FILE.");
+            "seed; wall-clock columns are machine-dependent. Check them with\n"
+            "`lw-report check` against BENCH_history.json (--series --json).");
   return bench::finish(args);
 }

@@ -68,8 +68,8 @@ class LiteworpDefense final : public Defense {
             .admission_checks =
                 admission_stats_.accepted + admission_stats_.total_rejected(),
             .admission_rejects = admission_stats_.total_rejected(),
-            .control_messages = monitor_.alerts_transmitted(),
-            .control_bytes = monitor_.alert_bytes(),
+            .control_messages = monitor_.alerts().transmitted(),
+            .control_bytes = monitor_.alerts().bytes(),
             .storage_bytes = monitor_.storage_bytes()};
   }
 
@@ -158,6 +158,24 @@ int parse_int(const std::string& key, const std::string& value) {
   }
 }
 
+/// The alert values shared by the accusing backends, checked once for
+/// whichever of them is selected. The negated comparisons reject NaN too.
+void validate_alerts(const std::string& backend, const lite::AlertParams& a) {
+  if (a.detection_confidence < 1) {
+    reject(backend + ".detection_confidence (gamma) must be at least 1");
+  }
+  if (a.repeats < 1) reject(backend + ".alert_repeats must be at least 1");
+  if (!(a.repeat_gap >= 0.0)) {
+    reject(backend + ".alert_repeat_gap must be non-negative");
+  }
+  if (a.ttl < 0 || a.ttl > 255) {
+    reject(backend + ".alert_ttl must be within [0, 255]");
+  }
+  if (!(a.realert_interval >= 0.0)) {
+    reject(backend + ".realert_interval must be non-negative");
+  }
+}
+
 bool parse_bool(const std::string& key, const std::string& value) {
   if (value == "true" || value == "1" || value == "on") return true;
   if (value == "false" || value == "0" || value == "off") return false;
@@ -200,19 +218,15 @@ void DefenseConfig::validate() const {
            registry_list() + ")");
   }
   if (name == "liteworp") {
-    if (liteworp.detection_confidence < 1) {
-      reject("liteworp.detection_confidence (gamma) must be at least 1");
-    }
+    validate_alerts(name, lite::AlertParams::of(liteworp));
     if (liteworp.malc_threshold <= 0.0) {
       reject("liteworp.malc_threshold (C_t) must be positive");
     }
     if (liteworp.watch_timeout <= 0.0) {
       reject("liteworp.watch_timeout (delta) must be positive");
     }
-    if (liteworp.alert_repeats < 1) {
-      reject("liteworp.alert_repeats must be at least 1");
-    }
   } else if (name == "zscore") {
+    validate_alerts(name, lite::AlertParams::of(zscore));
     if (zscore.z_threshold <= 0.0) {
       reject("zscore.z_threshold must be positive");
     }
@@ -229,9 +243,6 @@ void DefenseConfig::validate() const {
     }
     if (zscore.std_floor <= 0.0) {
       reject("zscore.std_floor must be positive");
-    }
-    if (zscore.detection_confidence < 1) {
-      reject("zscore.detection_confidence (gamma) must be at least 1");
     }
   } else if (name == "leash") {
     if (leash.sync_error < 0.0) {

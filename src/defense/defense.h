@@ -11,6 +11,10 @@
 //   handle_alert()    backend-specific control traffic (ALERT frames);
 //   cost()            uniform overhead accounting for head-to-head benches.
 //
+// The two accusing backends (LITEWORP and the z-score detector) implement
+// handle_alert()/emit_false_alert() through one lite::AlertChannel
+// (liteworp/alert_channel.h), so their alert protocol is the same code.
+//
 // The scenario layer selects a backend by name through defense::make(); the
 // per-backend parameter blocks live in DefenseConfig, validated alongside
 // the rest of ExperimentConfig. Detection outcomes flow through the shared
@@ -67,8 +71,9 @@ struct ZScoreParams {
   double std_floor = 0.05;
   /// TTL of transmit records backing the "never heard this flow" test.
   Duration transmit_record_ttl = 10.0;
-  /// gamma: alerts from distinct accusers required to isolate (shared
-  /// alert protocol with LITEWORP).
+  /// gamma: alerts from distinct accusers required to isolate. This and
+  /// the next four are the lite::AlertChannel values, with the same
+  /// meaning and defaults as in LiteworpParams.
   int detection_confidence = 3;
   int alert_repeats = 3;
   Duration alert_repeat_gap = 4.0;

@@ -15,20 +15,16 @@
 //   * a leave-one-out z-score of at least z_threshold against the other
 //     qualified neighbors' rates (std floored at std_floor).
 //
-// Convicted neighbors are revoked locally and accused through the same
-// authenticated two-hop ALERT protocol as LITEWORP (distinct-accuser gamma
+// Convicted neighbors are revoked locally and accused through LITEWORP's
+// own lite::AlertChannel (liteworp/alert_channel.h: distinct-accuser gamma
 // isolation, TTL relay, epoch-guarded repeats), minus the corroboration
 // shortcut — this detector has no MalC to lower a bar on.
 #pragma once
 
 #include <map>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
-#include "crypto/hmac.h"
 #include "defense/defense.h"
+#include "liteworp/alert_channel.h"
 #include "liteworp/watch_buffer.h"
 
 namespace lw::defense {
@@ -54,9 +50,9 @@ class ZScoreDefense final : public Defense {
   /// neighbors; 0 while the baseline is too thin (min_peers).
   double zscore_of(NodeId neighbor) const;
   bool locally_detected(NodeId suspect) const {
-    return detected_.count(suspect) != 0;
+    return alerts_.convicted(suspect);
   }
-  int alert_count(NodeId suspect) const;
+  int alert_count(NodeId suspect) const { return alerts_.alert_count(suspect); }
   const ZScoreParams& params() const { return params_; }
 
  private:
@@ -68,41 +64,21 @@ class ZScoreDefense final : public Defense {
   void observe_control(const pkt::Packet& packet);
   void judge_forward(const pkt::Packet& packet);
   void maybe_detect(NodeId suspect);
-  void detect_and_alert(NodeId suspect);
-  void send_alert(NodeId suspect);
-  void isolate(NodeId suspect, int alerts);
-  void relay_alert(const pkt::Packet& packet);
-  void emit_mon(obs::EventKind kind, NodeId peer, double value,
-                std::uint8_t detail = 0);
 
   node::NodeEnv& env_;
   nbr::NeighborTable& table_;
-  routing::OnDemandRouting& routing_;
   ZScoreParams params_;
   DetectionObserver* observer_;
-  std::string auth_buf_;
-  /// Scratch for the batched alert-signing fan-out (recycled per alert).
-  std::vector<NodeId> sign_peers_;
-  std::vector<crypto::AuthTag> sign_tags_;
 
   lite::WatchBuffer watch_;
   /// Ordered map: the leave-one-out baseline iterates it, and ordered
   /// iteration keeps the floating-point summation order deterministic.
   std::map<NodeId, NeighborStats> stats_;
-  std::unordered_set<NodeId> detected_;  // convicted locally
-  std::unordered_set<NodeId> isolated_;  // revoked (locally or by alerts)
-  std::unordered_map<NodeId, std::unordered_set<NodeId>> alert_buffer_;
   /// (flow, forwarder) pairs already judged (one verdict per packet).
-  std::unordered_set<lite::FlowNodeKey, lite::FlowNodeKeyHash> judged_;
-  std::unordered_set<FlowKey> seen_alerts_;
-  std::unordered_map<NodeId, Time> last_alert_;
+  lite::JudgedForwards judged_;
   nbr::AdmissionStats admission_stats_;
-  SeqNo alert_seq_ = 0;
   std::uint64_t frames_observed_ = 0;
-  std::uint64_t alerts_transmitted_ = 0;
-  std::uint64_t alert_bytes_ = 0;
-  /// Bumped by reset(); disarms scheduled alert repeats from before a crash.
-  int epoch_ = 0;
+  lite::AlertChannel alerts_;
 };
 
 }  // namespace lw::defense

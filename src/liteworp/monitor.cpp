@@ -12,14 +12,10 @@ LocalMonitor::LocalMonitor(node::NodeEnv& env, nbr::NeighborTable& table,
                            LiteworpParams params, MonitorObserver* observer)
     : env_(env),
       table_(table),
-      routing_(routing),
       params_(params),
-      observer_(observer) {
-  // The per-window dedupe set reaches thousands of (flow, forwarder)
-  // entries on busy guards; growing it through a dozen rehashes per
-  // monitor is pure waste. Bucket count does not affect semantics.
-  if (params_.enabled) suspected_.reserve(4096);
-}
+      observer_(observer),
+      alerts_(env, table, routing, AlertParams::of(params), observer,
+              static_cast<std::uint8_t>(obs::DefenseTag::kLiteworp)) {}
 
 void LocalMonitor::start() {}
 
@@ -42,17 +38,7 @@ void LocalMonitor::on_overhear(const pkt::Packet& packet) {
 
 void LocalMonitor::observe_control(const pkt::Packet& packet) {
   const NodeId sender = packet.claimed_tx;
-  if (detected_.count(sender) != 0) {
-    // A node we convicted is still pushing control traffic: some of its
-    // neighbors have evidently not isolated it yet (our alerts may have
-    // died on the air). Re-send, rate-limited.
-    Time& last = last_alert_[sender];
-    if (env_.now() - last >= params_.realert_interval) {
-      last = env_.now();
-      send_alert(sender);
-    }
-    return;
-  }
+  if (alerts_.realert_if_convicted(sender)) return;
   const bool sender_known =
       sender == env_.id() || table_.is_active_neighbor(sender);
   if (!sender_known) return;  // can only guard links of known neighbors
@@ -77,8 +63,7 @@ void LocalMonitor::check_fabrication(const pkt::Packet& packet) {
 
   // One packet incriminates (or exonerates) a forwarder once per guard,
   // however many link-layer retransmissions of the forward we overhear.
-  if (suspected_.size() > 8192) suspected_.clear();  // bound stale flows
-  if (!suspected_.insert(FlowNodeKey{packet.flow_key(), sender}).second) {
+  if (!suspected_.first_verdict(FlowNodeKey{packet.flow_key(), sender})) {
     return;
   }
 
@@ -169,24 +154,18 @@ void LocalMonitor::observe(NodeId suspect, bool suspicious, Suspicion kind) {
     observer_->on_suspicion(env_.id(), suspect, kind);
   }
   if (suspicious) {
-    if (auto* r = env_.obs(); r && r->wants(obs::Layer::kMonitor)) {
-      r->emit({.t = env_.now(),
-               .kind = obs::EventKind::kMonSuspicion,
-               .node = env_.id(),
-               .peer = suspect,
-               .value = malc(suspect),
-               .detail = kind == Suspicion::kDrop ? obs::kSuspicionDrop
-                                                  : obs::kSuspicionFabrication});
-    }
+    alerts_.emit(obs::EventKind::kMonSuspicion, suspect, malc(suspect),
+                 kind == Suspicion::kDrop ? obs::kSuspicionDrop
+                                          : obs::kSuspicionFabrication);
   }
-  if (detected_.count(suspect) != 0) return;
+  if (alerts_.convicted(suspect)) return;
   SuspectState& state = malc_[suspect];
   ++state.observed;
   if (suspicious) {
     state.malc += kind == Suspicion::kFabrication ? params_.malc_fabrication
                                                   : params_.malc_drop;
     if (state.malc >= local_threshold(suspect)) {
-      detect_and_alert(suspect);
+      alerts_.convict(suspect, state.malc);
       return;
     }
   }
@@ -197,164 +176,38 @@ void LocalMonitor::observe(NodeId suspect, bool suspicious, Suspicion kind) {
   }
 }
 
-void LocalMonitor::detect_and_alert(NodeId suspect) {
-  detected_.insert(suspect);
-  isolated_.insert(suspect);
-  table_.revoke(suspect);
-  routing_.on_revoked(suspect);
-  if (observer_) observer_->on_local_detection(env_.id(), suspect);
-  if (auto* r = env_.obs(); r && r->wants(obs::Layer::kMonitor)) {
-    r->emit({.t = env_.now(),
-             .kind = obs::EventKind::kMonDetection,
-             .node = env_.id(),
-             .peer = suspect,
-             .value = malc(suspect)});
-  }
-  LW_INFO << "guard " << env_.id() << " detected node " << suspect
-          << " at t=" << env_.now();
-
-  if (observer_) observer_->on_alert_sent(env_.id(), suspect);
-  last_alert_[suspect] = env_.now();
-  send_alert(suspect);
-  for (int repeat = 1; repeat < params_.alert_repeats; ++repeat) {
-    env_.simulator().schedule(repeat * params_.alert_repeat_gap,
-                              [this, suspect, epoch = epoch_] {
-                                if (epoch == epoch_) send_alert(suspect);
-                              });
-  }
-}
-
-void LocalMonitor::send_alert(NodeId suspect) {
-  const std::vector<NodeId>* recipients = table_.list_of(suspect);
-  pkt::Packet alert = env_.packet_factory().make(pkt::PacketType::kAlert);
-  alert.origin = env_.id();
-  // Each (re)transmission is a fresh flow so relays propagate it again;
-  // receivers count distinct guards, so repeats never double-count.
-  alert.seq = ++alert_seq_;
-  alert.accused = suspect;
-  alert.accusing_guard = env_.id();
-  alert.ttl = static_cast<std::uint8_t>(params_.alert_ttl);
-  alert.auth_payload_into(auth_buf_);
-  const std::string& payload = auth_buf_;
-  if (recipients != nullptr) {
-    sign_peers_.clear();
-    for (NodeId recipient : *recipients) {
-      if (recipient == env_.id() || recipient == suspect) continue;
-      sign_peers_.push_back(recipient);
-    }
-    // One multi-buffer sweep tags the payload for every recipient at once.
-    sign_tags_.resize(sign_peers_.size());
-    env_.keys().sign_batch(env_.id(), sign_peers_, payload,
-                           sign_tags_.data());
-    alert.alert_auth.reserve(sign_peers_.size());
-    for (std::size_t i = 0; i < sign_peers_.size(); ++i) {
-      alert.alert_auth.push_back({sign_peers_[i], sign_tags_[i]});
-    }
-  }
-  seen_alerts_.insert(alert.flow_key());  // do not re-process our own
-  ++alerts_transmitted_;
-  alert_bytes_ += alert.wire_size();
-  if (auto* r = env_.obs(); r && r->wants(obs::Layer::kMonitor)) {
-    r->emit({.t = env_.now(),
-             .kind = obs::EventKind::kMonAlert,
-             .node = env_.id(),
-             .peer = suspect});
-  }
-  env_.send(std::move(alert), {.flood_jitter = true});
-}
-
 void LocalMonitor::emit_false_alert(NodeId victim) {
   if (!params_.enabled) return;
   // The framing guard behaves exactly like a detecting guard on the wire —
   // same recipients, same per-recipient tags, same flooding — just without
   // any evidence. It does NOT revoke the victim locally: a lone framer
   // keeps routing through its victim, hoping gamma-1 peers join in.
-  send_alert(victim);
+  alerts_.send(victim);
 }
 
 void LocalMonitor::reset() {
-  ++epoch_;
   watch_.clear();
   malc_.clear();
-  detected_.clear();
-  isolated_.clear();
-  alert_buffer_.clear();
   suspected_.clear();
-  seen_alerts_.clear();
-  last_alert_.clear();
+  alerts_.reset();
 }
 
 void LocalMonitor::handle_alert(const pkt::Packet& packet) {
   if (!params_.enabled) return;
-  if (packet.origin == env_.id()) return;
-  if (!seen_alerts_.insert(packet.flow_key()).second) return;
-  relay_alert(packet);
-
-  const NodeId guard = packet.accusing_guard;
-  const NodeId accused = packet.accused;
-  if (guard != packet.origin) return;  // malformed
-  if (!table_.knows_neighbor(accused)) return;  // not my concern
-  // The guard must itself be a neighbor of the accused; we hold R_accused
-  // because the accused is our neighbor.
-  if (!table_.in_list_of(accused, guard)) return;
-
-  auto entry = std::find_if(
-      packet.alert_auth.begin(), packet.alert_auth.end(),
-      [this](const pkt::AlertAuth& a) { return a.recipient == env_.id(); });
-  if (entry == packet.alert_auth.end()) return;
-  packet.auth_payload_into(auth_buf_);
-  if (!env_.keys().verify(guard, env_.id(), auth_buf_, entry->tag)) {
-    LW_WARN << "node " << env_.id() << ": unauthentic alert claiming guard "
-            << guard;
-    return;
-  }
-
-  auto& guards = alert_buffer_[accused];
-  guards.insert(guard);
-  if (isolated_.count(accused) != 0) return;
-  if (static_cast<int>(guards.size()) >= params_.detection_confidence) {
-    isolate(accused, static_cast<int>(guards.size()));
-    return;
-  }
+  if (!alerts_.receive(packet)) return;
   // Corroboration: the circulating accusation lowers our own bar; our
   // partial evidence may now suffice for a detection of our own.
+  const NodeId accused = packet.accused;
   auto state = malc_.find(accused);
-  if (detected_.count(accused) == 0 && state != malc_.end() &&
+  if (!alerts_.convicted(accused) && state != malc_.end() &&
       state->second.malc >= params_.corroborated_threshold) {
-    detect_and_alert(accused);
+    alerts_.convict(accused, state->second.malc);
   }
 }
 
 double LocalMonitor::local_threshold(NodeId suspect) const {
-  const auto it = alert_buffer_.find(suspect);
-  const bool corroborated = it != alert_buffer_.end() && !it->second.empty();
-  return corroborated ? params_.corroborated_threshold
-                      : params_.malc_threshold;
-}
-
-void LocalMonitor::isolate(NodeId suspect, int alerts) {
-  isolated_.insert(suspect);
-  table_.revoke(suspect);
-  routing_.on_revoked(suspect);
-  if (observer_) observer_->on_isolation(env_.id(), suspect, alerts);
-  if (auto* r = env_.obs(); r && r->wants(obs::Layer::kMonitor)) {
-    r->emit({.t = env_.now(),
-             .kind = obs::EventKind::kMonIsolation,
-             .node = env_.id(),
-             .peer = suspect,
-             .value = static_cast<double>(alerts)});
-  }
-  LW_INFO << "node " << env_.id() << " isolated " << suspect
-          << " after " << alerts << " alerts at t=" << env_.now();
-}
-
-void LocalMonitor::relay_alert(const pkt::Packet& packet) {
-  if (packet.ttl == 0) return;
-  pkt::Packet relay = env_.packet_factory().forward_copy(packet);
-  relay.ttl = packet.ttl - 1;
-  relay.announced_prev_hop = packet.claimed_tx;
-  relay.claimed_tx = kInvalidNode;
-  env_.send(std::move(relay), {.flood_jitter = true});
+  return alerts_.alert_count(suspect) > 0 ? params_.corroborated_threshold
+                                          : params_.malc_threshold;
 }
 
 double LocalMonitor::malc(NodeId suspect) const {
@@ -362,18 +215,8 @@ double LocalMonitor::malc(NodeId suspect) const {
   return it == malc_.end() ? 0.0 : it->second.malc;
 }
 
-int LocalMonitor::alert_count(NodeId suspect) const {
-  auto it = alert_buffer_.find(suspect);
-  return it == alert_buffer_.end() ? 0 : static_cast<int>(it->second.size());
-}
-
 std::size_t LocalMonitor::storage_bytes() const {
-  std::size_t alert_entries = 0;
-  for (const auto& [accused, guards] : alert_buffer_) {
-    (void)accused;
-    alert_entries += guards.size();
-  }
-  return watch_.storage_bytes() + 4 * alert_entries;
+  return watch_.storage_bytes() + alerts_.storage_bytes();
 }
 
 }  // namespace lw::lite

@@ -5,23 +5,21 @@
 // a guard of its own outgoing links). It maintains:
 //   * the watch buffer (transmit records + REP drop watches),
 //   * MalC(i, j): this guard's malicious-activity counter for neighbor j,
-//   * the alert buffer: which guards accused which neighbor.
+//   * the alert buffer, inside its AlertChannel: which guards accused which
+//     neighbor.
 //
-// When MalC crosses C_t the guard revokes the neighbor locally and sends a
-// two-hop-scoped ALERT, individually authenticated for every neighbor of
-// the accused (the paper's "multiple unicasts" realized as one frame with
-// per-recipient tags plus a single rebroadcast). A node isolates a neighbor
-// once gamma distinct guards (the detection confidence index) accused it.
+// When MalC crosses C_t the guard convicts the neighbor through its
+// AlertChannel (liteworp/alert_channel.h): local revocation plus a
+// two-hop-scoped, per-recipient-authenticated ALERT. A node isolates a
+// neighbor once gamma distinct guards (the detection confidence index)
+// accused it; a circulating accusation also lowers this guard's own bar
+// (the corroborated threshold).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
-#include "crypto/hmac.h"
+#include "liteworp/alert_channel.h"
 #include "liteworp/watch_buffer.h"
 #include "neighbor/neighbor_table.h"
 #include "node/node_env.h"
@@ -139,28 +137,24 @@ class LocalMonitor {
   /// verify it; the gamma threshold is what must hold the line.
   void emit_false_alert(NodeId victim);
 
-  /// Wipes all monitoring state (node crash): watch buffer, MalC, alert
-  /// buffer, dedupe sets. Pending alert-repeat events are disarmed via an
-  /// epoch check so a rebooted guard never accuses from pre-crash memory.
+  /// Wipes all monitoring state (node crash): watch buffer, MalC, dedupe
+  /// set and the alert channel (whose epoch check disarms pending repeats,
+  /// so a rebooted guard never accuses from pre-crash memory).
   void reset();
 
   double malc(NodeId suspect) const;
   bool locally_detected(NodeId suspect) const {
-    return detected_.count(suspect) != 0;
+    return alerts_.convicted(suspect);
   }
-  int alert_count(NodeId suspect) const;
+  int alert_count(NodeId suspect) const { return alerts_.alert_count(suspect); }
   const WatchBuffer& watch_buffer() const { return watch_; }
   const LiteworpParams& params() const { return params_; }
+  /// The accusation protocol, with its control-plane cost counters.
+  const AlertChannel& alerts() const { return alerts_; }
 
   /// Storage per the paper's cost model: watch buffer + 4-byte alert
   /// entries (MalC bytes are accounted inside the neighbor list).
   std::size_t storage_bytes() const;
-
-  /// Control-plane cost: ALERT frames this monitor put on the air (every
-  /// transmission counted, repeats and re-alerts included) and their wire
-  /// bytes.
-  std::uint64_t alerts_transmitted() const { return alerts_transmitted_; }
-  std::uint64_t alert_bytes() const { return alert_bytes_; }
 
  private:
   void observe_control(const pkt::Packet& packet);
@@ -170,23 +164,12 @@ class LocalMonitor {
   /// an expired/cleared drop watch), suspicious or benign, and applies the
   /// kappa-block window discipline.
   void observe(NodeId suspect, bool suspicious, Suspicion kind);
-  void detect_and_alert(NodeId suspect);
-  /// One authenticated two-hop alert transmission about `suspect`.
-  void send_alert(NodeId suspect);
   /// C_t, or the corroborated bar once alerts about `suspect` circulate.
   double local_threshold(NodeId suspect) const;
-  void isolate(NodeId suspect, int alerts);
-  void relay_alert(const pkt::Packet& packet);
 
   node::NodeEnv& env_;
   nbr::NeighborTable& table_;
-  routing::OnDemandRouting& routing_;
   LiteworpParams params_;
-  /// Reusable serialization buffer for alert auth payloads.
-  std::string auth_buf_;
-  /// Scratch for the batched alert-signing fan-out (recycled per alert).
-  std::vector<NodeId> sign_peers_;
-  std::vector<crypto::AuthTag> sign_tags_;
   MonitorObserver* observer_;
 
   struct SuspectState {
@@ -196,19 +179,9 @@ class LocalMonitor {
 
   WatchBuffer watch_;
   std::unordered_map<NodeId, SuspectState> malc_;
-  std::unordered_set<NodeId> detected_;   // crossed C_t locally
-  std::unordered_set<NodeId> isolated_;   // revoked (locally or by alerts)
-  std::unordered_map<NodeId, std::unordered_set<NodeId>> alert_buffer_;
   /// (flow, forwarder) pairs already counted as fabrications this window.
-  std::unordered_set<FlowNodeKey, FlowNodeKeyHash> suspected_;
-  std::unordered_set<FlowKey> seen_alerts_;
-  /// Last (re)alert time per detected node (rate limiting).
-  std::unordered_map<NodeId, Time> last_alert_;
-  SeqNo alert_seq_ = 0;
-  std::uint64_t alerts_transmitted_ = 0;
-  std::uint64_t alert_bytes_ = 0;
-  /// Bumped by reset(); disarms scheduled alert repeats from before a crash.
-  int epoch_ = 0;
+  JudgedForwards suspected_;
+  AlertChannel alerts_;
 };
 
 }  // namespace lw::lite

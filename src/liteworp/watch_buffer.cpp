@@ -4,6 +4,16 @@
 
 namespace lw::lite {
 
+bool JudgedForwards::first_verdict(const FlowNodeKey& key) {
+  if (keys_.size() > 8192) keys_.clear();
+  // A guard that judges a few dozen forwards goes on to judge thousands
+  // (about 3,700 each over a 2000 s paper run): size the table once there
+  // instead of rehashing a dozen times on the way, a visible share of such
+  // a run's time. The guards of short runs stay small and never pay for it.
+  if (keys_.size() == 64) keys_.reserve(4096);
+  return keys_.insert(key).second;
+}
+
 void WatchBuffer::record_transmit(const FlowKey& flow, NodeId node, Time now,
                                   Duration ttl) {
   purge_transmits(now);

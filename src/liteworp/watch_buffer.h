@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -40,6 +41,19 @@ struct FlowNodeKeyHash {
   std::size_t operator()(const FlowNodeKey& k) const noexcept {
     return std::hash<FlowKey>()(k.flow) * 0x9E3779B97F4A7C15ull + k.node;
   }
+};
+
+/// The (flow, forwarder) pairs a guard has judged, so one packet yields one
+/// verdict however many link-layer retransmissions of its forward the guard
+/// overhears. Bounded: past 8192 pairs it forgets them all (stale flows).
+class JudgedForwards {
+ public:
+  /// True the first time `key` is offered since the last forgetting.
+  bool first_verdict(const FlowNodeKey& key);
+  void clear() { keys_.clear(); }
+
+ private:
+  std::unordered_set<FlowNodeKey, FlowNodeKeyHash> keys_;
 };
 
 /// (packet flow, from, to) composite key for drop watches.

@@ -19,10 +19,6 @@ void NeighborTable::add_neighbor(NodeId id) {
 void NeighborTable::set_neighbor_list(NodeId owner,
                                       std::span<const NodeId> list) {
   if (!knows_neighbor(owner)) return;
-  if (owner >= list_flags_.size()) list_flags_.resize(owner + 1);
-  std::vector<std::uint8_t> flags;
-  for (NodeId member : list) set(flags, member);
-  list_flags_[owner] = std::move(flags);
   lists_[owner].assign(list.begin(), list.end());
 }
 
@@ -33,15 +29,6 @@ bool NeighborTable::has_list_of(NodeId owner) const {
 const std::vector<NodeId>* NeighborTable::list_of(NodeId owner) const {
   auto it = lists_.find(owner);
   return it == lists_.end() ? nullptr : &it->second;
-}
-
-bool NeighborTable::is_within_two_hops(NodeId id) const {
-  if (knows_neighbor(id)) return true;
-  return std::any_of(
-      list_flags_.begin(), list_flags_.end(),
-      [id](const std::vector<std::uint8_t>& flags) {
-        return test(flags, id);
-      });
 }
 
 void NeighborTable::revoke(NodeId id) {
@@ -55,7 +42,6 @@ void NeighborTable::expire_neighbor(NodeId id) {
   neighbor_flags_[id] = 0;
   order_.erase(std::remove(order_.begin(), order_.end(), id), order_.end());
   lists_.erase(id);
-  if (id < list_flags_.size()) list_flags_[id].clear();
 }
 
 void NeighborTable::clear() {
@@ -64,7 +50,6 @@ void NeighborTable::clear() {
   revoked_flags_.clear();
   revoked_count_ = 0;
   lists_.clear();
-  list_flags_.clear();
 }
 
 std::vector<NodeId> NeighborTable::active_neighbors() const {

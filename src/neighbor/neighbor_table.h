@@ -6,11 +6,13 @@
 // Revocation marks a neighbor as isolated: it stays in the table (so alerts
 // about it still verify) but fails every admission check.
 //
-// NodeIds are dense small integers, so membership questions — asked once
-// per overheard frame per guard, the hottest predicate in the simulator —
-// are answered from byte-flag vectors indexed by id instead of hash sets.
+// NodeIds are dense small integers, so first-hop membership questions —
+// asked once per overheard frame per guard, the hottest predicate in the
+// simulator — are answered from byte-flag vectors indexed by id instead of
+// hash sets. A second-hop list holds about N_B ids and is scanned directly.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -50,13 +52,12 @@ class NeighborTable {
 
   /// True if `candidate` appears in the stored list R_owner — i.e. the
   /// claim "owner received this from candidate" is topologically plausible.
+  /// Never true for kInvalidNode.
   bool in_list_of(NodeId owner, NodeId candidate) const {
-    return owner < list_flags_.size() && test(list_flags_[owner], candidate);
+    const std::vector<NodeId>* list = list_of(owner);
+    return candidate != kInvalidNode && list != nullptr &&
+           std::find(list->begin(), list->end(), candidate) != list->end();
   }
-
-  /// True if `id` appears in any stored neighbor list: a second-hop (or
-  /// first-hop) node of ours.
-  bool is_within_two_hops(NodeId id) const;
 
   /// Marks a neighbor as isolated. Idempotent.
   void revoke(NodeId id);
@@ -96,9 +97,9 @@ class NeighborTable {
   std::vector<std::uint8_t> neighbor_flags_;
   std::vector<std::uint8_t> revoked_flags_;
   std::size_t revoked_count_ = 0;
+  /// R_owner per first-hop neighbor, in received order (alert recipients
+  /// are signed in this order).
   std::unordered_map<NodeId, std::vector<NodeId>> lists_;
-  /// list_flags_[owner][candidate] mirrors lists_[owner] for O(1) checks.
-  std::vector<std::vector<std::uint8_t>> list_flags_;
 };
 
 }  // namespace lw::nbr

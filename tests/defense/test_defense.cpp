@@ -183,6 +183,59 @@ TEST(DefenseValidate, ZScoreGammaBelowOne) {
   expect_reject(config, "zscore.detection_confidence (gamma) must be at least 1");
 }
 
+// The five alert values are validated alike for both accusing backends.
+DefenseConfig with_option(const std::string& backend, const std::string& key,
+                          const std::string& value) {
+  DefenseConfig config;
+  config.name = backend;
+  set_option(config, backend + "." + key, value);
+  return config;
+}
+
+TEST(DefenseValidate, LiteworpAlertRepeatGapNegative) {
+  expect_reject(with_option("liteworp", "alert_repeat_gap", "-1"),
+                "liteworp.alert_repeat_gap must be non-negative");
+  EXPECT_NO_THROW(with_option("liteworp", "alert_repeat_gap", "0").validate());
+}
+
+TEST(DefenseValidate, LiteworpAlertTtlOutsideByteRange) {
+  expect_reject(with_option("liteworp", "alert_ttl", "-1"),
+                "liteworp.alert_ttl must be within [0, 255]");
+  expect_reject(with_option("liteworp", "alert_ttl", "256"),
+                "liteworp.alert_ttl must be within [0, 255]");
+  EXPECT_NO_THROW(with_option("liteworp", "alert_ttl", "255").validate());
+}
+
+TEST(DefenseValidate, LiteworpRealertIntervalNegative) {
+  expect_reject(with_option("liteworp", "realert_interval", "-0.5"),
+                "liteworp.realert_interval must be non-negative");
+}
+
+TEST(DefenseValidate, ZScoreAlertRepeatsBelowOne) {
+  expect_reject(with_option("zscore", "alert_repeats", "0"),
+                "zscore.alert_repeats must be at least 1");
+}
+
+TEST(DefenseValidate, ZScoreAlertRepeatGapNegative) {
+  expect_reject(with_option("zscore", "alert_repeat_gap", "-1"),
+                "zscore.alert_repeat_gap must be non-negative");
+  expect_reject(with_option("zscore", "alert_repeat_gap", "nan"),
+                "zscore.alert_repeat_gap must be non-negative");
+}
+
+TEST(DefenseValidate, ZScoreAlertTtlOutsideByteRange) {
+  expect_reject(with_option("zscore", "alert_ttl", "-1"),
+                "zscore.alert_ttl must be within [0, 255]");
+  expect_reject(with_option("zscore", "alert_ttl", "256"),
+                "zscore.alert_ttl must be within [0, 255]");
+  EXPECT_NO_THROW(with_option("zscore", "alert_ttl", "0").validate());
+}
+
+TEST(DefenseValidate, ZScoreRealertIntervalNegative) {
+  expect_reject(with_option("zscore", "realert_interval", "-0.5"),
+                "zscore.realert_interval must be non-negative");
+}
+
 TEST(DefenseValidate, LeashSyncErrorNegative) {
   DefenseConfig config;
   config.name = "leash";

@@ -110,5 +110,21 @@ TEST(WatchBuffer, ExpiredTransmitsPurgedAmortized) {
   EXPECT_LT(buffer.transmit_records(), 1000u);
 }
 
+TEST(JudgedForwards, OneVerdictPerPairUntilTheBoundForgetsAll) {
+  JudgedForwards judged;
+  // Past 64 pairs the table is resized once; membership must not notice.
+  for (SeqNo s = 0; s < 8192; ++s) {
+    ASSERT_TRUE(judged.first_verdict({flow(1, s), 5}));
+  }
+  EXPECT_FALSE(judged.first_verdict({flow(1, 0), 5}));
+  EXPECT_FALSE(judged.first_verdict({flow(1, 8191), 5}));
+  EXPECT_TRUE(judged.first_verdict({flow(1, 0), 6})) << "other forwarder";
+  // 8193 pairs now: the next offer forgets them all first.
+  EXPECT_TRUE(judged.first_verdict({flow(1, 1), 5}));
+  EXPECT_FALSE(judged.first_verdict({flow(1, 1), 5}));
+  judged.clear();
+  EXPECT_TRUE(judged.first_verdict({flow(1, 1), 5}));
+}
+
 }  // namespace
 }  // namespace lw::lite

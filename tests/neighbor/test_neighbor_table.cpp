@@ -48,13 +48,14 @@ TEST(NeighborTable, ListFromUnknownNodeIgnored) {
   EXPECT_FALSE(table.in_list_of(3, 7));
 }
 
-TEST(NeighborTable, WithinTwoHops) {
+TEST(NeighborTable, ListKeepsOrderAndNeverHoldsInvalidNode) {
   NeighborTable table;
   table.add_neighbor(3);
-  table.set_neighbor_list(3, {7, 8});
-  EXPECT_TRUE(table.is_within_two_hops(3));   // first hop
-  EXPECT_TRUE(table.is_within_two_hops(7));   // second hop
-  EXPECT_FALSE(table.is_within_two_hops(42));
+  table.set_neighbor_list(3, {8, kInvalidNode, 7});
+  EXPECT_EQ(*table.list_of(3), (std::vector<NodeId>{8, kInvalidNode, 7}));
+  EXPECT_TRUE(table.in_list_of(3, 7));
+  EXPECT_FALSE(table.in_list_of(3, kInvalidNode));
+  EXPECT_FALSE(table.in_list_of(kInvalidNode, 7));
 }
 
 TEST(NeighborTable, RevocationSemantics) {

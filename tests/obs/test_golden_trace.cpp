@@ -100,6 +100,35 @@ TEST(GoldenTrace, PhyMacFixtureMatchesCheckedIn) {
          "LW_UPDATE_GOLDEN=1";
 }
 
+TEST(GoldenTrace, ZScoreFixtureMatchesCheckedIn) {
+  // The z-score backend's monitor record: def-tagged suspicion, detection,
+  // alert and isolation lines. This scenario reaches gamma, so the fixture
+  // also pins the isolation line the LITEWORP fixture never reaches.
+  auto config = golden_config();
+  config.defense.name = "zscore";
+  config.obs.trace_layers = obs::parse_layer_mask("mon");
+  const RunResult result = run_experiment(config);
+  ASSERT_NE(result.trace_jsonl.find("\"event\":\"isolation\""),
+            std::string::npos);
+
+  const std::string path =
+      std::string(LW_GOLDEN_DIR) + "/golden_trace_zscore.jsonl";
+  if (std::getenv("LW_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << result.trace_jsonl;
+    GTEST_SKIP() << "fixture regenerated at " << path;
+  }
+
+  const std::string expected = read_file(path);
+  ASSERT_FALSE(expected.empty())
+      << "missing fixture " << path
+      << " — regenerate with LW_UPDATE_GOLDEN=1";
+  EXPECT_EQ(result.trace_jsonl, expected)
+      << "z-score trace changed; if intentional, regenerate with "
+         "LW_UPDATE_GOLDEN=1";
+}
+
 TEST(GoldenTrace, RepeatedRunsAreByteIdentical) {
   const RunResult a = run_experiment(golden_config());
   const RunResult b = run_experiment(golden_config());
