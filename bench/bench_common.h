@@ -43,7 +43,8 @@
 //   --defense-opt=K=V[,K=V...]  backend parameters by dotted key, e.g.
 //                --defense-opt=zscore.z_threshold=3,zscore.min_peers=4
 //                (comma-separated because lw::Config keeps one value per
-//                flag)
+//                flag); a malformed pair, an unknown key or a value out of
+//                range exits 2 before any run
 //   --quiet      suppress the stderr progress line (on by default when
 //                stderr is a TTY)
 //
@@ -68,14 +69,18 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "defense/defense.h"
 #include "obs/event.h"
+#include "obs/trace_writer.h"
 #include "scenario/sweep.h"
 #include "util/config.h"
+#include "util/json.h"
 
 namespace bench {
 
@@ -164,29 +169,37 @@ inline Common parse_common(const lw::Config& args, int default_runs,
   return common;
 }
 
-/// Applies --defense / --defense-opt to one config (validation errors make
-/// the bench exit non-zero with the backend's message before any run).
+/// Applies --defense / --defense-opt to one config. Any error, a malformed
+/// pair, an unknown key or a value out of range, exits 2 with its message
+/// before any run. Every backend an option names is range-checked, not
+/// only the selected one, since a sweep point may switch backends.
 inline void apply_defense(const Common& common,
                           lw::scenario::ExperimentConfig& config) {
   if (!common.defense.empty()) config.defense.name = common.defense;
+  std::vector<std::string> backends = {config.defense.name};
   std::string opts = common.defense_opts;
-  while (!opts.empty()) {
-    const std::size_t comma = opts.find(',');
-    const std::string pair = opts.substr(0, comma);
-    opts = comma == std::string::npos ? "" : opts.substr(comma + 1);
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      std::fprintf(stderr, "--defense-opt: expected key=value, got \"%s\"\n",
-                   pair.c_str());
-      std::exit(1);
+  try {
+    while (!opts.empty()) {
+      const std::size_t comma = opts.find(',');
+      const std::string pair = opts.substr(0, comma);
+      opts = comma == std::string::npos ? "" : opts.substr(comma + 1);
+      const std::size_t eq = pair.find('=');
+      if (eq == std::string::npos || eq == 0) {
+        throw std::invalid_argument("expected key=value, got \"" + pair +
+                                    "\"");
+      }
+      const std::string key = pair.substr(0, eq);
+      lw::defense::set_option(config.defense, key, pair.substr(eq + 1));
+      backends.push_back(key.substr(0, key.find('.')));
     }
-    try {
-      lw::defense::set_option(config.defense, pair.substr(0, eq),
-                              pair.substr(eq + 1));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--defense-opt: %s\n", e.what());
-      std::exit(1);
+    for (const std::string& backend : backends) {
+      lw::defense::DefenseConfig selected = config.defense;
+      selected.name = backend;
+      selected.validate();
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "--defense-opt: %s\n", e.what());
+    std::exit(2);
   }
 }
 
@@ -256,16 +269,6 @@ inline std::function<void(std::size_t, std::size_t)> make_progress(
   };
 }
 
-/// JSON string escaping for the trace run-header lines.
-inline std::string json_escape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 /// Writes every run's buffered trace in spec order, each introduced by a
 /// meta line identifying the point and seed. Spec-order writing is what
 /// keeps the file byte-identical at any --threads value.
@@ -282,8 +285,7 @@ inline void write_trace(const Common& common,
       // Failed replicas (cancelled / timed out) produced no trace; writing
       // their headers would fake empty runs.
       if (replica.failed) continue;
-      out << "{\"run\":{\"point\":\"" << json_escape(point.label)
-          << "\",\"seed\":" << replica.seed << "}}\n";
+      out << lw::obs::run_header_line(point.label, replica.seed);
       out << replica.trace_jsonl;
     }
   }
@@ -343,9 +345,7 @@ inline lw::scenario::SweepResult run_sweep(const Common& common,
     // trace in memory until the sweep ends.
     spec.drain = [&stream_out, &spec](std::size_t p, std::size_t /*i*/,
                                       lw::scenario::RunResult& r) {
-      stream_out << "{\"run\":{\"point\":\""
-                 << detail::json_escape(spec.points[p].label)
-                 << "\",\"seed\":" << r.seed << "}}\n";
+      stream_out << lw::obs::run_header_line(spec.points[p].label, r.seed);
       stream_out << r.trace_jsonl;
       r.trace_jsonl.clear();
       r.trace_jsonl.shrink_to_fit();
@@ -382,55 +382,37 @@ inline int finish(const lw::Config& args) {
   return status;
 }
 
-/// Tiny JSON table writer for benches whose output is a flat table rather
-/// than a sweep (the analytic harnesses): an array of uniform objects.
-/// Sweep benches use lw::scenario::to_json instead.
+/// Flat-table JSON output for benches whose result is a table rather than
+/// a sweep (the analytic harnesses): an array of uniform objects, numbers
+/// as general<10> ("%.10g"). Sweep benches use lw::scenario::to_json
+/// instead.
 class JsonRows {
  public:
-  JsonRows& field(const std::string& key, double value) {
-    open_field(key);
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.10g", value);
-    out_ << buffer;
+  JsonRows() { out_.open('['); }
+  JsonRows& field(std::string_view key, double value) {
+    open_field(key).general<10>(value);
     return *this;
   }
-  /// Injects pre-rendered JSON (e.g. a telemetry series object) as the
-  /// field's value, verbatim.
-  JsonRows& raw_field(const std::string& key, const std::string& json) {
-    open_field(key);
-    out_ << json;
-    return *this;
-  }
-  JsonRows& field(const std::string& key, const std::string& value) {
-    open_field(key);
-    out_ << '"';
-    for (char c : value) {
-      if (c == '"' || c == '\\') out_ << '\\';
-      out_ << c;
-    }
-    out_ << '"';
+  JsonRows& field(std::string_view key, const std::string& value) {
+    open_field(key).string(value);
     return *this;
   }
   void end_row() {
-    out_ << '}';
+    out_.close('}');
     in_row_ = false;
   }
-  std::string str() const { return "[" + out_.str() + "]"; }
+  std::string str() const { return out_.str() + "]"; }
 
  private:
-  void open_field(const std::string& key) {
+  lw::util::JsonWriter& open_field(std::string_view key) {
     if (!in_row_) {
-      out_ << (first_row_ ? "{" : ",{");
-      first_row_ = false;
+      out_.item().open('{');
       in_row_ = true;
-    } else {
-      out_ << ',';
     }
-    out_ << '"' << key << "\":";
+    return out_.key(key);
   }
 
-  std::ostringstream out_;
-  bool first_row_ = true;
+  lw::util::JsonWriter out_;
   bool in_row_ = false;
 };
 

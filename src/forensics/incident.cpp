@@ -1,6 +1,9 @@
 #include "forensics/incident.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "util/json.h"
 
 namespace lw::forensics {
 
@@ -130,6 +133,72 @@ ForensicsSummary IncidentBuilder::summarize(
         latency_sum / static_cast<double>(summary.latency_samples);
   }
   return summary;
+}
+
+std::vector<RunIncidents> fold_runs(const std::vector<TraceRecord>& records) {
+  std::vector<RunIncidents> runs;
+  IncidentBuilder builder;
+  RunIncidents current;  // implicit first segment for header-less traces
+  bool saw_events = false;
+  auto flush = [&] {
+    if (saw_events) {
+      current.incidents = builder.build();
+      runs.push_back(std::move(current));
+    }
+    builder = IncidentBuilder();
+    saw_events = false;
+  };
+  for (const TraceRecord& r : records) {
+    if (r.is_run_header) {
+      flush();
+      current = RunIncidents{r.point, r.run_seed, {}};
+      continue;
+    }
+    saw_events = true;
+    if (r.kind_known) builder.on_event(r.to_event());
+  }
+  flush();
+  return runs;
+}
+
+std::string incidents_to_json(const std::vector<RunIncidents>& runs) {
+  util::JsonWriter json;
+  json.open('[');
+  for (const RunIncidents& run : runs) {
+    json.item("\n  ").open('{');
+    json.key("point").string(run.point);
+    json.key("seed").u64(run.seed);
+    json.key("incidents").open('[');
+    for (const Incident& inc : run.incidents) {
+      json.item("\n    ").open('{');
+      json.key("accused").u64(inc.accused);
+      json.key("label").string(inc.label());
+      json.key("def").string(obs::to_string(inc.defense));
+      json.key("malicious").value(inc.ground_truth_malicious);
+      json.key("isolated").value(inc.isolated());
+      json.key("framers").open('[');
+      for (NodeId framer : inc.framers) json.item().u64(framer);
+      json.close(']');
+      json.key("guards").open('[');
+      for (NodeId guard : inc.accusing_guards) json.item().u64(guard);
+      json.close(']');
+      json.key("suspicions_fabrication").u64(inc.suspicions_fabrication);
+      json.key("suspicions_drop").u64(inc.suspicions_drop);
+      json.key("suspicions_anomaly").u64(inc.suspicions_anomaly);
+      json.key("detections").u64(inc.detections);
+      json.key("alerts").u64(inc.alerts);
+      json.key("isolations").u64(inc.isolations);
+      json.key("peak_malc").general<9>(inc.peak_malc);
+      json.key("first_malicious_act").fixed<6>(inc.first_malicious_act);
+      json.key("first_detection").fixed<6>(inc.first_detection);
+      json.key("first_isolation").fixed<6>(inc.first_isolation);
+      json.key("detection_latency").fixed<6>(inc.detection_latency());
+      json.close('}');
+    }
+    json.raw("\n  ").close(']').close('}');
+  }
+  json.raw("\n").close(']').raw("\n");
+  return json.str();
 }
 
 }  // namespace lw::forensics

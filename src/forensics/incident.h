@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "forensics/trace_reader.h"
 #include "obs/recorder.h"
 
 namespace lw::forensics {
@@ -154,5 +155,22 @@ class IncidentBuilder final : public obs::EventSink {
   /// Fault ground truth: victim -> compromised guards that framed it.
   std::map<NodeId, std::set<NodeId>> framed_;
 };
+
+/// The incidents of one run segment of a trace: the records after one run
+/// header, or before the first.
+struct RunIncidents {
+  std::string point;
+  std::uint64_t seed = 0;
+  std::vector<Incident> incidents;
+};
+
+/// Folds each run segment of a trace on its own, so incidents never bleed
+/// across run headers; segments without events are left out. This is what
+/// `lw-trace incidents` reports.
+std::vector<RunIncidents> fold_runs(const std::vector<TraceRecord>& records);
+
+/// The `lw-trace incidents --json` document: an array of runs, each with
+/// its incidents one per line.
+std::string incidents_to_json(const std::vector<RunIncidents>& runs);
 
 }  // namespace lw::forensics

@@ -6,7 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/json_line.h"
+#include "util/json.h"
 
 namespace lw::forensics {
 namespace {
@@ -59,11 +59,11 @@ constexpr std::size_t kFlushBytes = 64 * 1024;
 
 void export_perfetto(const std::vector<TraceRecord>& records,
                      std::ostream& out, const PerfettoOptions& options) {
-  obs::JsonLine doc;
+  util::JsonWriter doc;
   bool first_event = true;
   // One traceEvents entry per line for greppable output (the schema allows
   // any whitespace).
-  auto begin_event = [&]() -> obs::JsonLine& {
+  auto begin_event = [&]() -> util::JsonWriter& {
     doc.raw(first_event ? "\n{" : ",\n{");
     first_event = false;
     return doc;
@@ -105,7 +105,7 @@ void export_perfetto(const std::vector<TraceRecord>& records,
   };
   // Comma-separates one event's args.
   bool first_arg = true;
-  auto arg = [&](std::string_view key) -> obs::JsonLine& {
+  auto arg = [&](std::string_view key) -> util::JsonWriter& {
     doc.raw(first_arg ? "\"" : ",\"").raw(key).raw("\":");
     first_arg = false;
     return doc;

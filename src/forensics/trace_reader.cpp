@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "obs/span.h"
+#include "util/json.h"
 
 namespace lw::forensics {
 namespace {
@@ -36,27 +37,23 @@ class Scanner {
     return true;
   }
 
-  /// The next string value with escapes resolved (a backslash takes the
-  /// following byte literally). A view into the line when the string has
-  /// no escapes, otherwise into a buffer the next call overwrites.
+  /// The next string value with its JSON escapes decoded. A view into the
+  /// line when the string has no escapes, otherwise into a buffer the next
+  /// call overwrites.
   std::string_view string_value() {
     expect('"');
     const std::size_t start = pos_;
     while (!at_end() && text_[pos_] != '"' && text_[pos_] != '\\') ++pos_;
-    if (peek() == '"') {
-      ++pos_;
+    if (peek() != '\\') {  // the closing quote, or the end of the line
+      expect('"');
       return text_.substr(start, pos_ - 1 - start);
     }
-    unescaped_.assign(text_.substr(start, pos_ - start));
-    while (!at_end() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (at_end()) fail("dangling escape");
-        c = text_[pos_++];
-      }
-      unescaped_ += c;
+    unescaped_.clear();
+    try {
+      pos_ = util::unescape_json_string(text_, start, &unescaped_);
+    } catch (const util::JsonParseError& e) {
+      fail(e.what());
     }
-    expect('"');
     return unescaped_;
   }
 

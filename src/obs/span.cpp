@@ -1,33 +1,21 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "packet/packet.h"
 
 namespace lw::obs {
 namespace {
 
-/// Matches the sweep JSON emitter: round-trippable doubles, no locale.
-void append_double(std::ostringstream& out, double value) {
-  std::ostringstream tmp;
-  tmp.precision(17);
-  tmp << value;
-  out << tmp.str();
-}
-
-void append_summary(std::ostringstream& out, const HistogramSummary& s) {
-  out << "{\"count\":" << s.count << ",\"min\":";
-  append_double(out, s.min);
-  out << ",\"max\":";
-  append_double(out, s.max);
-  out << ",\"mean\":";
-  append_double(out, s.mean);
-  out << ",\"p50\":";
-  append_double(out, s.p50);
-  out << ",\"p95\":";
-  append_double(out, s.p95);
-  out << "}";
+void write_summary(util::JsonWriter& json, const HistogramSummary& s) {
+  json.open('{');
+  json.key("count").value(s.count);
+  json.key("min").value(s.min);
+  json.key("max").value(s.max);
+  json.key("mean").value(s.mean);
+  json.key("p50").value(s.p50);
+  json.key("p95").value(s.p95);
+  json.close('}');
 }
 
 }  // namespace
@@ -409,43 +397,40 @@ void SpanBuilder::flush(Time now) {
 }
 
 std::string spans_to_json(const SpanReport& report) {
-  std::ostringstream out;
-  out << "{\"kinds\":{";
-  bool first = true;
+  util::JsonWriter json;
+  json.open('{');
+  json.key("kinds").open('{');
   for (std::size_t i = 0; i < kSpanKindCount; ++i) {
     const SpanKindStats& stats = report.kinds[i];
     if (stats.opened == 0) continue;
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << to_string(static_cast<SpanKind>(i))
-        << "\":{\"opened\":" << stats.opened << ",\"closed\":" << stats.closed
-        << ",\"duration\":";
-    append_summary(out, summarize_samples(stats.durations));
-    out << "}";
+    json.key(to_string(static_cast<SpanKind>(i))).open('{');
+    json.key("opened").value(stats.opened);
+    json.key("closed").value(stats.closed);
+    json.key("duration");
+    write_summary(json, summarize_samples(stats.durations));
+    json.close('}');
   }
-  out << "}";
+  json.close('}');
   if (report.observe.count > 0) {
-    const auto phase = [&out](const char* name, const PhaseStats& stats) {
-      out << "\"" << name << "\":{\"sum\":";
-      append_double(out, stats.sum);
-      out << ",\"summary\":";
-      append_summary(out, summarize_samples(stats.samples));
-      out << "}";
+    const auto phase = [&json](const char* name, const PhaseStats& stats) {
+      json.key(name).open('{');
+      json.key("sum").value(stats.sum);
+      json.key("summary");
+      write_summary(json, summarize_samples(stats.samples));
+      json.close('}');
     };
-    out << ",\"phases\":{";
+    json.key("phases").open('{');
     phase("observe", report.observe);
-    out << ",";
     phase("corroborate", report.corroborate);
-    out << ",";
     phase("isolate", report.isolate);
-    out << "}";
+    json.close('}');
   }
   if (!report.detection_latencies.empty()) {
-    out << ",\"detection_latency\":";
-    append_summary(out, summarize_samples(report.detection_latencies));
+    json.key("detection_latency");
+    write_summary(json, summarize_samples(report.detection_latencies));
   }
-  out << "}";
-  return out.str();
+  json.close('}');
+  return json.str();
 }
 
 }  // namespace lw::obs

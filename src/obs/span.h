@@ -43,9 +43,9 @@
 #include <tuple>
 #include <vector>
 
-#include "obs/json_line.h"
 #include "obs/metrics_registry.h"
 #include "obs/recorder.h"
+#include "util/json.h"
 
 namespace lw::obs {
 
@@ -168,7 +168,7 @@ class SpanBuilder final : public EventSink {
   std::uint32_t ensure_alert_round(const Event& event, NodeId accused);
 
   std::ostream* trace_out_;
-  JsonLine line_;  // reused for every span line
+  util::JsonWriter line_;  // reused for every span line
   bool flushed_ = false;
   std::uint32_t next_sid_ = 1;
   /// Open spans by sid; std::map keeps flush order deterministic.

@@ -1,23 +1,17 @@
 #include "obs/timeseries.h"
 
-#include <sstream>
+#include "util/json.h"
 
 namespace lw::obs {
 namespace {
 
-/// Matches the sweep JSON emitter: round-trippable doubles, no locale.
-void append_double(std::ostringstream& out, double value) {
-  std::ostringstream tmp;
-  tmp.precision(17);
-  tmp << value;
-  out << tmp.str();
-}
-
-void append_gauges(std::ostringstream& out, const MemoryGauges& gauges) {
-  out << "{\"slab_slots\":" << gauges.slab_slots
-      << ",\"watch_entries\":" << gauges.watch_entries
-      << ",\"neighbor_bytes\":" << gauges.neighbor_bytes
-      << ",\"defense_storage_bytes\":" << gauges.defense_storage_bytes << "}";
+void write_gauges(util::JsonWriter& json, const MemoryGauges& gauges) {
+  json.open('{');
+  json.key("slab_slots").value(gauges.slab_slots);
+  json.key("watch_entries").value(gauges.watch_entries);
+  json.key("neighbor_bytes").value(gauges.neighbor_bytes);
+  json.key("defense_storage_bytes").value(gauges.defense_storage_bytes);
+  json.close('}');
 }
 
 }  // namespace
@@ -100,53 +94,44 @@ SeriesReport TelemetrySampler::report(const BucketSample& final_sample) const {
 }
 
 std::string series_to_json(const SeriesReport& report, bool include_timing) {
-  std::ostringstream out;
-  out << "{\"bucket_seconds\":";
-  append_double(out, report.bucket_seconds);
-  out << ",\"queue_high_water\":" << report.queue_high_water
-      << ",\"memory_high_water\":";
-  append_gauges(out, report.memory_high_water);
-  out << ",\"buckets\":[";
-  bool first_bucket = true;
+  util::JsonWriter json;
+  json.open('{');
+  json.key("bucket_seconds").value(report.bucket_seconds);
+  json.key("queue_high_water").value(report.queue_high_water);
+  json.key("memory_high_water");
+  write_gauges(json, report.memory_high_water);
+  json.key("buckets").open('[');
   for (const SeriesBucket& bucket : report.buckets) {
-    if (!first_bucket) out << ",";
-    first_bucket = false;
-    out << "{\"start\":";
-    append_double(out, bucket.start);
-    out << ",\"events_emitted\":" << bucket.events_emitted
-        << ",\"events_executed\":" << bucket.events_executed
-        << ",\"layers\":{";
-    bool first_layer = true;
+    json.item().open('{');
+    json.key("start").value(bucket.start);
+    json.key("events_emitted").value(bucket.events_emitted);
+    json.key("events_executed").value(bucket.events_executed);
+    json.key("layers").open('{');
     for (std::size_t i = 0; i < kLayerCount; ++i) {
       if (bucket.layer_events[i] == 0) continue;
-      if (!first_layer) out << ",";
-      first_layer = false;
-      out << "\"" << to_string(static_cast<Layer>(i))
-          << "\":" << bucket.layer_events[i];
+      json.key(to_string(static_cast<Layer>(i))).value(bucket.layer_events[i]);
     }
-    out << "},\"deliveries\":" << bucket.deliveries
-        << ",\"delivery_latency_sum\":";
-    append_double(out, bucket.delivery_latency_sum);
-    out << ",\"queue_depth\":" << bucket.queue_depth
-        << ",\"queue_high_water\":" << bucket.queue_high_water
-        << ",\"memory\":";
-    append_gauges(out, bucket.memory);
+    json.close('}');
+    json.key("deliveries").value(bucket.deliveries);
+    json.key("delivery_latency_sum").value(bucket.delivery_latency_sum);
+    json.key("queue_depth").value(bucket.queue_depth);
+    json.key("queue_high_water").value(bucket.queue_high_water);
+    json.key("memory");
+    write_gauges(json, bucket.memory);
     if (include_timing) {
-      out << ",\"self_seconds\":{";
-      bool first_timed = true;
+      json.key("self_seconds").open('{');
       for (std::size_t i = 0; i < kLayerCount; ++i) {
         if (bucket.layer_self_seconds[i] == 0.0) continue;
-        if (!first_timed) out << ",";
-        first_timed = false;
-        out << "\"" << to_string(static_cast<Layer>(i)) << "\":";
-        append_double(out, bucket.layer_self_seconds[i]);
+        json.key(to_string(static_cast<Layer>(i)))
+            .value(bucket.layer_self_seconds[i]);
       }
-      out << "}";
+      json.close('}');
     }
-    out << "}";
+    json.close('}');
   }
-  out << "]}";
-  return out.str();
+  json.close(']');
+  json.close('}');
+  return json.str();
 }
 
 }  // namespace lw::obs

@@ -42,4 +42,14 @@ void TraceWriter::on_event(const Event& event) {
   out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
+std::string run_header_line(std::string_view point, std::uint64_t seed) {
+  util::JsonWriter line;
+  line.raw("{\"run\":{\"point\":")
+      .string(point)
+      .raw(",\"seed\":")
+      .u64(seed)
+      .raw("}}\n");
+  return line.str();
+}
+
 }  // namespace lw::obs

@@ -2,7 +2,7 @@
 // file.
 //
 // One JSON object per line, schema documented in docs/TRACE_FORMAT.md.
-// Each line is formatted whole by obs::JsonLine (std::to_chars: locale-
+// Each line is formatted whole by util::JsonWriter (std::to_chars: locale-
 // independent and byte-identical to the "%.9f"/"%.9g" printf formats the
 // schema was first written with) and handed to the stream in one write.
 // Events arrive in deterministic simulator order, so the trace of a
@@ -10,10 +10,13 @@
 // thread counts (enforced by the golden-trace test).
 #pragma once
 
+#include <cstdint>
 #include <ostream>
+#include <string>
+#include <string_view>
 
-#include "obs/json_line.h"
 #include "obs/recorder.h"
+#include "util/json.h"
 
 namespace lw::obs {
 
@@ -26,7 +29,11 @@ class TraceWriter final : public EventSink {
 
  private:
   std::ostream& out_;
-  JsonLine line_;  // reused for every line
+  util::JsonWriter line_;  // reused for every line
 };
+
+/// The line that opens one run's events in a trace file:
+/// {"run":{"point":"<point>","seed":<seed>}} and a newline.
+std::string run_header_line(std::string_view point, std::uint64_t seed);
 
 }  // namespace lw::obs

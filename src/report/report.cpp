@@ -213,15 +213,6 @@ const CaseMetrics* find_case(const std::vector<CaseMetrics>& cases,
   return nullptr;
 }
 
-void escape_json_string(std::ostringstream& out, const std::string& text) {
-  out << '"';
-  for (char c : text) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
 }  // namespace
 
 bool CaseMetrics::has(const std::string& key) const {
@@ -373,9 +364,11 @@ DiffReport diff_cases(const std::vector<CaseMetrics>& a,
 std::string history_append(const std::string& history_json,
                            const std::string& label,
                            const std::vector<CaseMetrics>& cases) {
-  std::ostringstream out;
-  out << "{\"entries\":[";
-  bool first = true;
+  // Metric values are counters or seconds; general<10> (%.10g) prints both
+  // compactly and round-trips every integer the benches emit.
+  util::JsonWriter json;
+  json.open('{');
+  json.key("entries").open('[');
   if (!history_json.empty()) {
     // Existing entries are re-serialized through this same writer, so the
     // document converges to one canonical byte form regardless of how it
@@ -386,49 +379,41 @@ std::string history_append(const std::string& history_json,
       throw std::runtime_error("history: expected {\"entries\":[...]}");
     }
     for (const util::JsonValue& entry : entries->items()) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"label\":";
-      escape_json_string(out, entry.string_or("label", ""));
-      out << ",\"cases\":[";
+      json.item().open('{');
+      json.key("label").string(entry.string_or("label", ""));
+      json.key("cases").open('[');
       const util::JsonValue* entry_cases = entry.find("cases");
-      bool first_case = true;
       if (entry_cases != nullptr) {
         for (const util::JsonValue& c : entry_cases->items()) {
-          if (!first_case) out << ",";
-          first_case = false;
-          out << "{\"case\":";
-          escape_json_string(out, c.string_or("case", ""));
+          json.item().open('{');
+          json.key("case").string(c.string_or("case", ""));
           for (const auto& [key, value] : c.members()) {
             if (key == "case" || !value.is_number()) continue;
-            out << ",\"" << key << "\":" << format_number(value.as_number());
+            json.key(key).general<10>(value.as_number());
           }
-          out << "}";
+          json.close('}');
         }
       }
-      out << "]}";
+      json.close(']').close('}');
     }
   }
-  if (!first) out << ",";
-  out << "{\"label\":";
-  escape_json_string(out, label);
-  out << ",\"cases\":[";
-  bool first_case = true;
+  json.item().open('{');
+  json.key("label").string(label);
+  json.key("cases").open('[');
   for (const CaseMetrics& c : cases) {
-    if (!first_case) out << ",";
-    first_case = false;
-    out << "{\"case\":";
-    escape_json_string(out, c.name);
+    json.item().open('{');
+    json.key("case").string(c.name);
     for (const auto& [name, value] : c.metrics) {
       // Wall metrics are machine-dependent; the ledger records only what
       // every machine must reproduce.
       if (is_wall_metric(name)) continue;
-      out << ",\"" << name << "\":" << format_number(value);
+      json.key(name).general<10>(value);
     }
-    out << "}";
+    json.close('}');
   }
-  out << "]}]}";
-  return out.str();
+  json.close(']').close('}');
+  json.close(']').close('}');
+  return json.str();
 }
 
 HistoryCheck history_check(const std::string& history_json,

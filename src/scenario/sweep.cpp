@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "util/json.h"
 #include "util/thread_pool.h"
 
 namespace lw::scenario {
@@ -179,95 +179,7 @@ Aggregate average_runs(ExperimentConfig config, int runs,
 
 namespace {
 
-/// Minimal JSON emitter (no dependency): escapes strings, prints doubles
-/// round-trippably.
-class JsonOut {
- public:
-  JsonOut() {
-    out_.precision(std::numeric_limits<double>::max_digits10);
-  }
-
-  /// Injects pre-rendered JSON (e.g. a series object) as the current value.
-  JsonOut& raw(const std::string& text) {
-    comma();
-    out_ << text;
-    return *this;
-  }
-  JsonOut& key(const char* name) {
-    comma();
-    out_ << '"' << name << "\":";
-    fresh_ = true;
-    return *this;
-  }
-  JsonOut& value(double v) {
-    comma();
-    out_ << v;
-    return *this;
-  }
-  JsonOut& value(std::uint64_t v) {
-    comma();
-    out_ << v;
-    return *this;
-  }
-  JsonOut& value(bool v) {
-    comma();
-    out_ << (v ? "true" : "false");
-    return *this;
-  }
-  JsonOut& value(const std::string& v) {
-    comma();
-    out_ << '"';
-    for (char c : v) {
-      switch (c) {
-        case '"':
-          out_ << "\\\"";
-          break;
-        case '\\':
-          out_ << "\\\\";
-          break;
-        case '\n':
-          out_ << "\\n";
-          break;
-        case '\t':
-          out_ << "\\t";
-          break;
-        default:
-          out_ << c;
-      }
-    }
-    out_ << '"';
-    return *this;
-  }
-  JsonOut& null() {
-    comma();
-    out_ << "null";
-    return *this;
-  }
-  JsonOut& open(char bracket) {
-    comma();
-    out_ << bracket;
-    fresh_ = true;
-    return *this;
-  }
-  JsonOut& close(char bracket) {
-    out_ << bracket;
-    fresh_ = false;
-    return *this;
-  }
-
-  std::string str() const { return out_.str(); }
-
- private:
-  void comma() {
-    if (!fresh_) out_ << ',';
-    fresh_ = false;
-  }
-
-  std::ostringstream out_;
-  bool fresh_ = true;
-};
-
-void emit_aggregate(JsonOut& json, const Aggregate& agg) {
+void emit_aggregate(util::JsonWriter& json, const Aggregate& agg) {
   json.open('{');
   json.key("runs").value(static_cast<std::uint64_t>(agg.runs));
   json.key("data_originated").value(agg.data_originated);
@@ -306,14 +218,15 @@ void emit_aggregate(JsonOut& json, const Aggregate& agg) {
   json.close('}');
 }
 
-void emit_replica(JsonOut& json, const RunResult& r, bool include_timing) {
+void emit_replica(util::JsonWriter& json, const RunResult& r,
+                  bool include_timing) {
   json.open('{');
   json.key("seed").value(static_cast<std::uint64_t>(r.seed));
   if (r.failed) {
     // A failed replica's outputs are meaningless; emit the marker alone so
     // downstream consumers cannot mistake zeros for results.
     json.key("failed").value(true);
-    json.key("fail_reason").value(r.fail_reason);
+    json.key("fail_reason").string(r.fail_reason);
     json.close('}');
     return;
   }
@@ -343,7 +256,7 @@ void emit_replica(JsonOut& json, const RunResult& r, bool include_timing) {
   json.key("frames_collided").value(r.frames_collided);
   json.key("mean_delivery_latency").value(r.mean_delivery_latency);
   json.key("defense").open('{');
-  json.key("name").value(r.defense_name);
+  json.key("name").string(r.defense_name);
   json.key("frames_observed").value(r.defense_cost.frames_observed);
   json.key("admission_checks").value(r.defense_cost.admission_checks);
   json.key("admission_rejects").value(r.defense_cost.admission_rejects);
@@ -356,7 +269,7 @@ void emit_replica(JsonOut& json, const RunResult& r, bool include_timing) {
     json.key("nodes_crashed").value(r.nodes_crashed);
     json.key("nodes_recovered").value(r.nodes_recovered);
     json.key("recovery_latencies").open('[');
-    for (Duration latency : r.recovery_latencies) json.value(latency);
+    for (Duration latency : r.recovery_latencies) json.item().value(latency);
     json.close(']');
     json.close('}');
   }
@@ -376,12 +289,12 @@ void emit_replica(JsonOut& json, const RunResult& r, bool include_timing) {
     json.key("latency_samples").value(r.forensics.latency_samples);
     json.key("incident_list").open('[');
     for (const forensics::Incident& inc : r.incidents) {
-      json.open('{');
+      json.item().open('{');
       json.key("accused").value(static_cast<std::uint64_t>(inc.accused));
-      json.key("def").value(std::string(obs::to_string(inc.defense)));
+      json.key("def").string(obs::to_string(inc.defense));
       json.key("malicious").value(inc.ground_truth_malicious);
       json.key("isolated").value(inc.isolated());
-      json.key("label").value(std::string(inc.label()));
+      json.key("label").string(inc.label());
       json.key("guards")
           .value(static_cast<std::uint64_t>(inc.accusing_guards.size()));
       json.key("detections").value(inc.detections);
@@ -404,15 +317,16 @@ void emit_replica(JsonOut& json, const RunResult& r, bool include_timing) {
   json.close('}');
 }
 
-void emit_counters(JsonOut& json, const obs::RegistrySnapshot& counters) {
+void emit_counters(util::JsonWriter& json,
+                   const obs::RegistrySnapshot& counters) {
   json.open('{');
   for (const auto& [name, count] : counters.counters) {
-    json.key(name.c_str()).value(count);
+    json.key(name).value(count);
   }
   json.close('}');
 }
 
-void emit_profile(JsonOut& json, const obs::ProfileTotals& profile,
+void emit_profile(util::JsonWriter& json, const obs::ProfileTotals& profile,
                   bool include_timing) {
   // Deterministic fields first (always emitted); wall-clock fields only on
   // request, so the default JSON stays thread-count invariant.
@@ -458,12 +372,12 @@ std::string to_json(const SweepResult& result, bool include_timing) {
   // Timing fields (wall_seconds, cpu_seconds, threads_used) are emitted
   // only under `include_timing`: the default JSON is byte-identical across
   // --threads values, so outputs can be diffed to verify determinism.
-  JsonOut json;
+  util::JsonWriter json;
   json.open('{');
   json.key("points").open('[');
   for (const SweepPointResult& point : result.points) {
-    json.open('{');
-    json.key("label").value(point.label);
+    json.item().open('{');
+    json.key("label").string(point.label);
     json.key("aggregate");
     emit_aggregate(json, point.aggregate);
     if (!point.counters.empty()) {
@@ -476,6 +390,7 @@ std::string to_json(const SweepResult& result, bool include_timing) {
     }
     json.key("replicas").open('[');
     for (const RunResult& r : point.replicas) {
+      json.item();
       emit_replica(json, r, include_timing);
     }
     json.close(']');

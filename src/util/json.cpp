@@ -1,9 +1,97 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 
 namespace lw::util {
+namespace {
+
+void append_utf8(std::uint32_t code, std::string* out) {
+  if (code < 0x80) {
+    *out += static_cast<char>(code);
+  } else if (code < 0x800) {
+    *out += static_cast<char>(0xC0 | (code >> 6));
+    *out += static_cast<char>(0x80 | (code & 0x3F));
+  } else if (code < 0x10000) {
+    *out += static_cast<char>(0xE0 | (code >> 12));
+    *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    *out += static_cast<char>(0x80 | (code & 0x3F));
+  } else {
+    *out += static_cast<char>(0xF0 | (code >> 18));
+    *out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+    *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    *out += static_cast<char>(0x80 | (code & 0x3F));
+  }
+}
+
+/// The four hex digits of a \u escape at text[at].
+std::uint32_t hex4(std::string_view text, std::size_t at) {
+  if (at + 4 > text.size()) throw JsonParseError("truncated \\u escape", at);
+  const char* last = text.data() + at + 4;
+  std::uint32_t code = 0;
+  const auto [end, error] = std::from_chars(text.data() + at, last, code, 16);
+  if (error != std::errc() || end != last) {
+    throw JsonParseError("bad \\u escape", at);
+  }
+  return code;
+}
+
+}  // namespace
+
+std::size_t unescape_json_string(std::string_view text, std::size_t pos,
+                                 std::string* out) {
+  while (true) {
+    const std::size_t run = pos;
+    while (pos < text.size() && text[pos] != '"' && text[pos] != '\\') ++pos;
+    out->append(text.substr(run, pos - run));
+    if (pos >= text.size()) throw JsonParseError("unterminated string", pos);
+    if (text[pos++] == '"') return pos;
+    if (pos >= text.size()) throw JsonParseError("unterminated escape", pos);
+    const char esc = text[pos++];
+    switch (esc) {
+      case '"':
+      case '\\':
+      case '/':
+        *out += esc;
+        break;
+      case 'b':
+        *out += '\b';
+        break;
+      case 'f':
+        *out += '\f';
+        break;
+      case 'n':
+        *out += '\n';
+        break;
+      case 'r':
+        *out += '\r';
+        break;
+      case 't':
+        *out += '\t';
+        break;
+      case 'u': {
+        std::uint32_t code = hex4(text, pos);
+        pos += 4;
+        // A high surrogate followed by a low one is one code point; a
+        // lone surrogate is kept as its three-byte form.
+        if (code >= 0xD800 && code < 0xDC00 &&
+            text.substr(pos, 2) == "\\u") {
+          const std::uint32_t low = hex4(text, pos + 2);
+          if (low >= 0xDC00 && low < 0xE000) {
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            pos += 6;
+          }
+        }
+        append_utf8(code, out);
+        break;
+      }
+      default:
+        throw JsonParseError("unknown escape", pos - 1);
+    }
+  }
+}
 
 class JsonParser {
  public:
@@ -123,62 +211,8 @@ class JsonParser {
   std::string parse_string_text() {
     expect('"');
     std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          out += esc;
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          // Our emitters never write \u escapes; decode the BMP subset so
-          // foreign files at least round-trip ASCII-range escapes.
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          const std::string hex = text_.substr(pos_, 4);
-          pos_ += 4;
-          char* end = nullptr;
-          const long code = std::strtol(hex.c_str(), &end, 16);
-          if (end != hex.c_str() + 4) fail("bad \\u escape");
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          fail("unknown escape");
-      }
-    }
+    pos_ = unescape_json_string(text_, pos_, &out);
+    return out;
   }
 
   JsonValue parse_string_value() {

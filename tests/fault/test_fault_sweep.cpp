@@ -10,6 +10,7 @@
 #include "bench/bench_common.h"
 #include "scenario/sweep.h"
 #include "sim/simulator.h"
+#include "util/json.h"
 
 namespace lw {
 namespace {
@@ -23,35 +24,11 @@ scenario::ExperimentConfig quick_config() {
   return config;
 }
 
-/// Structural JSON sanity: braces/brackets balance outside strings and
-/// the document is one complete object. (No general parser in-tree; this
-/// is exactly the "partial output is not torn" property we guarantee.)
-void expect_balanced_json(const std::string& text) {
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : text) {
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (in_string) {
-      if (c == '\\') escaped = true;
-      if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') {
-      --depth;
-      ASSERT_GE(depth, 0) << "unbalanced close in JSON";
-    }
-  }
-  EXPECT_FALSE(in_string);
-  EXPECT_EQ(depth, 0) << "truncated JSON";
-  ASSERT_FALSE(text.empty());
-  EXPECT_EQ(text.front(), '{');
-  EXPECT_EQ(text.back(), '}');
+/// The document parses as one complete JSON object: partial output is
+/// never torn.
+void expect_complete_json(const std::string& text) {
+  ASSERT_NO_THROW(util::JsonValue::parse(text)) << text;
+  EXPECT_TRUE(util::JsonValue::parse(text).is_object());
 }
 
 TEST(SweepCancellation, SkipsUnstartedJobsAndKeepsOutputParseable) {
@@ -85,7 +62,7 @@ TEST(SweepCancellation, SkipsUnstartedJobsAndKeepsOutputParseable) {
   EXPECT_EQ(point.aggregate.failed_runs, 3);
 
   const std::string json = scenario::to_json(result);
-  expect_balanced_json(json);
+  expect_complete_json(json);
   EXPECT_NE(json.find("\"interrupted\":true"), std::string::npos);
   EXPECT_NE(json.find("\"jobs_skipped\":3"), std::string::npos);
   EXPECT_NE(json.find("\"fail_reason\":\"cancelled\""), std::string::npos);
@@ -110,7 +87,7 @@ TEST(SweepCancellation, RealSigintFollowsTheSamePath) {
   const auto result = scenario::run_sweep(spec);
   EXPECT_TRUE(result.interrupted);
   EXPECT_EQ(result.jobs_skipped, 2u);
-  expect_balanced_json(scenario::to_json(result));
+  expect_complete_json(scenario::to_json(result));
 
   bench::detail::g_cancel = 0;
   std::signal(SIGINT, SIG_DFL);
@@ -137,7 +114,7 @@ TEST(SweepWatchdog, RunTimeoutMarksStuckReplicaFailed) {
   EXPECT_EQ(result.points[0].aggregate.failed_runs, 1);
 
   const std::string json = scenario::to_json(result);
-  expect_balanced_json(json);
+  expect_complete_json(json);
   EXPECT_NE(json.find("\"failed\":true"), std::string::npos);
 }
 

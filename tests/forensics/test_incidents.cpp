@@ -5,10 +5,14 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "forensics/incident.h"
 #include "forensics/trace_reader.h"
+#include "obs/trace_writer.h"
 #include "scenario/runner.h"
+#include "util/json.h"
 
 namespace lw::forensics {
 namespace {
@@ -124,6 +128,37 @@ scenario::ExperimentConfig forensic_config() {
   config.obs.trace = true;
   config.obs.forensics = true;
   return config;
+}
+
+TEST(IncidentJson, HostileRunLabelRoundTrips) {
+  // A run label with a quote, a backslash, a tab and a newline goes
+  // through the trace header, the reader and the incidents document
+  // unchanged, and the document holds no raw control byte.
+  const std::string label = "a\"b\\c\td\ne";
+  std::ostringstream trace;
+  trace << obs::run_header_line(label, 7);
+  obs::TraceWriter writer(trace);
+  writer.on_event(mon_event(obs::EventKind::kMonDetection, 8.0, 2, 9, 2.0));
+  std::istringstream in(trace.str());
+  const std::vector<RunIncidents> runs = fold_runs(read_trace(in));
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].point, label);
+  EXPECT_EQ(runs[0].seed, 7u);
+  ASSERT_EQ(runs[0].incidents.size(), 1u);
+
+  const std::string json = incidents_to_json(runs);
+  for (char c : json) {
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+    }
+  }
+  const util::JsonValue doc = util::JsonValue::parse(json);
+  ASSERT_EQ(doc.items().size(), 1u);
+  EXPECT_EQ(doc.items()[0].string_or("point", ""), label);
+  const util::JsonValue& incident =
+      doc.items()[0].find("incidents")->items().at(0);
+  EXPECT_EQ(incident.number_or("accused", 0.0), 9.0);
+  EXPECT_EQ(incident.string_or("label", ""), "false");
 }
 
 TEST(ForensicsEndToEnd, IncidentLabelsMatchGroundTruthExactly) {

@@ -85,6 +85,32 @@ TEST(TraceReader, ParsesRunHeaders) {
   EXPECT_EQ(records[1].kind, obs::EventKind::kNbrHello);
 }
 
+TEST(TraceReader, DecodesJsonEscapesInStrings) {
+  // Every JSON escape decodes to its bytes: "a\u0009b\nc" is "a<TAB>b<LF>c".
+  const std::vector<TraceRecord> records = parse_all(
+      "{\"run\":{\"point\":\"a\\u0009b\\nc\\\"d\\\\e\\u00e9\","
+      "\"seed\":1}}\n");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].point, "a\tb\nc\"d\\e\xc3\xa9");
+  // Writer and reader agree on every byte below 0x80.
+  std::string every;
+  for (int c = 1; c < 0x80; ++c) every += static_cast<char>(c);
+  EXPECT_EQ(parse_all(obs::run_header_line(every, 2))[0].point, every);
+}
+
+TEST(TraceReader, MalformedEscapesThrowWithLineNumbers) {
+  for (const char* point : {"a\\q", "a\\u12", "a\\uzzzz", "a\\"}) {
+    SCOPED_TRACE(point);
+    try {
+      parse_all(std::string("{\"run\":{\"point\":\"") + point +
+                "\",\"seed\":1}}\n");
+      ADD_FAILURE() << "expected TraceFormatError";
+    } catch (const TraceFormatError& e) {
+      EXPECT_EQ(e.line(), 1u);
+    }
+  }
+}
+
 TEST(TraceReader, UnknownEventNameParsesButIsFlagged) {
   const std::vector<TraceRecord> records = parse_all(
       "{\"t\":1,\"layer\":\"mon\",\"event\":\"bogus\",\"node\":1}\n");

@@ -155,6 +155,38 @@ TEST(Report, HistoryAppendAndCheckRoundTrip) {
   EXPECT_TRUE(ok.ok) << ok.message;
 }
 
+TEST(Report, HistoryRecordsHostileLabelsAndKeys) {
+  // A quote, a backslash and control bytes in the entry label, a case name
+  // and a metric key: the ledger stays valid JSON, reads back the same
+  // strings, and the next check against it passes.
+  const auto cases = cases_from(
+      R"([{"case":"x\"y\\z","a\"b":1,"tab\there":2.5,"nl\nkey":3}])");
+  const std::string label = "quote \" back\\slash\ttab\nnewline";
+  const std::string history = history_append("", label, cases);
+  for (char c : history) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte";
+  }
+
+  const util::JsonValue root = util::JsonValue::parse(history);
+  const util::JsonValue& entry = root.find("entries")->items().at(0);
+  EXPECT_EQ(entry.string_or("label", ""), label);
+  const util::JsonValue& recorded = entry.find("cases")->items().at(0);
+  EXPECT_EQ(recorded.string_or("case", ""), "x\"y\\z");
+  EXPECT_EQ(recorded.number_or("a\"b", 0.0), 1.0);
+  EXPECT_EQ(recorded.number_or("tab\there", 0.0), 2.5);
+  EXPECT_EQ(recorded.number_or("nl\nkey", 0.0), 3.0);
+
+  const HistoryCheck check = history_check(history, cases);
+  EXPECT_TRUE(check.ok) << check.message;
+  EXPECT_NE(check.message.find("3 metric(s) compared, 0 drifted"),
+            std::string::npos)
+      << check.message;
+  // Recording again re-serializes the existing entry byte for byte.
+  const std::string twice = history_append(history, label, cases);
+  EXPECT_EQ(twice.substr(0, history.size() - 2),
+            history.substr(0, history.size() - 2));
+}
+
 TEST(Report, HistoryCheckFlagsDrift) {
   const auto cases = cases_from(kBenchRows);
   const std::string history = history_append("", "pr7", cases);

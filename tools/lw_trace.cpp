@@ -28,7 +28,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -47,6 +46,7 @@ using lw::forensics::CheckIssue;
 using lw::forensics::CheckOptions;
 using lw::forensics::Incident;
 using lw::forensics::IncidentBuilder;
+using lw::forensics::RunIncidents;
 using lw::forensics::TraceFormatError;
 using lw::forensics::TraceRecord;
 
@@ -153,40 +153,6 @@ int cmd_follow(const std::string& path, const std::string& id_text) {
 
 // ---- incidents ----
 
-/// One run segment's worth of trace, folded independently: incidents never
-/// bleed across run headers.
-struct Segment {
-  std::string point;
-  std::uint64_t seed = 0;
-  std::vector<Incident> incidents;
-};
-
-std::vector<Segment> fold_incidents(const std::vector<TraceRecord>& records) {
-  std::vector<Segment> segments;
-  auto builder = std::make_unique<IncidentBuilder>();
-  Segment current;  // implicit first segment for header-less traces
-  bool saw_events = false;
-  auto flush = [&] {
-    if (saw_events) {
-      current.incidents = builder->build();
-      segments.push_back(std::move(current));
-    }
-    builder = std::make_unique<IncidentBuilder>();
-    saw_events = false;
-  };
-  for (const TraceRecord& r : records) {
-    if (r.is_run_header) {
-      flush();
-      current = Segment{r.point, r.run_seed, {}};
-      continue;
-    }
-    saw_events = true;
-    if (r.kind_known) builder->on_event(r.to_event());
-  }
-  flush();
-  return segments;
-}
-
 void print_incident_text(const Incident& inc) {
   std::printf("  accused %-4u %-9s %s  def=%s  guards=%zu [", inc.accused,
               inc.ground_truth_malicious ? "MALICIOUS"
@@ -230,61 +196,18 @@ void print_incident_text(const Incident& inc) {
                                                    : "FALSE-POSITIVE");
 }
 
-void print_incident_json(const Incident& inc, bool last) {
-  std::printf(
-      "    {\"accused\":%u,\"label\":\"%s\",\"def\":\"%s\","
-      "\"malicious\":%s,\"isolated\":%s",
-      inc.accused, inc.label(), lw::obs::to_string(inc.defense),
-      inc.ground_truth_malicious ? "true" : "false",
-      inc.isolated() ? "true" : "false");
-  std::printf(",\"framers\":[");
-  for (std::size_t i = 0; i < inc.framers.size(); ++i) {
-    std::printf("%s%u", i == 0 ? "" : ",", inc.framers[i]);
-  }
-  std::printf("]");
-  std::printf(",\"guards\":[");
-  for (std::size_t i = 0; i < inc.accusing_guards.size(); ++i) {
-    std::printf("%s%u", i == 0 ? "" : ",", inc.accusing_guards[i]);
-  }
-  std::printf("],\"suspicions_fabrication\":%llu,\"suspicions_drop\":%llu"
-              ",\"suspicions_anomaly\":%llu",
-              static_cast<unsigned long long>(inc.suspicions_fabrication),
-              static_cast<unsigned long long>(inc.suspicions_drop),
-              static_cast<unsigned long long>(inc.suspicions_anomaly));
-  std::printf(",\"detections\":%llu,\"alerts\":%llu,\"isolations\":%llu",
-              static_cast<unsigned long long>(inc.detections),
-              static_cast<unsigned long long>(inc.alerts),
-              static_cast<unsigned long long>(inc.isolations));
-  std::printf(",\"peak_malc\":%.9g", inc.peak_malc);
-  std::printf(",\"first_malicious_act\":%.6f,\"first_detection\":%.6f",
-              inc.first_malicious_act, inc.first_detection);
-  std::printf(",\"first_isolation\":%.6f,\"detection_latency\":%.6f}%s\n",
-              inc.first_isolation, inc.detection_latency(), last ? "" : ",");
-}
-
 int cmd_incidents(const std::string& path, bool json) {
-  const std::vector<Segment> segments = fold_incidents(load(path));
+  const std::vector<RunIncidents> runs =
+      lw::forensics::fold_runs(load(path));
   if (json) {
-    std::printf("[\n");
-    for (std::size_t s = 0; s < segments.size(); ++s) {
-      const Segment& segment = segments[s];
-      std::printf("  {\"point\":\"%s\",\"seed\":%llu,\"incidents\":[\n",
-                  segment.point.c_str(),
-                  static_cast<unsigned long long>(segment.seed));
-      for (std::size_t i = 0; i < segment.incidents.size(); ++i) {
-        print_incident_json(segment.incidents[i],
-                            i + 1 == segment.incidents.size());
-      }
-      std::printf("  ]}%s\n", s + 1 == segments.size() ? "" : ",");
-    }
-    std::printf("]\n");
+    std::fputs(lw::forensics::incidents_to_json(runs).c_str(), stdout);
     return 0;
   }
-  for (const Segment& segment : segments) {
-    const auto summary = IncidentBuilder::summarize(segment.incidents);
-    std::printf("== run point=%s seed=%llu ==\n", segment.point.c_str(),
-                static_cast<unsigned long long>(segment.seed));
-    for (const Incident& inc : segment.incidents) print_incident_text(inc);
+  for (const RunIncidents& run : runs) {
+    const auto summary = IncidentBuilder::summarize(run.incidents);
+    std::printf("== run point=%s seed=%llu ==\n", run.point.c_str(),
+                static_cast<unsigned long long>(run.seed));
+    for (const Incident& inc : run.incidents) print_incident_text(inc);
     std::printf(
         "  %llu incident(s), %llu isolated, %llu TP / %llu FP "
         "(precision %.3f)",
