@@ -111,6 +111,10 @@ struct Common {
   std::string defense_opts;
 };
 
+/// Parses the standard flags. A bad value (an unknown --defense backend, a
+/// --series width that is not a positive number, an unknown --trace-filter
+/// layer, or --trace together with --trace-out) exits 2 with its message,
+/// the usage status of every lw-* CLI.
 inline Common parse_common(const lw::Config& args, int default_runs,
                            std::uint64_t default_seed) {
   Common common;
@@ -123,7 +127,7 @@ inline Common parse_common(const lw::Config& args, int default_runs,
   common.trace_out_file = args.get_string("trace-out", "");
   if (!common.trace_file.empty() && !common.trace_out_file.empty()) {
     std::fprintf(stderr, "--trace and --trace-out are mutually exclusive\n");
-    std::exit(1);
+    std::exit(2);
   }
   common.profile = args.get_bool("profile", false);
   // --series is a flag ("true") or carries the bucket width (--series=2.5).
@@ -139,7 +143,7 @@ inline Common parse_common(const lw::Config& args, int default_runs,
                      "--series: bucket width must be a positive number of "
                      "simulated seconds, got \"%s\"\n",
                      series.c_str());
-        std::exit(1);
+        std::exit(2);
       }
     }
   }
@@ -157,14 +161,14 @@ inline Common parse_common(const lw::Config& args, int default_runs,
     }
     std::fprintf(stderr, "--defense: unknown backend \"%s\" (registered: %s)\n",
                  common.defense.c_str(), names.c_str());
-    std::exit(1);
+    std::exit(2);
   }
   const std::string filter = args.get_string("trace-filter", "all");
   try {
     common.trace_layers = lw::obs::parse_layer_mask(filter);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "--trace-filter: %s\n", e.what());
-    std::exit(1);
+    std::exit(2);
   }
   return common;
 }

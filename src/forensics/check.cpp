@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string_view>
 #include <utility>
 
 namespace lw::forensics {
@@ -10,7 +11,8 @@ namespace {
 
 /// One open span (invariant 8 bookkeeping).
 struct OpenSpanState {
-  std::string kind;
+  /// Valid while the checked records are.
+  std::string_view kind;
   Time begin = 0.0;
   std::uint64_t parent = 0;
   std::size_t open_children = 0;
@@ -43,17 +45,17 @@ struct SegmentState {
 void check_span(const TraceRecord& record, SegmentState& state,
                 std::vector<CheckIssue>& issues) {
   if (!record.span_kind_known) {
-    issues.push_back(
-        {record.line, "unknown span kind '" + record.span_kind + "'"});
+    issues.push_back({record.line, "unknown span kind '" +
+                                       std::string(record.span_kind()) + "'"});
   }
-  if (record.name == "begin") {
+  if (record.name() == "begin") {
     if (!state.span_sids.insert(record.sid).second) {
       issues.push_back(
           {record.line, "duplicate span sid " + std::to_string(record.sid)});
       return;
     }
     OpenSpanState open;
-    open.kind = record.span_kind;
+    open.kind = record.span_kind();
     open.begin = record.t;
     open.parent = record.parent;
     open.begin_line = record.line;
@@ -113,7 +115,7 @@ void report_open_spans(const SegmentState& state,
                        std::vector<CheckIssue>& issues) {
   for (const auto& [sid, open] : state.open_spans) {
     issues.push_back({open.begin_line, "span sid " + std::to_string(sid) +
-                                           " (" + open.kind +
+                                           " (" + std::string(open.kind) +
                                            ") has no matching span.end"});
   }
 }
@@ -146,8 +148,9 @@ std::vector<CheckIssue> check_trace(const std::vector<TraceRecord>& records,
       continue;
     }
     if (!record.kind_known) {
-      issues.push_back({record.line, "unknown event '" + record.layer + "." +
-                                         record.name + "'"});
+      issues.push_back({record.line, "unknown event '" +
+                                         std::string(record.layer()) + "." +
+                                         std::string(record.name()) + "'"});
       continue;
     }
 

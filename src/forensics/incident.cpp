@@ -151,11 +151,13 @@ std::vector<RunIncidents> fold_runs(const std::vector<TraceRecord>& records) {
   for (const TraceRecord& r : records) {
     if (r.is_run_header) {
       flush();
-      current = RunIncidents{r.point, r.run_seed, {}};
+      current = RunIncidents{std::string(r.point()), r.run_seed, {}};
       continue;
     }
     saw_events = true;
-    if (r.kind_known) builder.on_event(r.to_event());
+    if (!r.kind_known) continue;
+    if (r.kind == obs::EventKind::kAtkSpawn) current.ground_truth = true;
+    builder.on_event(r.to_event());
   }
   flush();
   return runs;
@@ -172,9 +174,14 @@ std::string incidents_to_json(const std::vector<RunIncidents>& runs) {
     for (const Incident& inc : run.incidents) {
       json.item("\n    ").open('{');
       json.key("accused").u64(inc.accused);
-      json.key("label").string(inc.label());
+      json.key("label").string(run.ground_truth ? inc.label() : "unknown");
       json.key("def").string(obs::to_string(inc.defense));
-      json.key("malicious").value(inc.ground_truth_malicious);
+      json.key("malicious");
+      if (run.ground_truth) {
+        json.value(inc.ground_truth_malicious);
+      } else {
+        json.null();
+      }
       json.key("isolated").value(inc.isolated());
       json.key("framers").open('[');
       for (NodeId framer : inc.framers) json.item().u64(framer);

@@ -162,6 +162,11 @@ struct RunIncidents {
   std::string point;
   std::uint64_t seed = 0;
   std::vector<Incident> incidents;
+  /// True when the segment has an atk.spawn record, the attack layer's
+  /// ground-truth anchor. Without one (the atk layer was filtered out of
+  /// the trace, or the run had no attacker) the trace does not say who is
+  /// malicious, and the incidents carry no true/false-positive label.
+  bool ground_truth = false;
 };
 
 /// Folds each run segment of a trace on its own, so incidents never bleed

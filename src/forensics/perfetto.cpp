@@ -12,7 +12,7 @@ namespace lw::forensics {
 namespace {
 
 /// Fixed per-layer track ids so exports are comparable across traces.
-int layer_tid(const std::string& layer) {
+int layer_tid(std::string_view layer) {
   static constexpr std::pair<const char*, int> kTracks[] = {
       {"phy", 1}, {"mac", 2}, {"nbr", 3}, {"route", 4},
       {"mon", 5}, {"atk", 6}, {"flt", 7}, {"span", 8},
@@ -124,13 +124,13 @@ void export_perfetto(const std::vector<TraceRecord>& records,
     first_arg = true;
 
     if (record.is_span) {
-      const bool begin = record.name == "begin";
+      const bool begin = record.name() == "begin";
       ensure_track(record.node, 8, "span");
       // Nestable async b/e keyed by sid: a node's concurrent spans overlap
       // without the LIFO constraint synchronous B/E stacks impose.
       begin_event()
           .raw("\"name\":\"")
-          .escaped(record.span_kind)
+          .escaped(record.span_kind())
           .raw(begin ? "\",\"cat\":\"span\",\"ph\":\"b\",\"id\":\"r"
                      : "\",\"cat\":\"span\",\"ph\":\"e\",\"id\":\"r")
           .u64(static_cast<std::uint64_t>(run_index))
@@ -147,7 +147,7 @@ void export_perfetto(const std::vector<TraceRecord>& records,
         if (record.lineage != 0) arg("lin").u64(record.lineage);
         if (record.peer != kInvalidNode) arg("peer").u64(record.peer);
       } else {
-        arg("outcome").raw("\"").escaped(record.outcome).raw("\"");
+        arg("outcome").raw("\"").escaped(record.outcome()).raw("\"");
         if (record.retries != 0) arg("retries").u64(record.retries);
         if (record.has_phases) {
           arg("observe").fixed<9>(record.observe);
@@ -160,13 +160,13 @@ void export_perfetto(const std::vector<TraceRecord>& records,
       continue;
     }
 
-    const int tid = layer_tid(record.layer);
-    ensure_track(record.node, tid, record.layer);
+    const int tid = layer_tid(record.layer());
+    ensure_track(record.node, tid, record.layer());
     begin_event()
         .raw("\"name\":\"")
-        .escaped(record.layer)
+        .escaped(record.layer())
         .raw(".")
-        .escaped(record.name)
+        .escaped(record.name())
         .raw("\",\"ph\":\"X\",\"ts\":")
         .fixed<3>(ts)
         .raw(",\"dur\":")
@@ -178,16 +178,16 @@ void export_perfetto(const std::vector<TraceRecord>& records,
         .raw(",\"args\":{");
     if (record.peer != kInvalidNode) arg("peer").u64(record.peer);
     if (record.has_packet) {
-      arg("pkt").raw("\"").escaped(record.pkt_type).raw("\"");
+      arg("pkt").raw("\"").escaped(record.pkt_type()).raw("\"");
       arg("origin").u64(record.origin);
       arg("seq").u64(record.seq);
       arg("lin").u64(record.lineage);
     }
-    if (!record.suspicion.empty()) {
-      arg("sus").raw("\"").escaped(record.suspicion).raw("\"");
+    if (!record.suspicion().empty()) {
+      arg("sus").raw("\"").escaped(record.suspicion()).raw("\"");
     }
-    if (!record.defense.empty()) {
-      arg("def").raw("\"").escaped(record.defense).raw("\"");
+    if (!record.defense().empty()) {
+      arg("def").raw("\"").escaped(record.defense()).raw("\"");
     }
     if (record.has_value) arg("value").general<9>(record.value);
     doc.raw("}}");

@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
+#include <utility>
 
 #include "obs/span.h"
+#include "packet/packet.h"
 #include "util/json.h"
 
 namespace lw::forensics {
@@ -93,8 +95,81 @@ class Scanner {
   std::string unescaped_;
 };
 
-void parse_run_header(Scanner& scanner, TraceRecord* out) {
-  out->is_run_header = true;
+/// TraceRecord::codes_ value of a field whose text is kept verbatim.
+constexpr std::uint8_t kOutOfVocabulary = 0xFF;
+
+/// The names one field takes in traces the writers produce; code i + 1
+/// stands for names[i].
+class Vocabulary {
+ public:
+  Vocabulary() = default;
+  explicit Vocabulary(std::vector<std::string_view> names)
+      : names_(std::move(names)) {}
+
+  /// 0 for the empty name, kOutOfVocabulary when `name` is not listed.
+  std::uint8_t code(std::string_view name) const {
+    if (name.empty()) return 0;
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      if (names_[i] == name) return static_cast<std::uint8_t>(i + 1);
+    }
+    return kOutOfVocabulary;
+  }
+
+  std::string_view name(std::uint8_t code) const { return names_[code - 1]; }
+
+ private:
+  std::vector<std::string_view> names_;
+};
+
+/// The to_string names of the enum values [first, end), in enum order.
+template <typename Enum>
+std::vector<std::string_view> enum_names(std::size_t first, std::size_t end) {
+  std::vector<std::string_view> names;
+  for (std::size_t i = first; i < end; ++i) {
+    names.emplace_back(to_string(static_cast<Enum>(i)));
+  }
+  return names;
+}
+
+/// One vocabulary per TraceRecord field, built from the tables the writers
+/// format names with. The point has none: it is always kept verbatim.
+std::vector<Vocabulary> make_vocabularies() {
+  // Code - 1 is the obs::Layer.
+  std::vector<std::string_view> layers =
+      enum_names<obs::Layer>(0, obs::kLayerCount);
+  layers.emplace_back("span");
+  std::vector<std::string_view> events =
+      enum_names<obs::EventKind>(0, obs::kEventKindCount);
+  events.insert(events.end(), {"begin", "end"});
+
+  std::vector<Vocabulary> vocabularies(TraceRecord::kFieldCount);
+  vocabularies[TraceRecord::kLayer] = Vocabulary(std::move(layers));
+  vocabularies[TraceRecord::kEvent] = Vocabulary(std::move(events));
+  vocabularies[TraceRecord::kPacket] = Vocabulary(enum_names<pkt::PacketType>(
+      static_cast<std::size_t>(pkt::PacketType::kHello),
+      static_cast<std::size_t>(pkt::PacketType::kJoinResponse) + 1));
+  // Code - 1 is the obs::Event::detail value (kSuspicion*).
+  vocabularies[TraceRecord::kSuspicion] = Vocabulary({"fab", "drop", "anom"});
+  // Code - 1 is the obs::DefenseTag.
+  vocabularies[TraceRecord::kDefense] = Vocabulary(enum_names<obs::DefenseTag>(
+      0, static_cast<std::size_t>(obs::DefenseTag::kNone) + 1));
+  vocabularies[TraceRecord::kSpanKind] =
+      Vocabulary(enum_names<obs::SpanKind>(0, obs::kSpanKindCount));
+  // The outcomes obs::SpanBuilder closes spans with.
+  vocabularies[TraceRecord::kOutcome] = Vocabulary(
+      {"established", "cleared", "dropped", "isolated", "joined", "open"});
+  return vocabularies;
+}
+
+const Vocabulary& vocabulary(TraceRecord::Field field) {
+  static const std::vector<Vocabulary> vocabularies = make_vocabularies();
+  return vocabularies[field];
+}
+
+/// Parses the body of a run header; the point is copied out because the
+/// scanner reuses its buffer for the next escaped string.
+void parse_run_header(Scanner& scanner, std::string* point,
+                      std::uint64_t* seed) {
   scanner.expect('{');
   bool first = true;
   while (!scanner.consume('}')) {
@@ -103,9 +178,9 @@ void parse_run_header(Scanner& scanner, TraceRecord* out) {
     const std::string_view key = scanner.string_value();
     scanner.expect(':');
     if (key == "point") {
-      out->point = scanner.string_value();
+      *point = scanner.string_value();
     } else if (key == "seed") {
-      out->run_seed = static_cast<std::uint64_t>(scanner.number_value());
+      *seed = static_cast<std::uint64_t>(scanner.number_value());
     } else {
       scanner.fail("unknown run-header key '" + std::string(key) + "'");
     }
@@ -114,7 +189,32 @@ void parse_run_header(Scanner& scanner, TraceRecord* out) {
   if (!scanner.at_end()) scanner.fail("trailing characters");
 }
 
+/// Appends printf-formatted numbers to `out`, however long they print.
+template <typename... Args>
+void append_format(std::string& out, const char* format, Args... args) {
+  const int n = std::snprintf(nullptr, 0, format, args...);
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(n) + 1);
+  std::snprintf(out.data() + at, static_cast<std::size_t>(n) + 1, format,
+                args...);
+  out.resize(at + static_cast<std::size_t>(n));
+}
+
+/// Appends `text` left-aligned in a field of `width` (printf's "%-*s").
+void append_padded(std::string& out, std::string_view text,
+                   std::size_t width) {
+  out += text;
+  if (text.size() < width) out.append(width - text.size(), ' ');
+}
+
 }  // namespace
+
+std::string_view TraceRecord::text(Field field) const {
+  const std::uint8_t code = codes_[field];
+  if (code == 0) return {};
+  if (code == kOutOfVocabulary) return text_->names[field];
+  return vocabulary(field).name(code);
+}
 
 obs::Event TraceRecord::to_event() const {
   obs::Event event;
@@ -123,14 +223,13 @@ obs::Event TraceRecord::to_event() const {
   event.node = node;
   event.peer = peer;
   event.value = value;
-  event.detail = suspicion == "drop"   ? obs::kSuspicionDrop
-                 : suspicion == "anom" ? obs::kSuspicionAnomaly
-                                       : obs::kSuspicionFabrication;
-  if (!defense.empty()) {
-    obs::DefenseTag tag = obs::DefenseTag::kLiteworp;
-    if (obs::parse_defense_tag(defense, &tag)) {
-      event.def = static_cast<std::uint8_t>(tag);
-    }
+  const std::uint8_t sus = codes_[kSuspicion];
+  event.detail = sus != 0 && sus != kOutOfVocabulary
+                     ? static_cast<std::uint8_t>(sus - 1)
+                     : obs::kSuspicionFabrication;
+  // The reader rejects unknown tags, so the code is 0 (no key) or a tag.
+  if (codes_[kDefense] != 0) {
+    event.def = static_cast<std::uint8_t>(codes_[kDefense] - 1);
   }
   return event;
 }
@@ -140,6 +239,19 @@ bool parse_trace_line(std::string_view line, std::size_t line_no,
   if (line.empty()) return false;
   *out = TraceRecord{};
   out->line = line_no;
+
+  // The record's side text, allocated at the first out-of-vocabulary name.
+  std::shared_ptr<TraceRecord::Text> text;
+  auto set_name = [&](TraceRecord::Field field, std::string_view name) {
+    const std::uint8_t code = vocabulary(field).code(name);
+    out->codes_[field] = code;
+    if (code != kOutOfVocabulary) return;
+    if (!text) {
+      text = std::make_shared<TraceRecord::Text>();
+      out->text_ = text;
+    }
+    text->names[field] = name;
+  };
 
   Scanner scanner(line, line_no);
   scanner.expect('{');
@@ -151,25 +263,28 @@ bool parse_trace_line(std::string_view line, std::size_t line_no,
     const std::string_view key = scanner.string_value();
     scanner.expect(':');
     if (key == "run") {
-      if (saw_t || !out->layer.empty() || !out->name.empty()) {
+      if (saw_t || !out->layer().empty() || !out->name().empty()) {
         scanner.fail("run header mixed with event fields");
       }
-      parse_run_header(scanner, out);
+      out->is_run_header = true;
+      std::string point;
+      parse_run_header(scanner, &point, &out->run_seed);
+      set_name(TraceRecord::kPoint, point);
       return true;
     }
     if (key == "t") {
       out->t = scanner.number_value();
       saw_t = true;
     } else if (key == "layer") {
-      out->layer = scanner.string_value();
+      set_name(TraceRecord::kLayer, scanner.string_value());
     } else if (key == "event") {
-      out->name = scanner.string_value();
+      set_name(TraceRecord::kEvent, scanner.string_value());
     } else if (key == "node") {
       out->node = static_cast<NodeId>(scanner.number_value());
     } else if (key == "peer") {
       out->peer = static_cast<NodeId>(scanner.number_value());
     } else if (key == "pkt") {
-      out->pkt_type = scanner.string_value();
+      set_name(TraceRecord::kPacket, scanner.string_value());
       out->has_packet = true;
     } else if (key == "origin") {
       out->origin = static_cast<NodeId>(scanner.number_value());
@@ -178,18 +293,19 @@ bool parse_trace_line(std::string_view line, std::size_t line_no,
     } else if (key == "lin") {
       out->lineage = static_cast<LineageId>(scanner.number_value());
     } else if (key == "sus") {
-      out->suspicion = scanner.string_value();
+      set_name(TraceRecord::kSuspicion, scanner.string_value());
     } else if (key == "def") {
-      out->defense = scanner.string_value();
-      obs::DefenseTag tag = obs::DefenseTag::kLiteworp;
-      if (!obs::parse_defense_tag(out->defense, &tag)) {
-        scanner.fail("unknown defense tag '" + out->defense + "'");
+      const std::string_view tag = scanner.string_value();
+      const std::uint8_t code = vocabulary(TraceRecord::kDefense).code(tag);
+      if (code == 0 || code == kOutOfVocabulary) {
+        scanner.fail("unknown defense tag '" + std::string(tag) + "'");
       }
+      out->codes_[TraceRecord::kDefense] = code;
     } else if (key == "value") {
       out->value = scanner.number_value();
       out->has_value = true;
     } else if (key == "span") {
-      out->span_kind = scanner.string_value();
+      set_name(TraceRecord::kSpanKind, scanner.string_value());
     } else if (key == "sid") {
       out->sid = static_cast<std::uint64_t>(scanner.number_value());
     } else if (key == "parent") {
@@ -198,7 +314,7 @@ bool parse_trace_line(std::string_view line, std::size_t line_no,
       out->dur = scanner.number_value();
       out->has_dur = true;
     } else if (key == "outcome") {
-      out->outcome = scanner.string_value();
+      set_name(TraceRecord::kOutcome, scanner.string_value());
     } else if (key == "retries") {
       out->retries = static_cast<std::uint64_t>(scanner.number_value());
     } else if (key == "observe") {
@@ -213,26 +329,27 @@ bool parse_trace_line(std::string_view line, std::size_t line_no,
     }
   }
   if (!scanner.at_end()) scanner.fail("trailing characters");
-  if (!saw_t || out->layer.empty() || out->name.empty()) {
+  if (!saw_t || out->layer().empty() || out->name().empty()) {
     throw TraceFormatError(line_no, "event line missing t/layer/event");
   }
-  if (out->layer == "span") {
+  if (out->layer() == "span") {
     out->is_span = true;
-    if (out->name != "begin" && out->name != "end") {
-      throw TraceFormatError(line_no,
-                             "span line with event '" + out->name +
-                                 "' (expected begin or end)");
+    if (out->name() != "begin" && out->name() != "end") {
+      throw TraceFormatError(line_no, "span line with event '" +
+                                          std::string(out->name()) +
+                                          "' (expected begin or end)");
     }
-    if (out->span_kind.empty() || out->sid == 0) {
+    if (out->span_kind().empty() || out->sid == 0) {
       throw TraceFormatError(line_no, "span line missing span/sid");
     }
-    out->span_kind_known = obs::parse_span_kind(out->span_kind, nullptr);
+    out->span_kind_known =
+        out->codes_[TraceRecord::kSpanKind] != kOutOfVocabulary;
     return true;
   }
-  if (!out->span_kind.empty()) {
+  if (!out->span_kind().empty()) {
     throw TraceFormatError(line_no, "span key on a non-span line");
   }
-  out->kind_known = obs::parse_event_kind(out->layer, out->name, &out->kind);
+  out->kind_known = obs::parse_event_kind(out->layer(), out->name(), &out->kind);
   return true;
 }
 
@@ -263,54 +380,50 @@ std::vector<TraceRecord> lineage_chain(const std::vector<TraceRecord>& records,
 }
 
 std::string describe(const TraceRecord& record) {
-  char buffer[256];
+  std::string out;
   if (record.is_run_header) {
-    std::snprintf(buffer, sizeof(buffer), "== run point=%s seed=%llu ==",
-                  record.point.c_str(),
+    out += "== run point=";
+    out += record.point();
+    append_format(out, " seed=%llu ==",
                   static_cast<unsigned long long>(record.run_seed));
-    return buffer;
+    return out;
   }
-  int n = std::snprintf(buffer, sizeof(buffer), "%12.6f  %-5s %-12s node %u",
-                        record.t, record.layer.c_str(), record.name.c_str(),
-                        record.node);
-  std::string out(buffer, static_cast<std::size_t>(n));
+  append_format(out, "%12.6f  ", record.t);
+  append_padded(out, record.layer(), 5);
+  out += ' ';
+  append_padded(out, record.name(), 12);
+  append_format(out, " node %u", record.node);
   if (record.is_span) {
-    n = std::snprintf(buffer, sizeof(buffer), "  %s sid=%llu",
-                      record.span_kind.c_str(),
-                      static_cast<unsigned long long>(record.sid));
-    out.append(buffer, static_cast<std::size_t>(n));
+    out += "  ";
+    out += record.span_kind();
+    append_format(out, " sid=%llu",
+                  static_cast<unsigned long long>(record.sid));
     if (record.parent != 0) {
-      n = std::snprintf(buffer, sizeof(buffer), " parent=%llu",
-                        static_cast<unsigned long long>(record.parent));
-      out.append(buffer, static_cast<std::size_t>(n));
+      append_format(out, " parent=%llu",
+                    static_cast<unsigned long long>(record.parent));
     }
     if (record.has_dur) {
-      n = std::snprintf(buffer, sizeof(buffer), " dur=%.6f outcome=%s",
-                        record.dur, record.outcome.c_str());
-      out.append(buffer, static_cast<std::size_t>(n));
+      append_format(out, " dur=%.6f outcome=", record.dur);
+      out += record.outcome();
     }
   }
-  if (record.peer != kInvalidNode) {
-    n = std::snprintf(buffer, sizeof(buffer), " -> %u", record.peer);
-    out.append(buffer, static_cast<std::size_t>(n));
-  }
+  if (record.peer != kInvalidNode) append_format(out, " -> %u", record.peer);
   if (record.has_packet) {
-    n = std::snprintf(buffer, sizeof(buffer), "  %s(origin=%u seq=%llu lin=%llu)",
-                      record.pkt_type.c_str(), record.origin,
-                      static_cast<unsigned long long>(record.seq),
-                      static_cast<unsigned long long>(record.lineage));
-    out.append(buffer, static_cast<std::size_t>(n));
+    out += "  ";
+    out += record.pkt_type();
+    append_format(out, "(origin=%u seq=%llu lin=%llu)", record.origin,
+                  static_cast<unsigned long long>(record.seq),
+                  static_cast<unsigned long long>(record.lineage));
   }
-  if (!record.suspicion.empty()) {
-    out += "  sus=" + record.suspicion;
+  if (!record.suspicion().empty()) {
+    out += "  sus=";
+    out += record.suspicion();
   }
-  if (!record.defense.empty()) {
-    out += "  def=" + record.defense;
+  if (!record.defense().empty()) {
+    out += "  def=";
+    out += record.defense();
   }
-  if (record.has_value) {
-    n = std::snprintf(buffer, sizeof(buffer), "  value=%.9g", record.value);
-    out.append(buffer, static_cast<std::size_t>(n));
-  }
+  if (record.has_value) append_format(out, "  value=%.9g", record.value);
   return out;
 }
 

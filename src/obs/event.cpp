@@ -206,7 +206,7 @@ Layer layer_of(EventKind kind) {
   return Layer::kPhy;
 }
 
-bool parse_event_kind(const std::string& layer, const std::string& event,
+bool parse_event_kind(std::string_view layer, std::string_view event,
                       EventKind* out) {
   for (std::size_t i = 0; i < kEventKindCount; ++i) {
     const EventKind kind = static_cast<EventKind>(i);

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/ids.h"
 #include "util/sim_time.h"
@@ -134,7 +135,7 @@ Layer layer_of(EventKind kind);
 /// EventKind::kMonSuspicion. The layer disambiguates duplicated short
 /// names ("route"/"atk" both have a "drop"). Returns false on unknown
 /// names.
-bool parse_event_kind(const std::string& layer, const std::string& event,
+bool parse_event_kind(std::string_view layer, std::string_view event,
                       EventKind* out);
 
 struct Event {

@@ -1,7 +1,11 @@
-// The shared bench CLI (bench/bench_common.h): every --defense-opt error,
-// a malformed pair, an unknown key or a value out of range, exits 2 with
-// its message before any run.
+// The shared bench CLI (bench/bench_common.h): every flag-value error, in
+// --defense-opt (a malformed pair, an unknown key or a value out of range)
+// and in the standard flags parse_common reads, exits 2 with its message
+// before any run.
 #include <gtest/gtest.h>
+
+#include <initializer_list>
+#include <utility>
 
 #include "bench/bench_common.h"
 
@@ -31,6 +35,35 @@ TEST(BenchCli, DefenseOptParseErrorsExitTwo) {
               "expected key=value");
   EXPECT_EXIT(apply_opts("liteworp.nope=1"), testing::ExitedWithCode(2),
               "--defense-opt: ");
+}
+
+/// parse_common over one bench command line's flags.
+void parse_flags(std::initializer_list<std::pair<const char*, const char*>>
+                     flags) {
+  lw::Config args;
+  for (const auto& [key, value] : flags) args.set(key, value);
+  bench::parse_common(args, 1, 1);
+}
+
+TEST(BenchCli, UnknownDefenseExitsTwo) {
+  EXPECT_EXIT(parse_flags({{"defense", "bogus"}}), testing::ExitedWithCode(2),
+              "--defense: unknown backend \"bogus\"");
+}
+
+TEST(BenchCli, BadSeriesWidthExitsTwo) {
+  EXPECT_EXIT(parse_flags({{"series", "abc"}}), testing::ExitedWithCode(2),
+              "--series: bucket width must be a positive number");
+}
+
+TEST(BenchCli, UnknownTraceFilterLayerExitsTwo) {
+  EXPECT_EXIT(parse_flags({{"trace-filter", "phy,bogus"}}),
+              testing::ExitedWithCode(2), "--trace-filter: ");
+}
+
+TEST(BenchCli, TraceWithTraceOutExitsTwo) {
+  EXPECT_EXIT(parse_flags({{"trace", "a.jsonl"}, {"trace-out", "b.jsonl"}}),
+              testing::ExitedWithCode(2),
+              "--trace and --trace-out are mutually exclusive");
 }
 
 TEST(BenchCli, ValidDefenseOptsApply) {

@@ -158,7 +158,37 @@ TEST(IncidentJson, HostileRunLabelRoundTrips) {
   const util::JsonValue& incident =
       doc.items()[0].find("incidents")->items().at(0);
   EXPECT_EQ(incident.number_or("accused", 0.0), 9.0);
-  EXPECT_EQ(incident.string_or("label", ""), "false");
+  // The trace has no atk layer, so whether node 9 is malicious is unknown.
+  EXPECT_EQ(incident.string_or("label", ""), "unknown");
+}
+
+TEST(IncidentJson, RunWithoutAtkSpawnHasUnknownGroundTruth) {
+  // Two segments with the same accusation; only the second carries the
+  // attack layer's ground truth.
+  std::ostringstream trace;
+  obs::TraceWriter writer(trace);
+  trace << obs::run_header_line("mon-only", 1);
+  writer.on_event(mon_event(obs::EventKind::kMonDetection, 8.0, 2, 9, 2.0));
+  trace << obs::run_header_line("full", 1);
+  writer.on_event(atk_event(obs::EventKind::kAtkSpawn, 0.0, 5));
+  writer.on_event(mon_event(obs::EventKind::kMonDetection, 8.0, 2, 9, 2.0));
+  std::istringstream in(trace.str());
+  const std::vector<RunIncidents> runs = fold_runs(read_trace(in));
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_FALSE(runs[0].ground_truth);
+  EXPECT_TRUE(runs[1].ground_truth);
+
+  const util::JsonValue doc = util::JsonValue::parse(incidents_to_json(runs));
+  ASSERT_EQ(doc.items().size(), 2u);
+  const util::JsonValue& unknown =
+      doc.items()[0].find("incidents")->items().at(0);
+  EXPECT_EQ(unknown.string_or("label", ""), "unknown");
+  EXPECT_TRUE(unknown.find("malicious")->is_null());
+  const util::JsonValue& labeled =
+      doc.items()[1].find("incidents")->items().at(0);
+  EXPECT_EQ(labeled.string_or("label", ""), "false");
+  ASSERT_TRUE(labeled.find("malicious")->is_bool());
+  EXPECT_FALSE(labeled.find("malicious")->as_bool());
 }
 
 TEST(ForensicsEndToEnd, IncidentLabelsMatchGroundTruthExactly) {

@@ -48,7 +48,7 @@ TEST(SpanEnclosure, EveryIsolationIncidentHasExactlyOneAlertRound) {
   std::map<NodeId, int> rounds;
   std::map<NodeId, int> monitor_mentions;
   for (const TraceRecord& r : records) {
-    if (r.is_span && r.name == "begin" && r.span_kind == "alert_round") {
+    if (r.is_span && r.name() == "begin" && r.span_kind() == "alert_round") {
       ++rounds[r.node];
     }
     if (!r.is_span && r.kind_known &&

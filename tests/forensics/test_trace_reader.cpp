@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "forensics/check.h"
+#include "forensics/perfetto.h"
 #include "forensics/trace_reader.h"
 #include "obs/trace_writer.h"
 #include "packet/packet.h"
@@ -49,7 +50,7 @@ TEST(TraceReader, RoundTripsAPacketEvent) {
   EXPECT_EQ(r.node, 5u);
   EXPECT_EQ(r.peer, 6u);
   ASSERT_TRUE(r.has_packet);
-  EXPECT_EQ(r.pkt_type, "DATA");
+  EXPECT_EQ(r.pkt_type(), "DATA");
   EXPECT_EQ(r.origin, 11u);
   EXPECT_EQ(r.seq, 42u);
   EXPECT_EQ(r.lineage, 987654321u);
@@ -69,7 +70,7 @@ TEST(TraceReader, RoundTripsSuspicionDetail) {
 
   const std::vector<TraceRecord> records = parse_all(out.str());
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records.front().suspicion, "drop");
+  EXPECT_EQ(records.front().suspicion(), "drop");
   EXPECT_EQ(records.front().to_event().detail, obs::kSuspicionDrop);
 }
 
@@ -79,7 +80,7 @@ TEST(TraceReader, ParsesRunHeaders) {
       "{\"t\":0.5,\"layer\":\"nbr\",\"event\":\"hello\",\"node\":3}\n");
   ASSERT_EQ(records.size(), 2u);
   EXPECT_TRUE(records[0].is_run_header);
-  EXPECT_EQ(records[0].point, "gamma=3");
+  EXPECT_EQ(records[0].point(), "gamma=3");
   EXPECT_EQ(records[0].run_seed, 17u);
   EXPECT_FALSE(records[1].is_run_header);
   EXPECT_EQ(records[1].kind, obs::EventKind::kNbrHello);
@@ -91,11 +92,11 @@ TEST(TraceReader, DecodesJsonEscapesInStrings) {
       "{\"run\":{\"point\":\"a\\u0009b\\nc\\\"d\\\\e\\u00e9\","
       "\"seed\":1}}\n");
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].point, "a\tb\nc\"d\\e\xc3\xa9");
+  EXPECT_EQ(records[0].point(), "a\tb\nc\"d\\e\xc3\xa9");
   // Writer and reader agree on every byte below 0x80.
   std::string every;
   for (int c = 1; c < 0x80; ++c) every += static_cast<char>(c);
-  EXPECT_EQ(parse_all(obs::run_header_line(every, 2))[0].point, every);
+  EXPECT_EQ(parse_all(obs::run_header_line(every, 2))[0].point(), every);
 }
 
 TEST(TraceReader, MalformedEscapesThrowWithLineNumbers) {
@@ -116,6 +117,85 @@ TEST(TraceReader, UnknownEventNameParsesButIsFlagged) {
       "{\"t\":1,\"layer\":\"mon\",\"event\":\"bogus\",\"node\":1}\n");
   ASSERT_EQ(records.size(), 1u);
   EXPECT_FALSE(records.front().kind_known);
+}
+
+// Names outside the writers' vocabulary: an unknown layer, event, packet
+// type and suspicion kind on one line, an unknown span kind and outcome on
+// a span pair, and a run label with an escaped quote.
+constexpr const char* kOutOfVocabularyTrace =
+    "{\"run\":{\"point\":\"say \\\"hi\\\"\",\"seed\":4}}\n"
+    "{\"t\":1,\"layer\":\"radio\",\"event\":\"zap\",\"node\":2,\"peer\":3,"
+    "\"pkt\":\"BLOB\",\"origin\":2,\"seq\":1,\"lin\":5,\"sus\":\"odd\","
+    "\"def\":\"zscore\",\"value\":7}\n"
+    "{\"t\":2,\"layer\":\"span\",\"event\":\"begin\",\"node\":2,"
+    "\"span\":\"mystery\",\"sid\":1}\n"
+    "{\"t\":3,\"layer\":\"span\",\"event\":\"end\",\"node\":2,"
+    "\"span\":\"mystery\",\"sid\":1,\"dur\":1,\"outcome\":\"vanished\"}\n"
+    // An escaped spelling of a known name decodes into the vocabulary.
+    "{\"t\":4,\"layer\":\"m\\u006fn\",\"event\":\"alert\",\"node\":1,"
+    "\"peer\":9}\n";
+
+TEST(TraceReader, OutOfVocabularyNamesReadBackVerbatim) {
+  const std::vector<TraceRecord> records = parse_all(kOutOfVocabularyTrace);
+  ASSERT_EQ(records.size(), 5u);
+  EXPECT_EQ(records[0].point(), "say \"hi\"");
+  EXPECT_EQ(describe(records[0]), "== run point=say \"hi\" seed=4 ==");
+
+  const TraceRecord& event = records[1];
+  EXPECT_FALSE(event.kind_known);
+  EXPECT_EQ(event.layer(), "radio");
+  EXPECT_EQ(event.name(), "zap");
+  EXPECT_EQ(event.pkt_type(), "BLOB");
+  EXPECT_EQ(event.suspicion(), "odd");
+  EXPECT_EQ(event.defense(), "zscore");
+  EXPECT_EQ(describe(event),
+            "    1.000000  radio zap          node 2 -> 3  "
+            "BLOB(origin=2 seq=1 lin=5)  sus=odd  def=zscore  value=7");
+  EXPECT_EQ(describe(records[3]),
+            "    3.000000  span  end          node 2  mystery sid=1 "
+            "dur=1.000000 outcome=vanished");
+  EXPECT_FALSE(records[3].span_kind_known);
+  EXPECT_EQ(records[3].outcome(), "vanished");
+
+  EXPECT_TRUE(records[4].kind_known);
+  EXPECT_EQ(records[4].kind, obs::EventKind::kMonAlert);
+  EXPECT_EQ(records[4].layer(), "mon");
+
+  // A copied record keeps its side text after the original is gone.
+  std::vector<TraceRecord> owner = parse_all(kOutOfVocabularyTrace);
+  const std::vector<TraceRecord> chain = lineage_chain(owner, 5);
+  const TraceRecord header = owner[0];
+  owner.clear();
+  ASSERT_EQ(chain.size(), 1u);
+  EXPECT_EQ(chain[0].layer(), "radio");
+  EXPECT_EQ(chain[0].name(), "zap");
+  EXPECT_EQ(chain[0].pkt_type(), "BLOB");
+  EXPECT_EQ(chain[0].suspicion(), "odd");
+  EXPECT_EQ(header.point(), "say \"hi\"");
+}
+
+TEST(CheckTrace, EchoesOutOfVocabularyNames) {
+  const std::vector<CheckIssue> issues =
+      check_trace(parse_all(kOutOfVocabularyTrace));
+  ASSERT_EQ(issues.size(), 3u);
+  EXPECT_EQ(issues[0].line, 2u);
+  EXPECT_EQ(issues[0].message, "unknown event 'radio.zap'");
+  EXPECT_EQ(issues[1].line, 3u);
+  EXPECT_EQ(issues[1].message, "unknown span kind 'mystery'");
+  EXPECT_EQ(issues[2].line, 4u);
+  EXPECT_EQ(issues[2].message, "unknown span kind 'mystery'");
+}
+
+TEST(Perfetto, EchoesOutOfVocabularyNames) {
+  std::ostringstream out;
+  export_perfetto(parse_all(kOutOfVocabularyTrace), out);
+  const std::string json = out.str();
+  for (const char* expected :
+       {"\"name\":\"radio.zap\"", "\"tid\":9", "\"pkt\":\"BLOB\"",
+        "\"sus\":\"odd\"", "\"def\":\"zscore\"", "\"name\":\"mystery\"",
+        "\"outcome\":\"vanished\"", "\"name\":\"mon.alert\""}) {
+    EXPECT_NE(json.find(expected), std::string::npos) << expected;
+  }
 }
 
 TEST(TraceReader, MalformedLinesThrowWithLineNumbers) {

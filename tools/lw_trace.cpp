@@ -84,6 +84,14 @@ std::vector<TraceRecord> load(const std::string& path) {
   }
 }
 
+/// "<layer>.<event>", the key stats and diff count events by.
+std::string event_name(const TraceRecord& record) {
+  std::string name(record.layer());
+  name += '.';
+  name += record.name();
+  return name;
+}
+
 // ---- stats ----
 
 int cmd_stats(const std::string& path) {
@@ -105,7 +113,7 @@ int cmd_stats(const std::string& path) {
     if (!any || r.t < t_min) t_min = r.t;
     if (!any || r.t > t_max) t_max = r.t;
     any = true;
-    ++per_event[r.layer + "." + r.name];
+    ++per_event[event_name(r)];
     if (r.has_packet) lineages.insert(r.lineage);
     nodes.insert(r.node);
   }
@@ -153,11 +161,14 @@ int cmd_follow(const std::string& path, const std::string& id_text) {
 
 // ---- incidents ----
 
-void print_incident_text(const Incident& inc) {
+/// `ground_truth` is false when the run has no atk.spawn record; then
+/// both labels read "unknown".
+void print_incident_text(const Incident& inc, bool ground_truth) {
   std::printf("  accused %-4u %-9s %s  def=%s  guards=%zu [", inc.accused,
-              inc.ground_truth_malicious ? "MALICIOUS"
-              : inc.framed              ? "FRAMED"
-                                        : "honest",
+              !ground_truth                ? "unknown"
+              : inc.ground_truth_malicious ? "MALICIOUS"
+              : inc.framed                 ? "FRAMED"
+                                           : "honest",
               inc.isolated() ? "ISOLATED" : "detected",
               lw::obs::to_string(inc.defense), inc.accusing_guards.size());
   for (std::size_t i = 0; i < inc.accusing_guards.size(); ++i) {
@@ -191,9 +202,10 @@ void print_incident_text(const Incident& inc) {
     }
     std::printf("]");
   }
-  std::printf("  %s\n", inc.ground_truth_malicious ? "TRUE-POSITIVE"
-              : inc.framed                         ? "FRAMED"
-                                                   : "FALSE-POSITIVE");
+  std::printf("  %s\n", !ground_truth                ? "unknown"
+                        : inc.ground_truth_malicious ? "TRUE-POSITIVE"
+                        : inc.framed                 ? "FRAMED"
+                                                     : "FALSE-POSITIVE");
 }
 
 int cmd_incidents(const std::string& path, bool json) {
@@ -207,12 +219,18 @@ int cmd_incidents(const std::string& path, bool json) {
     const auto summary = IncidentBuilder::summarize(run.incidents);
     std::printf("== run point=%s seed=%llu ==\n", run.point.c_str(),
                 static_cast<unsigned long long>(run.seed));
-    for (const Incident& inc : run.incidents) print_incident_text(inc);
+    for (const Incident& inc : run.incidents) {
+      print_incident_text(inc, run.ground_truth);
+    }
+    std::printf("  %llu incident(s), %llu isolated, ",
+                static_cast<unsigned long long>(summary.incidents),
+                static_cast<unsigned long long>(summary.isolated_incidents));
+    if (!run.ground_truth) {
+      std::printf("ground truth unknown (no atk.spawn in this run)\n");
+      continue;
+    }
     std::printf(
-        "  %llu incident(s), %llu isolated, %llu TP / %llu FP "
-        "(precision %.3f)",
-        static_cast<unsigned long long>(summary.incidents),
-        static_cast<unsigned long long>(summary.isolated_incidents),
+        "%llu TP / %llu FP (precision %.3f)",
         static_cast<unsigned long long>(summary.true_positives),
         static_cast<unsigned long long>(summary.false_positives),
         summary.precision());
@@ -251,7 +269,7 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
     try {
       if (lw::forensics::parse_trace_line(line, no, &record) &&
           !record.is_run_header) {
-        deltas[record.layer + "." + record.name] += sign;
+        deltas[event_name(record)] += sign;
       }
     } catch (const TraceFormatError&) {
       deltas["(unparseable)"] += sign;
