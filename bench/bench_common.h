@@ -111,14 +111,19 @@ struct Common {
   std::string defense_opts;
 };
 
-/// Parses the standard flags. A bad value (an unknown --defense backend, a
-/// --series width that is not a positive number, an unknown --trace-filter
-/// layer, or --trace together with --trace-out) exits 2 with its message,
-/// the usage status of every lw-* CLI.
+/// Parses the standard flags. A bad value (--runs below 1, an unknown
+/// --defense backend, a --series width that is not a positive number, an
+/// unknown --trace-filter layer, or --trace together with --trace-out) exits
+/// 2 with its message, the usage status of every lw-* CLI.
 inline Common parse_common(const lw::Config& args, int default_runs,
                            std::uint64_t default_seed) {
   Common common;
   common.runs = args.get_int("runs", default_runs);
+  if (common.runs < 1) {
+    std::fprintf(stderr, "--runs: runs must be positive, got %d\n",
+                 common.runs);
+    std::exit(2);
+  }
   common.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<int>(default_seed)));
   common.threads = args.get_int("threads", 1);

@@ -70,30 +70,9 @@ void BM_HmacTagMidstate(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacTagMidstate);
 
-void BM_HmacBatchSign(benchmark::State& state) {
-  // The fused fan-out signing path: one alert payload tagged under k
-  // pairwise keys in two multi-buffer SHA-256 sweeps. Compare per-tag cost
-  // against BM_HmacTagMidstate (the serial path); range(0) is k.
-  const std::size_t fanout = static_cast<std::size_t>(state.range(0));
-  lw::crypto::KeyManager keys(7);
-  keys.reserve_nodes(fanout + 1);
-  std::vector<lw::NodeId> peers;
-  for (std::size_t i = 1; i <= fanout; ++i) {
-    peers.push_back(static_cast<lw::NodeId>(i));
-  }
-  std::vector<lw::crypto::AuthTag> tags(fanout);
-  for (auto _ : state) {
-    keys.sign_batch(0, peers, "alert|1|2|accused=9", tags.data());
-    benchmark::DoNotOptimize(tags.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fanout));
-}
-BENCHMARK(BM_HmacBatchSign)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
 void BM_HmacSerialSign(benchmark::State& state) {
-  // Serial reference for BM_HmacBatchSign: same keys, same payload, one
-  // midstate-cached HMAC at a time.
+  // The fan-out signing shape: one alert payload tagged under k pairwise
+  // keys, one midstate-cached HMAC at a time; range(0) is k.
   const std::size_t fanout = static_cast<std::size_t>(state.range(0));
   lw::crypto::KeyManager keys(7);
   keys.reserve_nodes(fanout + 1);

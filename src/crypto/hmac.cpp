@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "crypto/sha256_multi.h"
-
 namespace lw::crypto {
 namespace {
 
@@ -84,40 +82,6 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
       key, std::span<const std::uint8_t>(
                reinterpret_cast<const std::uint8_t*>(message.data()),
                message.size()));
-}
-
-void HmacBatch::push(const HmacKey& key) {
-  inner_.push_back(key.inner_state());
-  outer_.push_back(key.outer_state());
-}
-
-void HmacBatch::clear() {
-  inner_.clear();
-  outer_.clear();
-}
-
-void HmacBatch::sign_into(std::string_view message, AuthTag* out) {
-  const std::size_t n = inner_.size();
-  inner_digests_.resize(n);
-  digests_.resize(n);
-  ptrs_.resize(n);
-
-  // Inner pass: every lane hashes the same message bytes after its own
-  // ipad midstate.
-  const auto* msg = reinterpret_cast<const std::uint8_t*>(message.data());
-  for (std::size_t i = 0; i < n; ++i) ptrs_[i] = msg;
-  sha256_many(inner_.data(), ptrs_.data(), message.size(), n,
-              inner_digests_.data());
-
-  // Outer pass: each lane hashes its 32-byte inner digest after its opad
-  // midstate.
-  for (std::size_t i = 0; i < n; ++i) ptrs_[i] = inner_digests_[i].data();
-  sha256_many(outer_.data(), ptrs_.data(), sizeof(Digest), n,
-              digests_.data());
-
-  for (std::size_t i = 0; i < n; ++i) {
-    std::copy_n(digests_[i].begin(), out[i].size(), out[i].begin());
-  }
 }
 
 bool digests_equal(const Digest& a, const Digest& b) {

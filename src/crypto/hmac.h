@@ -39,46 +39,9 @@ class HmacKey {
   /// Verifies a truncated tag (constant time over the tag bytes).
   bool verify(std::string_view message, const AuthTag& tag) const;
 
-  /// Cached pad midstates, exposed so HmacBatch can run many keys through
-  /// the multi-buffer SHA-256 engine. Not part of the signing API.
-  const Sha256State& inner_state() const { return inner_; }
-  const Sha256State& outer_state() const { return outer_; }
-
  private:
   Sha256State inner_;
   Sha256State outer_;
-};
-
-/// Batched HMAC over one shared message and many prepared keys.
-///
-/// The simulator's hot crypto shapes are fan-outs: one alert payload
-/// tagged under a pairwise key per recipient, one neighbor list signed for
-/// every neighbor. Each HMAC is two SHA-256 finishes from cached
-/// midstates, independent across keys — so a batch of k keys becomes two
-/// k-lane sha256_many sweeps (inner pass over the message, outer pass
-/// over the 32-byte inner digests) instead of 2k serial hashes.
-///
-/// Reuse one instance and clear() between batches: the scratch vectors
-/// keep their capacity.
-class HmacBatch {
- public:
-  /// Queues a key; tags come out of sign_into in queue order.
-  void push(const HmacKey& key);
-
-  void clear();
-
-  /// One sweep: out[i] = HMAC tag of `message` under queued key i.
-  /// `out` must hold one tag per queued key. The queue is left intact
-  /// (clear() to start the next batch).
-  void sign_into(std::string_view message, AuthTag* out);
-
- private:
-  std::vector<Sha256State> inner_;
-  std::vector<Sha256State> outer_;
-  // Scratch recycled across batches.
-  std::vector<Digest> digests_;
-  std::vector<Digest> inner_digests_;
-  std::vector<const std::uint8_t*> ptrs_;
 };
 
 /// Computes HMAC-SHA-256(key, message).

@@ -89,13 +89,6 @@ AuthTag KeyManager::sign(NodeId self, NodeId peer,
   return pairwise_state(self, peer).tag(message);
 }
 
-void KeyManager::sign_batch(NodeId self, std::span<const NodeId> peers,
-                            std::string_view message, AuthTag* out) const {
-  batch_.clear();
-  for (NodeId peer : peers) batch_.push(pairwise_state(self, peer));
-  batch_.sign_into(message, out);
-}
-
 bool KeyManager::verify(NodeId a, NodeId b, std::string_view message,
                         const AuthTag& tag) const {
   return pairwise_state(a, b).verify(message, tag);

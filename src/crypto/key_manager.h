@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,12 +40,6 @@ class KeyManager {
   /// Tags message with the key shared by {self, peer}.
   AuthTag sign(NodeId self, NodeId peer, std::string_view message) const;
 
-  /// Tags one message under the pairwise key of every peer in one
-  /// multi-buffer sweep: out[i] = sign(self, peers[i], message). The
-  /// fan-out shape of alert multicast and neighbor-list broadcast.
-  void sign_batch(NodeId self, std::span<const NodeId> peers,
-                  std::string_view message, AuthTag* out) const;
-
   /// Verifies a tag allegedly produced with the key shared by {a, b}.
   bool verify(NodeId a, NodeId b, std::string_view message,
               const AuthTag& tag) const;
@@ -72,8 +65,6 @@ class KeyManager {
   mutable std::deque<HmacKey> states_;
   /// Fallback for ids outside the reservation (tests, ad-hoc tools).
   mutable std::unordered_map<std::uint64_t, HmacKey> overflow_;
-  /// Scratch for sign_batch (recycled per call).
-  mutable HmacBatch batch_;
 };
 
 /// An external attacker: has no valid keys, so every tag it forges is an

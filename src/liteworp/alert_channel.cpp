@@ -66,18 +66,11 @@ void AlertChannel::send(NodeId suspect) {
   alert.ttl = static_cast<std::uint8_t>(params_.ttl);
   alert.auth_payload_into(auth_buf_);
   if (recipients != nullptr) {
-    sign_peers_.clear();
+    alert.alert_auth.reserve(recipients->size());
     for (NodeId recipient : *recipients) {
       if (recipient == env_.id() || recipient == suspect) continue;
-      sign_peers_.push_back(recipient);
-    }
-    // One multi-buffer sweep tags the payload for every recipient at once.
-    sign_tags_.resize(sign_peers_.size());
-    env_.keys().sign_batch(env_.id(), sign_peers_, auth_buf_,
-                           sign_tags_.data());
-    alert.alert_auth.reserve(sign_peers_.size());
-    for (std::size_t i = 0; i < sign_peers_.size(); ++i) {
-      alert.alert_auth.push_back({sign_peers_[i], sign_tags_[i]});
+      alert.alert_auth.push_back(
+          {recipient, env_.keys().sign(env_.id(), recipient, auth_buf_)});
     }
   }
   seen_alerts_.insert(alert.flow_key());  // do not re-process our own

@@ -22,7 +22,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "crypto/hmac.h"
 #include "neighbor/neighbor_table.h"
 #include "node/node_env.h"
 #include "obs/event.h"
@@ -110,9 +109,6 @@ class AlertChannel {
   std::uint8_t def_;
   /// Reusable serialization buffer for alert auth payloads.
   std::string auth_buf_;
-  /// Scratch for the batched signing fan-out (recycled per alert).
-  std::vector<NodeId> sign_peers_;
-  std::vector<crypto::AuthTag> sign_tags_;
 
   std::unordered_set<NodeId> detected_;  // convicted locally
   std::unordered_set<NodeId> isolated_;  // revoked (locally or by alerts)

@@ -13,9 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
-#include "crypto/hmac.h"
 #include "neighbor/neighbor_table.h"
 #include "node/node_env.h"
 #include "topology/disc_graph.h"
@@ -88,8 +86,6 @@ class DiscoveryAgent {
   /// Reusable serialization buffer for auth payloads (sign/verify are
   /// per-packet hot spots; keep the capacity across calls).
   std::string auth_buf_;
-  /// Scratch for the batched list-signing fan-out (recycled per broadcast).
-  std::vector<crypto::AuthTag> sign_tags_;
   NeighborTable& table_;
   DiscoveryParams params_;
   bool hello_sent_ = false;

@@ -187,14 +187,10 @@ void DynamicJoinAgent::share_list(NodeId unicast_to) {
   list.link_dst = unicast_to;
   list.neighbor_list = table_.neighbors();
   list.auth_payload_into(auth_buf_);
-  const std::string& payload = auth_buf_;
-  // One multi-buffer sweep tags the list for every member at once.
-  sign_tags_.resize(list.neighbor_list.size());
-  env_.keys().sign_batch(env_.id(), list.neighbor_list, payload,
-                         sign_tags_.data());
   list.alert_auth.reserve(list.neighbor_list.size());
-  for (std::size_t i = 0; i < list.neighbor_list.size(); ++i) {
-    list.alert_auth.push_back({list.neighbor_list[i], sign_tags_[i]});
+  for (NodeId member : list.neighbor_list) {
+    list.alert_auth.push_back(
+        {member, env_.keys().sign(env_.id(), member, auth_buf_)});
   }
   env_.send(std::move(list));
 }

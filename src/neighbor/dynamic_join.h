@@ -28,9 +28,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
-#include "crypto/hmac.h"
 #include "neighbor/neighbor_table.h"
 #include "node/node_env.h"
 
@@ -97,8 +95,6 @@ class DynamicJoinAgent {
   NeighborTable& table_;
   /// Reusable serialization buffer for list auth payloads.
   std::string auth_buf_;
-  /// Scratch for the batched list-signing fan-out (recycled per share).
-  std::vector<crypto::AuthTag> sign_tags_;
   JoinParams params_;
   bool joining_ = false;
   /// True once this join emitted its nbr.join_complete event (the span

@@ -45,6 +45,13 @@ void parse_flags(std::initializer_list<std::pair<const char*, const char*>>
   bench::parse_common(args, 1, 1);
 }
 
+TEST(BenchCli, NonPositiveRunsExitsTwo) {
+  EXPECT_EXIT(parse_flags({{"runs", "0"}}), testing::ExitedWithCode(2),
+              "--runs: runs must be positive, got 0");
+  EXPECT_EXIT(parse_flags({{"runs", "-3"}}), testing::ExitedWithCode(2),
+              "runs must be positive");
+}
+
 TEST(BenchCli, UnknownDefenseExitsTwo) {
   EXPECT_EXIT(parse_flags({{"defense", "bogus"}}), testing::ExitedWithCode(2),
               "--defense: unknown backend \"bogus\"");

@@ -1,19 +1,31 @@
-# Runs PROGRAM with ARGS (one space-separated string) and compares its
-# stdout byte for byte with the file EXPECTED; a mismatch or an exit status
-# other than EXIT_CODE (default 0) fails the test. With LW_UPDATE_GOLDEN set
-# in the environment it rewrites EXPECTED instead.
-#   cmake -DPROGRAM=... "-DARGS=..." -DEXPECTED=... [-DEXIT_CODE=N]
-#         -P cli_golden.cmake
+# Runs PROGRAM with ARGS (one space-separated string) and checks what it
+# printed: stdout byte for byte against the file EXPECTED, and/or stderr
+# for the substring STDERR. A mismatch or an exit status other than
+# EXIT_CODE (default 0) fails the test. With LW_UPDATE_GOLDEN set in the
+# environment it rewrites EXPECTED instead of comparing it.
+#   cmake -DPROGRAM=... "-DARGS=..." [-DEXPECTED=...] [-DEXIT_CODE=N]
+#         ["-DSTDERR=..."] -P cli_golden.cmake
 if(NOT DEFINED EXIT_CODE)
   set(EXIT_CODE 0)
 endif()
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${PROGRAM}" ${args}
   OUTPUT_VARIABLE actual
+  ERROR_VARIABLE errors
   RESULT_VARIABLE status)
 if(NOT status EQUAL EXIT_CODE)
   message(FATAL_ERROR
     "${PROGRAM} ${ARGS} exited with ${status}, expected ${EXIT_CODE}")
+endif()
+if(NOT "${STDERR}" STREQUAL "")
+  string(FIND "${errors}" "${STDERR}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "stderr of ${PROGRAM} ${ARGS} lacks \"${STDERR}\":"
+      "\n${errors}")
+  endif()
+endif()
+if("${EXPECTED}" STREQUAL "")
+  return()
 endif()
 if(DEFINED ENV{LW_UPDATE_GOLDEN})
   file(WRITE "${EXPECTED}" "${actual}")

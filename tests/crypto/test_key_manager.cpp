@@ -3,7 +3,6 @@
 
 #include <set>
 #include <string>
-#include <vector>
 
 #include "crypto/key_manager.h"
 
@@ -78,12 +77,6 @@ TEST(KeyManager, SignKnownAnswer) {
   const AuthTag overflow = {0x91, 0xa7, 0x17, 0xd6, 0x9c, 0x96, 0x5d, 0x66};
   EXPECT_EQ(keys.sign(3, 9, message), dense);
   EXPECT_EQ(keys.sign(40, 3, message), overflow);
-
-  const std::vector<NodeId> peers = {9, 40};
-  std::vector<AuthTag> batch(peers.size());
-  keys.sign_batch(3, peers, message, batch.data());
-  EXPECT_EQ(batch[0], dense);
-  EXPECT_EQ(batch[1], overflow);
 }
 
 TEST(KeyManager, CachedSignMatchesDerivedKeyHmac) {
@@ -110,6 +103,29 @@ TEST(KeyManager, CachedVerifyRoundTripManyPairs) {
       EXPECT_FALSE(keys.verify(b, a, message + "x", tag));
     }
   }
+}
+
+TEST(KeyManagerDenseCache, MatchesUnreservedBehavior) {
+  // The dense pair table is a cache layout change only: keys, tags and
+  // verification outcomes must be identical with and without reservation,
+  // and across the dense/overflow boundary.
+  KeyManager dense(42);
+  dense.reserve_nodes(16);
+  KeyManager plain(42);
+  const std::string message = "equivalence";
+  for (NodeId a = 0; a < 20; ++a) {
+    for (NodeId b = a + 1; b < 20; b += 3) {
+      EXPECT_EQ(dense.pairwise_key(a, b), plain.pairwise_key(a, b));
+      EXPECT_EQ(dense.sign(a, b, message), plain.sign(b, a, message));
+      EXPECT_TRUE(plain.verify(a, b, message, dense.sign(a, b, message)));
+    }
+  }
+  // Reference stability: holding one cached state across many new
+  // insertions must stay valid (deque-backed storage).
+  const HmacKey& held = dense.pairwise_state(0, 1);
+  const AuthTag before = held.tag(message);
+  for (NodeId b = 2; b < 16; ++b) (void)dense.pairwise_state(0, b);
+  EXPECT_EQ(held.tag(message), before);
 }
 
 }  // namespace

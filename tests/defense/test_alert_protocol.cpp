@@ -61,6 +61,13 @@ class AlertProtocolTest : public ::testing::TestWithParam<std::string> {
     return static_cast<const ZScoreDefense&>(d).locally_detected(suspect);
   }
 
+  /// The backend's own evidence against `suspect`: LITEWORP's MalC
+  /// counter, the z-score detector's anomaly rate.
+  double evidence(const Defense& d, NodeId suspect) const {
+    if (const auto* monitor = d.local_monitor()) return monitor->malc(suspect);
+    return static_cast<const ZScoreDefense&>(d).anomaly_rate(suspect);
+  }
+
   int alert_count(const Defense& d, NodeId suspect) const {
     if (const auto* monitor = d.local_monitor()) {
       return monitor->alert_count(suspect);
@@ -199,9 +206,11 @@ TEST_P(AlertProtocolTest, ResetClearsStateAndDisarmsScheduledRepeats) {
   convict_a();
   defense_->handle_alert(signed_alert(kX, 1));
   ASSERT_EQ(alert_count(*defense_, kA), 1);
+  ASSERT_GT(evidence(*defense_, kA), 0.0);
   defense_->reset();  // crash: volatile detection state is gone
   EXPECT_FALSE(locally_detected(*defense_, kA));
   EXPECT_EQ(alert_count(*defense_, kA), 0);
+  EXPECT_DOUBLE_EQ(evidence(*defense_, kA), 0.0);
   const std::size_t before = alerts_sent();
   env_.simulator().run_until(60.0);
   EXPECT_EQ(alerts_sent(), before)

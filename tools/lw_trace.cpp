@@ -21,6 +21,7 @@
 // Exit codes: 0 ok, 1 findings (check violations, diff mismatch, unknown
 // lineage), 2 usage or unreadable/unparseable input — the shared lw-*
 // contract (see tools/cli_util.h). --version and --help exit 0.
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +31,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli_util.h"
@@ -383,7 +385,16 @@ int main(int argc, char** argv) {
     if (arg == "--json") {
       json = true;
     } else if (arg.rfind("--gamma=", 0) == 0) {
-      gamma = std::atoi(arg.c_str() + 8);
+      const std::string_view text = std::string_view(arg).substr(8);
+      const auto [end, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), gamma);
+      if (ec != std::errc() || end != text.data() + text.size() ||
+          gamma < 1) {
+        std::fprintf(stderr,
+                     "lw-trace: --gamma must be an integer >= 1, got '%s'\n",
+                     arg.c_str() + 8);
+        return 2;
+      }
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--", 0) == 0) {
