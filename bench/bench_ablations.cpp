@@ -28,8 +28,7 @@ struct Variant {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 2, 700);
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 100));
@@ -139,4 +138,8 @@ int main(int argc, char** argv) {
     std::printf("%-38s   -> %s\n", "", variants[v].expectation.c_str());
   }
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

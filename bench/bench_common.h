@@ -56,7 +56,8 @@
 // process.
 // plus its own flags, all parsed through lw::Config. Mistyped flags make
 // the bench exit non-zero with a message BEFORE any simulation runs
-// (finish(), called once right after flag parsing and once at exit).
+// (finish(), called once right after flag parsing and once at exit), and a
+// flag value that does not parse as its type exits 2 (run_main()).
 // Benches with no stochastic runs (the closed-form analysis harnesses)
 // accept --runs and --threads for CLI uniformity but ignore them.
 #pragma once
@@ -83,6 +84,19 @@
 #include "util/json.h"
 
 namespace bench {
+
+/// Every bench's main(): parses argv and runs `body` on the flags. A value
+/// a typed getter cannot parse (--runs=abc, --nodes=abc) exits 2 with the
+/// getter's message, the usage status of every lw-* CLI.
+inline int run_main(int argc, char** argv, int (*body)(lw::Config&)) {
+  lw::Config args = lw::Config::from_args(argc, argv);
+  try {
+    return body(args);
+  } catch (const lw::ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+}
 
 struct Common {
   int runs = 1;

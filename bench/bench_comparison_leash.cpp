@@ -44,8 +44,7 @@ double isolated_fraction(const lw::scenario::SweepPointResult& point) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 2, 900);
   const double duration = args.get_double("duration", 400.0);
   const std::size_t nodes =
@@ -133,4 +132,8 @@ int main(int argc, char** argv) {
       "  - only the accusation-based backends (LITEWORP, zscore) ever\n"
       "    remove the attacker (isolated columns).");
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -222,8 +222,7 @@ int check_rows(const std::vector<RocRow>& rows) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 2, 950);
   const double duration = args.get_double("duration", 400.0);
   const std::size_t nodes =
@@ -387,4 +386,8 @@ int main(int argc, char** argv) {
       "wormhole-route column shows the prevention it buys per sync-error\n"
       "budget; 'none' anchors the undefended corner.");
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -22,8 +22,7 @@
 #include "scenario/sweep.h"
 #include "util/config.h"
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 3, 800);
   const double duration = args.get_double("duration", 800.0);
   const std::size_t nodes =
@@ -106,4 +105,8 @@ int main(int argc, char** argv) {
             "probability at the measured collision rate; zero false\n"
             "isolations throughout.");
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -82,8 +82,7 @@ lw::fault::FaultPlan make_plan(std::size_t nodes, double crash_rate,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 2, 900);
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 49));
@@ -160,4 +159,8 @@ int main(int argc, char** argv) {
             "latency is the time back to the first re-authenticated\n"
             "neighbor).");
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -27,8 +27,7 @@
 #include "scenario/sweep.h"
 #include "util/config.h"
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 4, 500);
   const double duration = args.get_double("duration", 800.0);
   const std::size_t nodes =
@@ -115,4 +114,8 @@ int main(int argc, char** argv) {
             "the high-gamma means). Rerun without the deadline flag to see\n"
             "that, given time, every gamma eventually isolates.");
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -20,8 +20,7 @@
 #include "bench_common.h"
 #include "util/config.h"
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 0);
   lw::analysis::CoverageParams params;
   params.detection_confidence = args.get_int("gamma", 3);
@@ -73,4 +72,8 @@ int main(int argc, char** argv) {
               "(paper: rises, peaks near 1, then falls)\n",
               curve[peak].y, curve[peak].x);
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -17,8 +17,7 @@
 #include "bench_common.h"
 #include "util/config.h"
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 0);
   lw::analysis::CoverageParams params;
   const double nb_min = args.get_double("nb_min", 3.0);
@@ -70,4 +69,8 @@ int main(int argc, char** argv) {
               "(paper: negligible everywhere, non-monotone)\n",
               worst, worst_nb);
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

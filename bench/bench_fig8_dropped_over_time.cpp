@@ -50,8 +50,7 @@ double mean_latency(const lw::scenario::SweepPointResult& point) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 3, 300);
   const double duration = args.get_double("duration", 2000.0);
   const std::size_t nodes =
@@ -126,4 +125,8 @@ int main(int argc, char** argv) {
   std::puts("\nexpected shape: baseline climbs for the whole run; LITEWORP\n"
             "flattens shortly after isolation (short stale-route tail).");
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -20,8 +20,7 @@
 #include "scenario/sweep.h"
 #include "util/config.h"
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 2, 400);
   const double duration = args.get_double("duration", 1500.0);
   const std::size_t nodes =
@@ -75,4 +74,8 @@ int main(int argc, char** argv) {
             "super-linearly -- wormhole routes attract traffic); LITEWORP\n"
             "columns stay near zero; M <= 1 does no damage (no colluder).");
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -131,8 +131,7 @@ CaseResult run_case(const Case& spec, const bench::Common& common,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 1);
   const double duration = args.get_double("duration", 120.0);
   const std::string nodes_csv = args.get_string("nodes", "50,200,500,1000c");
@@ -228,4 +227,8 @@ int main(int argc, char** argv) {
             "seed; wall-clock columns are machine-dependent. Check them with\n"
             "`lw-report check` against BENCH_history.json (--series --json).");
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

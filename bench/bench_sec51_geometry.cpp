@@ -15,8 +15,7 @@
 #include "util/config.h"
 #include "util/math_util.h"
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 0);
 
   if (common.json) {
@@ -83,4 +82,8 @@ int main(int argc, char** argv) {
     }
   }
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -16,8 +16,7 @@
 #include "scenario/network.h"
 #include "util/config.h"
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 600);
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 100));
@@ -123,4 +122,8 @@ int main(int argc, char** argv) {
             "< 0.5 KB at N_B = 10, watch buffer ~4 entries); LITEWORP\n"
             "bandwidth only at initialization and on detection.");
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

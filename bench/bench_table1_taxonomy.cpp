@@ -42,8 +42,7 @@ double mean_isolated(const lw::scenario::SweepPointResult& point) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 21);
   const bool verify = args.get_bool("verify", true);
   const double duration = args.get_double("duration", 400.0);
@@ -130,4 +129,8 @@ int main(int argc, char** argv) {
       "    traffic does not claim to catch);\n"
       "  - protocol deviation: unhandled (the paper's stated limitation).");
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

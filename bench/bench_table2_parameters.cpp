@@ -18,8 +18,7 @@
 #include "util/config.h"
 #include "util/math_util.h"
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 1);
   auto config = lw::scenario::ExperimentConfig::table2_defaults();
 
@@ -71,4 +70,8 @@ int main(int argc, char** argv) {
       "  -- exactly the analysis' operating point. All other Table 2\n"
       "  values are used literally. See DESIGN.md for details.");
   return bench::finish(args);
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

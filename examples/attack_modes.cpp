@@ -7,6 +7,7 @@
 
 #include "attack/modes.h"
 #include "scenario/network.h"
+#include "scenario/runner.h"
 #include "util/config.h"
 
 namespace {
@@ -45,6 +46,8 @@ void narrate(const lw::attack::ModeInfo& info,
     net.run();
 
     const auto& m = net.metrics();
+    const auto originated =
+        lw::scenario::RunResult::from_metrics(net).data_originated;
     std::printf("  routes: %llu total, %llu with forged links, %llu via "
                 "attacker transit\n",
                 static_cast<unsigned long long>(m.routes_established),
@@ -53,7 +56,7 @@ void narrate(const lw::attack::ModeInfo& info,
                     m.routes_via_malicious_transit));
     std::printf("  data:   %llu sent, %llu delivered, %llu swallowed by "
                 "attackers\n",
-                static_cast<unsigned long long>(m.data_originated),
+                static_cast<unsigned long long>(originated),
                 static_cast<unsigned long long>(m.data_delivered),
                 static_cast<unsigned long long>(m.data_dropped_malicious));
     if (liteworp) {

@@ -13,6 +13,7 @@
 #include "packet/packet.h"
 #include "phy/trace.h"
 #include "scenario/network.h"
+#include "scenario/runner.h"
 #include "util/config.h"
 
 namespace {
@@ -58,6 +59,8 @@ int main(int argc, char** argv) {
   net.run();
 
   const auto& m = net.metrics();
+  const auto originated =
+      lw::scenario::RunResult::from_metrics(net).data_originated;
   const auto& phy = net.medium().stats();
 
   std::cout << "\n--- channel airtime by frame type ---\n";
@@ -106,10 +109,10 @@ int main(int argc, char** argv) {
   std::cout << "\n--- traffic ---\n";
   std::printf("  originated %llu  delivered %llu (%.1f%%)  wormhole-dropped "
               "%llu  no-route %llu\n",
-              static_cast<unsigned long long>(m.data_originated),
+              static_cast<unsigned long long>(originated),
               static_cast<unsigned long long>(m.data_delivered),
               100.0 * static_cast<double>(m.data_delivered) /
-                  static_cast<double>(m.data_originated),
+                  static_cast<double>(originated),
               static_cast<unsigned long long>(m.data_dropped_malicious),
               static_cast<unsigned long long>(m.data_dropped_no_route));
   std::printf("  discoveries %llu  routes %llu  wormhole routes %llu\n",

@@ -13,9 +13,8 @@ constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 }  // namespace
 
 MaliciousAgent::MaliciousAgent(node::NodeEnv& env, nbr::NeighborTable& table,
-                               WormholeCoordinator& coordinator,
-                               AttackObserver* observer)
-    : env_(env), table_(table), coordinator_(coordinator), observer_(observer) {
+                               WormholeCoordinator& coordinator)
+    : env_(env), table_(table), coordinator_(coordinator) {
   coordinator_.register_agent(this);
 }
 
@@ -53,13 +52,22 @@ NodeId MaliciousAgent::fake_prev_hop(NodeId colluder) const {
   return choice;
 }
 
+void MaliciousAgent::emit_replay(const pkt::Packet& copy, NodeId peer) const {
+  if (auto* r = env_.obs(); r && r->wants(obs::Layer::kAttack)) {
+    r->emit({.t = env_.now(),
+             .kind = obs::EventKind::kAtkReplay,
+             .node = env_.id(),
+             .peer = peer,
+             .packet = &copy});
+  }
+}
+
 bool MaliciousAgent::maybe_drop_data(const pkt::Packet& packet) {
   if (packet.type != pkt::PacketType::kData) return false;
   if (packet.link_dst != env_.id()) return false;
   if (packet.final_dst == env_.id()) return false;  // our own traffic
   if (!coordinator_.params().drop_data) return false;
   ++data_dropped_;
-  if (observer_) observer_->on_data_dropped(env_.id(), packet);
   if (auto* r = env_.obs(); r && r->wants(obs::Layer::kAttack)) {
     r->emit({.t = env_.now(),
              .kind = obs::EventKind::kAtkDrop,
@@ -143,14 +151,7 @@ void MaliciousAgent::on_tunnel(NodeId from_colluder,
     copy.announced_prev_hop = fake_prev_hop(from_colluder);
     copy.claimed_tx = kInvalidNode;  // we transmit under our own identity
     copy.link_dst = kInvalidNode;
-    if (observer_) observer_->on_wormhole_replay(env_.id(), copy);
-    if (auto* r = env_.obs(); r && r->wants(obs::Layer::kAttack)) {
-      r->emit({.t = env_.now(),
-               .kind = obs::EventKind::kAtkReplay,
-               .node = env_.id(),
-               .peer = from_colluder,
-               .packet = &copy});
-    }
+    emit_replay(copy, from_colluder);
     // No flood jitter: the replay must win the duplicate-suppression race.
     env_.send(std::move(copy));
     return;
@@ -176,14 +177,7 @@ void MaliciousAgent::on_tunnel(NodeId from_colluder,
     copy.link_dst = next;
     copy.announced_prev_hop = fake_prev_hop(from_colluder);
     copy.claimed_tx = kInvalidNode;
-    if (observer_) observer_->on_wormhole_replay(env_.id(), copy);
-    if (auto* r = env_.obs(); r && r->wants(obs::Layer::kAttack)) {
-      r->emit({.t = env_.now(),
-               .kind = obs::EventKind::kAtkReplay,
-               .node = env_.id(),
-               .peer = from_colluder,
-               .packet = &copy});
-    }
+    emit_replay(copy, from_colluder);
     env_.send(std::move(copy));
   }
 }
@@ -198,7 +192,7 @@ bool MaliciousAgent::intercept_high_power(const pkt::Packet& packet) {
     // The announcement is truthful; the attack is purely the reach.
     copy.announced_prev_hop = packet.claimed_tx;
     copy.claimed_tx = kInvalidNode;
-    if (observer_) observer_->on_wormhole_replay(env_.id(), copy);
+    emit_replay(copy, kInvalidNode);
     env_.send(std::move(copy), {.range_multiplier = mult});
     return true;
   }
@@ -230,7 +224,7 @@ bool MaliciousAgent::intercept_relay(const pkt::Packet& packet) {
   // victims are out of each other's range, so only the replay carries the
   // frame across.
   pkt::Packet replay = env_.packet_factory().forward_copy(packet);
-  if (observer_) observer_->on_wormhole_replay(env_.id(), replay);
+  emit_replay(replay, kInvalidNode);
   env_.send(std::move(replay));
   return false;  // keep behaving as an honest insider otherwise
 }

@@ -16,18 +16,10 @@
 
 namespace lw::attack {
 
-/// Ground-truth attack events for the metrics layer.
-class AttackObserver {
- public:
-  virtual ~AttackObserver() = default;
-  virtual void on_data_dropped(NodeId /*malicious*/, const pkt::Packet&) {}
-  virtual void on_wormhole_replay(NodeId /*malicious*/, const pkt::Packet&) {}
-};
-
 class MaliciousAgent {
  public:
   MaliciousAgent(node::NodeEnv& env, nbr::NeighborTable& table,
-                 WormholeCoordinator& coordinator, AttackObserver* observer);
+                 WormholeCoordinator& coordinator);
 
   /// Offered every frame the node decodes, before honest processing.
   /// Returns true when the frame was consumed by the attack.
@@ -54,6 +46,10 @@ class MaliciousAgent {
   /// the active attacker swallows.
   bool maybe_drop_data(const pkt::Packet& packet);
 
+  /// Reports an attack frame about to go on the air (atk.replay; `peer`
+  /// is the colluder it came from, when one exists).
+  void emit_replay(const pkt::Packet& copy, NodeId peer) const;
+
   /// The lie a wormhole endpoint tells in announced_prev_hop when
   /// rebroadcasting tunneled control traffic.
   NodeId fake_prev_hop(NodeId colluder) const;
@@ -64,7 +60,6 @@ class MaliciousAgent {
   node::NodeEnv& env_;
   nbr::NeighborTable& table_;
   WormholeCoordinator& coordinator_;
-  AttackObserver* observer_;
 
   std::unordered_set<FlowKey> tunneled_flows_;
   std::unordered_set<FlowKey> rebroadcast_flows_;

@@ -19,8 +19,7 @@ class LiteworpDefense final : public Defense {
       : env_(wiring.env),
         table_(wiring.table),
         enabled_(config.liteworp.enabled),
-        monitor_(wiring.env, wiring.table, wiring.routing, config.liteworp,
-                 wiring.observer) {}
+        monitor_(wiring.env, wiring.table, wiring.routing, config.liteworp) {}
 
   obs::DefenseTag tag() const override { return obs::DefenseTag::kLiteworp; }
   void start() override { monitor_.start(); }

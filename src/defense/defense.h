@@ -17,9 +17,9 @@
 //
 // The scenario layer selects a backend by name through defense::make(); the
 // per-backend parameter blocks live in DefenseConfig, validated alongside
-// the rest of ExperimentConfig. Detection outcomes flow through the shared
-// DetectionObserver (ground-truth classification in stats::MetricsCollector)
-// and through def-tagged mon.* trace events (forensics attribution).
+// the rest of ExperimentConfig. Detection outcomes flow out as def-tagged
+// mon.* events on the run's event bus, which feed both the ground-truth
+// classification (stats::MetricsCollector) and forensics attribution.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +35,6 @@
 #include "routing/routing.h"
 
 namespace lw::defense {
-
-/// Detection hooks every backend reports through. The LITEWORP observer
-/// vocabulary (suspicion / local detection / alert / isolation) turned out
-/// to fit every backend, so it IS the shared vocabulary.
-using DetectionObserver = lite::MonitorObserver;
 
 /// Z-score neighbor-table detector parameters (after arXiv 2505.09405).
 ///
@@ -138,13 +133,12 @@ obs::DefenseTag tag_for(const std::string& name);
 void set_option(DefenseConfig& config, const std::string& key,
                 const std::string& value);
 
-/// Everything a backend may wire into. The observer is optional (tests);
-/// the table and routing references outlive the backend.
+/// Everything a backend may wire into. The table and routing references
+/// outlive the backend.
 struct Wiring {
   node::NodeEnv& env;
   nbr::NeighborTable& table;
   routing::OnDemandRouting& routing;
-  DetectionObserver* observer = nullptr;
 };
 
 class Defense {

@@ -9,9 +9,8 @@ ZScoreDefense::ZScoreDefense(const DefenseConfig& config, const Wiring& wiring)
     : env_(wiring.env),
       table_(wiring.table),
       params_(config.zscore),
-      observer_(wiring.observer),
       alerts_(wiring.env, wiring.table, wiring.routing,
-              lite::AlertParams::of(config.zscore), wiring.observer,
+              lite::AlertParams::of(config.zscore),
               static_cast<std::uint8_t>(obs::DefenseTag::kZScore)) {}
 
 void ZScoreDefense::reset() {
@@ -62,9 +61,6 @@ void ZScoreDefense::judge_forward(const pkt::Packet& packet) {
   // Forward of a flow this node never overheard at all: the wormhole
   // replay signature, scored statistically instead of per-packet.
   ++stats.anomalies;
-  if (observer_) {
-    observer_->on_suspicion(env_.id(), sender, lite::Suspicion::kAnomaly);
-  }
   alerts_.emit(obs::EventKind::kMonSuspicion, sender, zscore_of(sender),
                obs::kSuspicionAnomaly);
   maybe_detect(sender);

@@ -68,7 +68,6 @@ class ZScoreDefense final : public Defense {
   node::NodeEnv& env_;
   nbr::NeighborTable& table_;
   ZScoreParams params_;
-  DetectionObserver* observer_;
 
   lite::WatchBuffer watch_;
   /// Ordered map: the leave-one-out baseline iterates it, and ordered

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "liteworp/monitor.h"
 #include "obs/recorder.h"
 #include "util/logging.h"
 
@@ -10,13 +9,11 @@ namespace lw::lite {
 
 AlertChannel::AlertChannel(node::NodeEnv& env, nbr::NeighborTable& table,
                            routing::OnDemandRouting& routing,
-                           AlertParams params, MonitorObserver* observer,
-                           std::uint8_t def)
+                           AlertParams params, std::uint8_t def)
     : env_(env),
       table_(table),
       routing_(routing),
       params_(params),
-      observer_(observer),
       def_(def) {}
 
 void AlertChannel::convict(NodeId suspect, double evidence) {
@@ -24,13 +21,11 @@ void AlertChannel::convict(NodeId suspect, double evidence) {
   isolated_.insert(suspect);
   table_.revoke(suspect);
   routing_.on_revoked(suspect);
-  if (observer_) observer_->on_local_detection(env_.id(), suspect);
   emit(obs::EventKind::kMonDetection, suspect, evidence);
   LW_INFO << obs::to_string(static_cast<obs::DefenseTag>(def_)) << " guard "
           << env_.id() << " detected node " << suspect
           << " at t=" << env_.now();
 
-  if (observer_) observer_->on_alert_sent(env_.id(), suspect);
   last_alert_[suspect] = env_.now();
   send(suspect);
   for (int repeat = 1; repeat < params_.repeats; ++repeat) {
@@ -118,7 +113,6 @@ void AlertChannel::isolate(NodeId suspect, int alerts) {
   isolated_.insert(suspect);
   table_.revoke(suspect);
   routing_.on_revoked(suspect);
-  if (observer_) observer_->on_isolation(env_.id(), suspect, alerts);
   emit(obs::EventKind::kMonIsolation, suspect, static_cast<double>(alerts));
   LW_INFO << "node " << env_.id() << " isolated " << suspect << " after "
           << alerts << " alerts at t=" << env_.now();

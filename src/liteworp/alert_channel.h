@@ -29,8 +29,6 @@
 
 namespace lw::lite {
 
-class MonitorObserver;
-
 /// The five alert values each accusing backend carries in its own
 /// parameter block (LiteworpParams, defense::ZScoreParams).
 struct AlertParams {
@@ -58,7 +56,7 @@ class AlertChannel {
   /// (an obs::DefenseTag; LITEWORP's 0 leaves its lines untagged).
   AlertChannel(node::NodeEnv& env, nbr::NeighborTable& table,
                routing::OnDemandRouting& routing, AlertParams params,
-               MonitorObserver* observer, std::uint8_t def);
+               std::uint8_t def);
 
   /// Local conviction: revokes `suspect`, reports the detection (with
   /// `evidence` as the mon.detection value), sends the alert and schedules
@@ -105,7 +103,6 @@ class AlertChannel {
   nbr::NeighborTable& table_;
   routing::OnDemandRouting& routing_;
   AlertParams params_;
-  MonitorObserver* observer_;
   std::uint8_t def_;
   /// Reusable serialization buffer for alert auth payloads.
   std::string auth_buf_;

@@ -9,12 +9,11 @@ namespace lw::lite {
 
 LocalMonitor::LocalMonitor(node::NodeEnv& env, nbr::NeighborTable& table,
                            routing::OnDemandRouting& routing,
-                           LiteworpParams params, MonitorObserver* observer)
+                           LiteworpParams params)
     : env_(env),
       table_(table),
       params_(params),
-      observer_(observer),
-      alerts_(env, table, routing, AlertParams::of(params), observer,
+      alerts_(env, table, routing, AlertParams::of(params),
               static_cast<std::uint8_t>(obs::DefenseTag::kLiteworp)) {}
 
 void LocalMonitor::start() {}
@@ -79,7 +78,7 @@ void LocalMonitor::check_fabrication(const pkt::Packet& packet) {
                  .packet = &packet});
       }
     }
-    observe(sender, /*suspicious=*/false, Suspicion::kFabrication);
+    observe(sender, /*suspicious=*/false, obs::kSuspicionFabrication);
     return;
   }
   if (!params_.strict_link_check &&
@@ -90,13 +89,13 @@ void LocalMonitor::check_fabrication(const pkt::Packet& packet) {
     // NOT physically reached (a tunneled REQ must win the duplicate-
     // suppression race; a tunneled REP materializes on the far side of
     // the tunnel), and there the flow is genuinely unheard.
-    observe(sender, /*suspicious=*/false, Suspicion::kFabrication);
+    observe(sender, /*suspicious=*/false, obs::kSuspicionFabrication);
     return;
   }
   LW_DEBUG << "guard " << env_.id() << ": " << to_string(packet.type)
            << " fabrication by " << sender << " (claimed prev " << prev
            << ")";
-  observe(sender, /*suspicious=*/true, Suspicion::kFabrication);
+  observe(sender, /*suspicious=*/true, obs::kSuspicionFabrication);
 }
 
 void LocalMonitor::maybe_add_drop_watch(const pkt::Packet& packet) {
@@ -135,7 +134,7 @@ void LocalMonitor::maybe_add_drop_watch(const pkt::Packet& packet) {
                      .peer = to,
                      .lineage_hint = lin});
           }
-          observe(to, /*suspicious=*/true, Suspicion::kDrop);
+          observe(to, /*suspicious=*/true, obs::kSuspicionDrop);
         }
       });
   if (watch_.add_drop_watch(flow, from, to, deadline, expiry)) {
@@ -149,21 +148,17 @@ void LocalMonitor::maybe_add_drop_watch(const pkt::Packet& packet) {
   }
 }
 
-void LocalMonitor::observe(NodeId suspect, bool suspicious, Suspicion kind) {
-  if (suspicious && observer_) {
-    observer_->on_suspicion(env_.id(), suspect, kind);
-  }
+void LocalMonitor::observe(NodeId suspect, bool suspicious,
+                           std::uint8_t kind) {
   if (suspicious) {
-    alerts_.emit(obs::EventKind::kMonSuspicion, suspect, malc(suspect),
-                 kind == Suspicion::kDrop ? obs::kSuspicionDrop
-                                          : obs::kSuspicionFabrication);
+    alerts_.emit(obs::EventKind::kMonSuspicion, suspect, malc(suspect), kind);
   }
   if (alerts_.convicted(suspect)) return;
   SuspectState& state = malc_[suspect];
   ++state.observed;
   if (suspicious) {
-    state.malc += kind == Suspicion::kFabrication ? params_.malc_fabrication
-                                                  : params_.malc_drop;
+    state.malc += kind == obs::kSuspicionFabrication ? params_.malc_fabrication
+                                                     : params_.malc_drop;
     if (state.malc >= local_threshold(suspect)) {
       alerts_.convict(suspect, state.malc);
       return;

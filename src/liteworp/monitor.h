@@ -95,30 +95,10 @@ struct LiteworpParams {
   bool strict_link_check = false;
 };
 
-/// Why a guard incremented its counter against a neighbor. kFabrication
-/// and kDrop are LITEWORP's two evidence kinds (Section 4.2); kAnomaly is
-/// the statistical evidence of the Z-score backend (defense/zscore.h),
-/// which shares this vocabulary so one observer serves every backend.
-enum class Suspicion : std::uint8_t { kFabrication, kDrop, kAnomaly };
-
-/// Metrics hooks. The scenario layer implements these with access to
-/// ground truth (who is actually malicious).
-class MonitorObserver {
- public:
-  virtual ~MonitorObserver() = default;
-  virtual void on_suspicion(NodeId /*guard*/, NodeId /*suspect*/,
-                            Suspicion /*kind*/) {}
-  virtual void on_local_detection(NodeId /*guard*/, NodeId /*suspect*/) {}
-  virtual void on_alert_sent(NodeId /*guard*/, NodeId /*suspect*/) {}
-  virtual void on_isolation(NodeId /*node*/, NodeId /*suspect*/,
-                            int /*alert_count*/) {}
-};
-
 class LocalMonitor {
  public:
   LocalMonitor(node::NodeEnv& env, nbr::NeighborTable& table,
-               routing::OnDemandRouting& routing, LiteworpParams params,
-               MonitorObserver* observer);
+               routing::OnDemandRouting& routing, LiteworpParams params);
 
   /// No-op placeholder kept for wiring symmetry (the count-based MalC
   /// window needs no timers).
@@ -163,14 +143,15 @@ class LocalMonitor {
   /// Records one resolved observation of `suspect` (a checked forward or
   /// an expired/cleared drop watch), suspicious or benign, and applies the
   /// kappa-block window discipline.
-  void observe(NodeId suspect, bool suspicious, Suspicion kind);
+  /// `kind` is LITEWORP's evidence kind (Section 4.2) as the mon.suspicion
+  /// detail: obs::kSuspicionFabrication or obs::kSuspicionDrop.
+  void observe(NodeId suspect, bool suspicious, std::uint8_t kind);
   /// C_t, or the corroborated bar once alerts about `suspect` circulate.
   double local_threshold(NodeId suspect) const;
 
   node::NodeEnv& env_;
   nbr::NeighborTable& table_;
   LiteworpParams params_;
-  MonitorObserver* observer_;
 
   struct SuspectState {
     double malc = 0.0;

@@ -106,7 +106,8 @@ enum class EventKind : std::uint8_t {
 
   // ---- Attack (ground truth) ----
   kAtkTunnel,        // frame entered the tunnel    peer: colluder
-  kAtkReplay,        // tunneled frame replayed
+  kAtkReplay,        // attack frame replayed: tunneled (peer: colluder),
+                     //   high-power or relay
   kAtkDrop,          // data swallowed
   kAtkSpawn,         // node IS malicious (emitted once at t=0; the
                      // ground-truth anchor offline incident labeling

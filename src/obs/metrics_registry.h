@@ -1,7 +1,7 @@
 // Named counters and histograms fed by the event stream.
 //
-// The registry generalizes the hand-wired counting inside
-// stats::MetricsCollector: every event kind becomes a counter named
+// The registry counts the same stream that stats::MetricsCollector
+// classifies against ground truth: every event kind becomes a counter named
 // "<layer>.<event>" (e.g. "phy.tx", "mon.isolation"), and selected
 // value-carrying events feed histograms ("route.deliver_latency",
 // "mac.backoff_delay"). Counting is O(1) per event — a fixed array indexed

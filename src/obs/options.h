@@ -1,7 +1,8 @@
 // Per-run observability switches, carried inside ExperimentConfig.
 //
-// All off by default: a default-configured run builds no Recorder at all
-// and every emit site reduces to a null-pointer compare.
+// All off by default: the run's Recorder then serves only the metrics
+// collector (route, mon and atk layers), and every phy, mac, nbr and flt
+// emit site reduces to a mask test.
 #pragma once
 
 #include <cstdint>

@@ -7,10 +7,12 @@
 // and trace output stays deterministic for a given seed at any thread
 // count.
 //
-// Zero-cost-when-disabled contract: every emit site guards with
+// Emit sites guard with
 //   if (rec != nullptr && rec->wants(Layer::kX)) rec->emit({...});
-// so a run without observability pays one pointer compare per site, and a
-// run tracing only some layers pays one mask test for the others.
+// Every scenario::Network run subscribes its stats::MetricsCollector to the
+// route, mon and atk layers, so those always emit. For the phy, mac, nbr
+// and flt layers the guard is the zero-cost-when-disabled contract: a run
+// that does not observe them pays one mask test per site.
 #pragma once
 
 #include <cstdint>

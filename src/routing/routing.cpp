@@ -18,12 +18,10 @@ std::size_t index_in(const pkt::NodeList& path, NodeId id) {
 }  // namespace
 
 OnDemandRouting::OnDemandRouting(node::NodeEnv& env, nbr::NeighborTable& table,
-                                 RoutingParams params,
-                                 RoutingObserver* observer)
+                                 RoutingParams params)
     : env_(env),
       table_(table),
       params_(params),
-      observer_(observer),
       cache_(params.route_timeout) {}
 
 void OnDemandRouting::send_data(NodeId destination,
@@ -31,14 +29,7 @@ void OnDemandRouting::send_data(NodeId destination,
   if (destination == env_.id()) return;
   const Time now = env_.now();
   // Every generated packet counts as offered load, routed or not.
-  if (observer_) {
-    pkt::Packet placeholder;
-    placeholder.type = pkt::PacketType::kData;
-    placeholder.origin = env_.id();
-    placeholder.final_dst = destination;
-    placeholder.created_at = now;
-    observer_->on_data_originated(env_.id(), placeholder);
-  }
+  ++data_originated_;
   if (const Route* route = cache_.lookup(destination, now)) {
     transmit_data(destination, *route, payload_bytes, now);
     return;
@@ -51,7 +42,6 @@ void OnDemandRouting::queue_for_discovery(NodeId destination,
                                           Time created_at) {
   Discovery& discovery = discoveries_[destination];
   if (discovery.queue.size() >= params_.pending_queue_limit) {
-    if (observer_) observer_->on_data_dropped_no_route(env_.id());
     if (auto* r = env_.obs(); r && r->wants(obs::Layer::kRouting)) {
       r->emit({.t = env_.now(),
                .kind = obs::EventKind::kRouteDrop,
@@ -86,7 +76,6 @@ void OnDemandRouting::start_discovery(NodeId destination) {
   req.final_dst = destination;
   req.route = {env_.id()};
   req.created_at = env_.now();
-  if (observer_) observer_->on_discovery_started(env_.id(), destination);
   if (auto* r = env_.obs(); r && r->wants(obs::Layer::kRouting)) {
     r->emit({.t = env_.now(),
              .kind = obs::EventKind::kRouteDiscovery,
@@ -273,9 +262,6 @@ void OnDemandRouting::handle_reply(const pkt::Packet& packet) {
       return;  // first reply won; later (shorter-claiming) ones lose
     }
     if (cache_.insert(packet.route, env_.now())) {
-      if (observer_) {
-        observer_->on_route_established(env_.id(), packet.route);
-      }
       if (auto* r = env_.obs(); r && r->wants(obs::Layer::kRouting)) {
         r->emit({.t = env_.now(),
                  .kind = obs::EventKind::kRouteEstablished,
@@ -320,7 +306,6 @@ void OnDemandRouting::handle_data(const pkt::Packet& packet) {
   if (packet.link_dst != env_.id()) return;
 
   if (packet.final_dst == env_.id()) {
-    if (observer_) observer_->on_data_delivered(env_.id(), packet);
     if (auto* r = env_.obs(); r && r->wants(obs::Layer::kRouting)) {
       r->emit({.t = env_.now(),
                .kind = obs::EventKind::kRouteDeliver,

@@ -55,23 +55,10 @@ struct RoutingParams {
   Duration seen_request_ttl = 30.0;
 };
 
-/// Events the metrics layer subscribes to. Default implementations ignore
-/// everything so tests can override selectively.
-class RoutingObserver {
- public:
-  virtual ~RoutingObserver() = default;
-  virtual void on_data_originated(NodeId /*source*/, const pkt::Packet&) {}
-  virtual void on_data_delivered(NodeId /*destination*/, const pkt::Packet&) {}
-  virtual void on_data_dropped_no_route(NodeId /*source*/) {}
-  virtual void on_route_established(NodeId /*source*/,
-                                    const pkt::NodeList& /*path*/) {}
-  virtual void on_discovery_started(NodeId /*source*/, NodeId /*target*/) {}
-};
-
 class OnDemandRouting {
  public:
   OnDemandRouting(node::NodeEnv& env, nbr::NeighborTable& table,
-                  RoutingParams params, RoutingObserver* observer);
+                  RoutingParams params);
 
   /// Application entry point: send `payload_bytes` of data to `destination`,
   /// triggering route discovery if needed.
@@ -101,6 +88,9 @@ class OnDemandRouting {
   std::uint64_t refused_next_hop_revoked() const {
     return refused_next_hop_revoked_;
   }
+  /// Data packets this node's application generated, routed or not (the
+  /// offered load). Survives reset(): a crash loses routes, not history.
+  std::uint64_t data_originated() const { return data_originated_; }
 
  private:
   struct PendingData {
@@ -144,7 +134,6 @@ class OnDemandRouting {
   node::NodeEnv& env_;
   nbr::NeighborTable& table_;
   RoutingParams params_;
-  RoutingObserver* observer_;
   RouteCache cache_;
 
   struct PendingForward {
@@ -161,6 +150,7 @@ class OnDemandRouting {
   std::unordered_map<FlowKey, std::size_t> replied_requests_;
   std::unordered_map<NodeId, Discovery> discoveries_;
   std::uint64_t refused_next_hop_revoked_ = 0;
+  std::uint64_t data_originated_ = 0;
 };
 
 }  // namespace lw::routing

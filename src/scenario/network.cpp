@@ -32,7 +32,7 @@ bool has_relay_victims(const topo::DiscGraph& graph, NodeId x,
 
 }  // namespace
 
-Network::Network(ExperimentConfig config, MetricsFactory metrics)
+Network::Network(ExperimentConfig config)
     : config_(std::move(config)), keys_(config_.key_master_secret) {
   config_.finalize();
   // Dense O(1) pairwise-key table for every id this deployment can mint.
@@ -40,8 +40,9 @@ Network::Network(ExperimentConfig config, MetricsFactory metrics)
   RngFactory rngs(config_.seed);
 
   // The recorder always exists so callers can attach their own sinks
-  // (e.g. phy::TextTrace) right after construction; with no sinks every
-  // emit site short-circuits on the wants() mask test.
+  // (e.g. phy::TextTrace) right after construction. The metrics collector
+  // keeps the route, mon and atk layers live in every run; a phy, mac, nbr
+  // or flt emit site with no sink short-circuits on the wants() mask test.
   recorder_ = std::make_unique<obs::Recorder>();
   if (config_.obs.trace) {
     trace_writer_ = std::make_unique<obs::TraceWriter>(trace_buffer_);
@@ -98,9 +99,9 @@ Network::Network(ExperimentConfig config, MetricsFactory metrics)
   medium_ = std::make_unique<phy::Medium>(simulator_, *graph_, config_.phy,
                                           rngs.stream("phy-loss"));
   medium_->set_recorder(recorder_.get());
-  metrics_ = metrics ? metrics(simulator_, *graph_, malicious_ids_)
-                     : std::make_unique<stats::MetricsCollector>(
-                           simulator_, *graph_, malicious_ids_);
+  metrics_ =
+      std::make_unique<stats::MetricsCollector>(*graph_, malicious_ids_);
+  recorder_->add_sink(metrics_.get(), stats::MetricsCollector::kLayers);
   coordinator_ = std::make_unique<attack::WormholeCoordinator>(
       simulator_, config_.attack);
 
@@ -111,7 +112,7 @@ Network::Network(ExperimentConfig config, MetricsFactory metrics)
         std::find(malicious_ids_.begin(), malicious_ids_.end(), id) !=
         malicious_ids_.end();
     nodes_.push_back(std::make_unique<Node>(
-        id, config_, simulator_, *medium_, keys_, factory_, metrics_.get(),
+        id, config_, simulator_, *medium_, keys_, factory_,
         rngs.stream("node", id), malicious, coordinator_.get(),
         recorder_.get()));
     // Geographical leashes need each node's own (GPS-style) location.

@@ -6,7 +6,6 @@
 // and driving the clock.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -34,12 +33,7 @@ namespace lw::scenario {
 /// stack coherently.
 class Network : public fault::FaultHost {
  public:
-  /// Builds the metrics collector; overridable so tools can subclass
-  /// MetricsCollector for richer observability.
-  using MetricsFactory = std::function<std::unique_ptr<stats::MetricsCollector>(
-      const sim::Simulator&, const topo::DiscGraph&, std::vector<NodeId>)>;
-
-  explicit Network(ExperimentConfig config, MetricsFactory metrics = {});
+  explicit Network(ExperimentConfig config);
   ~Network() override;
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -67,9 +61,10 @@ class Network : public fault::FaultHost {
 
   // ---- Observability (config().obs selects what is live) ----
 
-  /// The run's event recorder. Always present: config().obs selects the
-  /// built-in sinks (trace/counters/profile), and callers may add their
-  /// own (e.g. phy::TextTrace) before running.
+  /// The run's event recorder. Always present, with the metrics collector
+  /// subscribed to the route, mon and atk layers: config().obs selects the
+  /// other built-in sinks (trace/counters/profile), and callers may add
+  /// their own (e.g. phy::TextTrace) before running.
   obs::Recorder& recorder() { return *recorder_; }
 
   /// JSONL trace accumulated so far (empty unless obs.trace). Buffered in

@@ -8,8 +8,8 @@ namespace lw::scenario {
 Node::Node(NodeId id, const ExperimentConfig& config,
            sim::Simulator& simulator, phy::Medium& medium,
            const crypto::KeyManager& keys, pkt::PacketFactory& factory,
-           stats::MetricsCollector* metrics, Rng rng, bool malicious,
-           attack::WormholeCoordinator* coordinator, obs::Recorder* recorder)
+           Rng rng, bool malicious, attack::WormholeCoordinator* coordinator,
+           obs::Recorder* recorder)
     : id_(id),
       config_(config),
       simulator_(simulator),
@@ -22,23 +22,18 @@ Node::Node(NodeId id, const ExperimentConfig& config,
            recorder),
       discovery_(*this, table_, config.discovery),
       join_(*this, table_, config.join),
-      routing_(*this, table_, config.routing, metrics),
+      routing_(*this, table_, config.routing),
       traffic_(*this, routing_, config.node_count, config.traffic) {
   if (malicious) {
     malicious_agent_ = std::make_unique<attack::MaliciousAgent>(
-        *this, table_, *coordinator, metrics);
-    // The leash is a receive-side filter every node applies (a malicious
-    // node still checks stamps on frames it processes); detection backends
-    // never run on the nodes they would be detecting.
-    if (config.defense.name == "leash") {
-      defense_ = defense::make(
-          config.defense, {.env = *this, .table = table_, .routing = routing_,
-                           .observer = metrics});
-    }
-  } else {
+        *this, table_, *coordinator);
+  }
+  // The leash is a receive-side filter every node applies (a malicious
+  // node still checks stamps on frames it processes); detection backends
+  // never run on the nodes they would be detecting.
+  if (!malicious || config.defense.name == "leash") {
     defense_ = defense::make(
-        config.defense, {.env = *this, .table = table_, .routing = routing_,
-                         .observer = metrics});
+        config.defense, {.env = *this, .table = table_, .routing = routing_});
   }
   medium.attach(&radio_);
   mac_.set_upcall([this](const pkt::Packet& p) { handle_frame(p); });

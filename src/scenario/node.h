@@ -20,7 +20,6 @@
 #include "routing/routing.h"
 #include "routing/traffic.h"
 #include "scenario/config.h"
-#include "stats/metrics.h"
 
 namespace lw::scenario {
 
@@ -31,8 +30,8 @@ class Node final : public node::NodeEnv {
   /// overhear plus admission verdict events itself.
   Node(NodeId id, const ExperimentConfig& config, sim::Simulator& simulator,
        phy::Medium& medium, const crypto::KeyManager& keys,
-       pkt::PacketFactory& factory, stats::MetricsCollector* metrics,
-       Rng rng, bool malicious, attack::WormholeCoordinator* coordinator,
+       pkt::PacketFactory& factory, Rng rng, bool malicious,
+       attack::WormholeCoordinator* coordinator,
        obs::Recorder* recorder = nullptr);
 
   ~Node() override;
@@ -94,6 +93,7 @@ class Node final : public node::NodeEnv {
   nbr::DiscoveryAgent& discovery() { return discovery_; }
   nbr::DynamicJoinAgent& join_agent() { return join_; }
   routing::OnDemandRouting& routing() { return routing_; }
+  const routing::OnDemandRouting& routing() const { return routing_; }
   routing::TrafficGenerator& traffic() { return traffic_; }
   /// The active defense backend; null on malicious nodes (except the
   /// leash, which is a receive-side filter every node applies).

@@ -11,7 +11,9 @@ RunResult RunResult::from_metrics(const Network& network) {
   RunResult r;
   r.seed = network.config().seed;
   r.average_degree = network.average_degree();
-  r.data_originated = m.data_originated;
+  for (NodeId id = 0; id < network.size(); ++id) {
+    r.data_originated += network.node(id).routing().data_originated();
+  }
   r.data_delivered = m.data_delivered;
   r.data_dropped_malicious = m.data_dropped_malicious;
   r.data_dropped_no_route = m.data_dropped_no_route;

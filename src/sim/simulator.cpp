@@ -186,8 +186,18 @@ void Simulator::check_wall_deadline() {
 }
 
 std::uint64_t Simulator::run_until(Time horizon) {
+  const std::uint64_t count = run_loop(horizon, /*has_horizon=*/true);
+  if (now_ < horizon) now_ = horizon;
+  return count;
+}
+
+std::uint64_t Simulator::run_all() {
+  return run_loop(kTimeZero, /*has_horizon=*/false);
+}
+
+std::uint64_t Simulator::run_loop(Time horizon, bool has_horizon) {
   std::uint64_t count = 0;
-  while (!queue_.empty() && queue_.top().when <= horizon) {
+  while (!queue_.empty() && (!has_horizon || queue_.top().when <= horizon)) {
     const QueueEntry entry = queue_.top();
     // Bucket boundaries close BEFORE the first event at t >= boundary pops:
     // the hook sees the queue (and every sink) exactly as of the boundary.
@@ -197,43 +207,12 @@ std::uint64_t Simulator::run_until(Time horizon) {
     queue_.pop();
     assert(entry.when >= now_ && "event queue went backwards");
     if (entry.batch != kNoBatch) {
-      count += run_batch(entry, horizon, /*has_horizon=*/true);
+      count += run_batch(entry, horizon, has_horizon);
       continue;
     }
     now_ = entry.when;
     // Move the payload out and recycle the slot BEFORE executing: the
     // action may schedule (and thus reallocate the slab).
-    Slot& slot = slots_[entry.slot];
-    SmallFn action = std::move(slot.action);
-    const bool skip = slot.cancelled && *slot.cancelled;
-    slot.cancelled.reset();
-    slot.next_free = free_head_;
-    free_head_ = entry.slot;
-    if (skip) continue;
-    current_seq_ = entry.seq;
-    action();
-    current_seq_ = kNoEvent;
-    ++count;
-    ++executed_;
-    check_wall_deadline();
-  }
-  if (now_ < horizon) now_ = horizon;
-  return count;
-}
-
-std::uint64_t Simulator::run_all() {
-  std::uint64_t count = 0;
-  while (!queue_.empty()) {
-    const QueueEntry entry = queue_.top();
-    if (tick_interval_ > 0.0 && entry.when >= next_tick_) {
-      fire_ticks(entry.when);
-    }
-    queue_.pop();
-    if (entry.batch != kNoBatch) {
-      count += run_batch(entry, kTimeZero, /*has_horizon=*/false);
-      continue;
-    }
-    now_ = entry.when;
     Slot& slot = slots_[entry.slot];
     SmallFn action = std::move(slot.action);
     const bool skip = slot.cancelled && *slot.cancelled;

@@ -206,6 +206,10 @@ class Simulator {
   std::uint32_t acquire_slot();
   std::uint32_t acquire_batch();
   void release_batch(std::uint32_t batch);
+  /// The event loop of run_until() (has_horizon: stop before the first
+  /// event past `horizon`) and run_all() (drain the queue). Returns the
+  /// number of actions run.
+  std::uint64_t run_loop(Time horizon, bool has_horizon);
   /// Executes the popped batch entry's item, then chains through the
   /// batch's remaining items while they precede the heap top and the
   /// horizon (has_horizon gates the check for run_all). Returns the number

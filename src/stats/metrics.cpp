@@ -4,11 +4,9 @@
 
 namespace lw::stats {
 
-MetricsCollector::MetricsCollector(const sim::Simulator& simulator,
-                                   const topo::DiscGraph& graph,
+MetricsCollector::MetricsCollector(const topo::DiscGraph& graph,
                                    std::vector<NodeId> malicious)
-    : simulator_(simulator),
-      graph_(graph),
+    : graph_(graph),
       malicious_(std::move(malicious)),
       malicious_set_(malicious_.begin(), malicious_.end()) {
   for (NodeId m : malicious_) {
@@ -20,13 +18,40 @@ MetricsCollector::MetricsCollector(const sim::Simulator& simulator,
   }
 }
 
-void MetricsCollector::on_data_originated(NodeId, const pkt::Packet&) {
-  ++data_originated;
-}
-
-void MetricsCollector::on_data_delivered(NodeId, const pkt::Packet& packet) {
-  ++data_delivered;
-  delivery_latencies.push_back(simulator_.now() - packet.created_at);
+void MetricsCollector::on_event(const obs::Event& event) {
+  switch (event.kind) {
+    case obs::EventKind::kRouteDeliver:
+      ++data_delivered;
+      delivery_latencies.push_back(event.value);  // now - created_at
+      break;
+    case obs::EventKind::kRouteDrop:
+      ++data_dropped_no_route;
+      break;
+    case obs::EventKind::kRouteEstablished:
+      on_route_established(event.t, event.packet->route);
+      break;
+    case obs::EventKind::kRouteDiscovery:
+      ++discoveries;
+      break;
+    case obs::EventKind::kMonSuspicion:
+      on_suspicion(event.peer, event.detail);
+      break;
+    case obs::EventKind::kMonDetection:
+      on_local_detection(event.t, event.node, event.peer);
+      break;
+    case obs::EventKind::kMonIsolation:
+      on_isolation(event.t, event.node, event.peer);
+      break;
+    case obs::EventKind::kAtkDrop:
+      ++data_dropped_malicious;
+      drop_times.push_back(event.t);
+      break;
+    case obs::EventKind::kAtkReplay:
+      ++wormhole_replays;
+      break;
+    default:
+      break;
+  }
 }
 
 double MetricsCollector::mean_delivery_latency() const {
@@ -48,14 +73,10 @@ double MetricsCollector::latency_percentile(double p) const {
   return sorted[index] * (1.0 - frac) + sorted[index + 1] * frac;
 }
 
-void MetricsCollector::on_data_dropped_no_route(NodeId) {
-  ++data_dropped_no_route;
-}
-
-void MetricsCollector::on_route_established(NodeId,
+void MetricsCollector::on_route_established(Time t,
                                             const pkt::NodeList& path) {
   ++routes_established;
-  route_times.push_back(simulator_.now());
+  route_times.push_back(t);
 
   bool fake_link = false;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -73,19 +94,16 @@ void MetricsCollector::on_route_established(NodeId,
                   [this](NodeId n) { return is_malicious(n); });
   if (fake_link) {
     ++wormhole_routes;
-    wormhole_route_times.push_back(simulator_.now());
+    wormhole_route_times.push_back(t);
   }
   if (via_malicious) ++routes_via_malicious;
   if (transit) ++routes_via_malicious_transit;
 }
 
-void MetricsCollector::on_discovery_started(NodeId, NodeId) { ++discoveries; }
-
-void MetricsCollector::on_suspicion(NodeId, NodeId suspect,
-                                    lite::Suspicion kind) {
-  if (kind == lite::Suspicion::kFabrication) {
+void MetricsCollector::on_suspicion(NodeId suspect, std::uint8_t detail) {
+  if (detail == obs::kSuspicionFabrication) {
     ++suspicions_fabrication;
-  } else if (kind == lite::Suspicion::kDrop) {
+  } else if (detail == obs::kSuspicionDrop) {
     ++suspicions_drop;
   } else {
     ++suspicions_anomaly;
@@ -93,48 +111,40 @@ void MetricsCollector::on_suspicion(NodeId, NodeId suspect,
   if (!is_malicious(suspect)) ++false_suspicions;
 }
 
-void MetricsCollector::on_local_detection(NodeId guard, NodeId suspect) {
+void MetricsCollector::on_local_detection(Time t, NodeId guard,
+                                          NodeId suspect) {
+  // The conviction that raises mon.detection also sends the first alert.
   ++local_detections;
+  ++alerts_sent;
   if (!is_malicious(suspect)) {
     // One guard's noise conviction: it severs one link. Only a
-    // gamma-confirmed isolation (on_isolation) counts as the network
+    // gamma-confirmed isolation (mon.isolation) counts as the network
     // falsely ISOLATING an honest node.
     ++false_local_detections;
     return;
   }
   IsolationRecord& record = isolation_.at(suspect);
-  if (!record.first_detection) record.first_detection = simulator_.now();
-  note_revocation(guard, suspect);
+  if (!record.first_detection) record.first_detection = t;
+  note_revocation(t, guard, suspect);
 }
 
-void MetricsCollector::on_alert_sent(NodeId, NodeId) { ++alerts_sent; }
-
-void MetricsCollector::on_isolation(NodeId node, NodeId suspect, int) {
+void MetricsCollector::on_isolation(Time t, NodeId node, NodeId suspect) {
   ++isolation_events;
   if (!is_malicious(suspect)) {
     ++false_isolations;
     return;
   }
-  note_revocation(node, suspect);
+  note_revocation(t, node, suspect);
 }
 
-void MetricsCollector::note_revocation(NodeId by, NodeId suspect) {
+void MetricsCollector::note_revocation(Time t, NodeId by, NodeId suspect) {
   IsolationRecord& record = isolation_.at(suspect);
-  record.revoked_by.emplace(by, simulator_.now());
+  record.revoked_by.emplace(by, t);
   if (record.complete) return;
   const bool done = std::all_of(
       record.required.begin(), record.required.end(),
       [&record](NodeId n) { return record.revoked_by.count(n) != 0; });
-  if (done) record.complete = simulator_.now();
-}
-
-void MetricsCollector::on_data_dropped(NodeId, const pkt::Packet&) {
-  ++data_dropped_malicious;
-  drop_times.push_back(simulator_.now());
-}
-
-void MetricsCollector::on_wormhole_replay(NodeId, const pkt::Packet&) {
-  ++wormhole_replays;
+  if (done) record.complete = t;
 }
 
 bool MetricsCollector::all_malicious_isolated() const {

@@ -1,24 +1,24 @@
 // Run metrics: the output parameters of the paper's evaluation.
 //
-// A MetricsCollector implements the observer interfaces of the routing,
-// monitoring, and attack layers, and classifies events against ground truth
-// (the deployment geometry and the set of malicious nodes) that individual
-// nodes do not have. Output parameters match Section 6: packets dropped by
-// the wormhole, routes established / malicious routes, isolation latency,
-// plus detection/false-alarm accounting for the analysis comparisons.
+// A MetricsCollector is an event sink on the routing, monitoring and attack
+// layers of the run's obs::Recorder. It classifies those events against
+// ground truth (the deployment geometry and the set of malicious nodes)
+// that individual nodes do not have. Output parameters match Section 6:
+// packets dropped by the wormhole, routes established / malicious routes,
+// isolation latency, plus detection/false-alarm accounting for the
+// analysis comparisons. Data originations are not an event: each node's
+// routing layer counts its own (routing::OnDemandRouting::data_originated).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "attack/malicious_agent.h"
-#include "liteworp/monitor.h"
-#include "routing/routing.h"
+#include "obs/recorder.h"
+#include "packet/packet.h"
 #include "topology/disc_graph.h"
 
 namespace lw::stats {
@@ -35,37 +35,20 @@ struct IsolationRecord {
   std::optional<Time> complete;
 };
 
-class MetricsCollector : public routing::RoutingObserver,
-                         public lite::MonitorObserver,
-                         public attack::AttackObserver {
+class MetricsCollector : public obs::EventSink {
  public:
+  /// The layers whose events the collector classifies.
+  static constexpr std::uint32_t kLayers =
+      obs::layer_bit(obs::Layer::kRouting) |
+      obs::layer_bit(obs::Layer::kMonitor) |
+      obs::layer_bit(obs::Layer::kAttack);
+
   /// `graph` and `malicious` are ground truth used only for classification.
-  MetricsCollector(const sim::Simulator& simulator,
-                   const topo::DiscGraph& graph,
-                   std::vector<NodeId> malicious);
+  MetricsCollector(const topo::DiscGraph& graph, std::vector<NodeId> malicious);
 
-  // RoutingObserver
-  void on_data_originated(NodeId source, const pkt::Packet& packet) override;
-  void on_data_delivered(NodeId destination,
-                         const pkt::Packet& packet) override;
-  void on_data_dropped_no_route(NodeId source) override;
-  void on_route_established(NodeId source,
-                            const pkt::NodeList& path) override;
-  void on_discovery_started(NodeId source, NodeId target) override;
-
-  // MonitorObserver
-  void on_suspicion(NodeId guard, NodeId suspect,
-                    lite::Suspicion kind) override;
-  void on_local_detection(NodeId guard, NodeId suspect) override;
-  void on_alert_sent(NodeId guard, NodeId suspect) override;
-  void on_isolation(NodeId node, NodeId suspect, int alert_count) override;
-
-  // AttackObserver
-  void on_data_dropped(NodeId malicious, const pkt::Packet& packet) override;
-  void on_wormhole_replay(NodeId malicious, const pkt::Packet& packet) override;
+  void on_event(const obs::Event& event) override;
 
   // ---- Counters ----
-  std::uint64_t data_originated = 0;
   std::uint64_t data_delivered = 0;
   std::uint64_t data_dropped_malicious = 0;
   std::uint64_t data_dropped_no_route = 0;
@@ -92,6 +75,8 @@ class MetricsCollector : public routing::RoutingObserver,
   /// Local detections of honest nodes: a single guard's noise conviction,
   /// severing one link (the per-guard false alarm of the analysis).
   std::uint64_t false_local_detections = 0;
+  /// Alerts a detecting guard started (one per local detection: the
+  /// conviction sends the first alert itself).
   std::uint64_t alerts_sent = 0;
   std::uint64_t isolation_events = 0;
   /// Gamma-confirmed isolations of honest nodes — the network-level false
@@ -133,9 +118,12 @@ class MetricsCollector : public routing::RoutingObserver,
   static std::uint64_t cumulative_at(const std::vector<Time>& times, Time t);
 
  private:
-  void note_revocation(NodeId by, NodeId suspect);
+  void on_route_established(Time t, const pkt::NodeList& path);
+  void on_suspicion(NodeId suspect, std::uint8_t detail);
+  void on_local_detection(Time t, NodeId guard, NodeId suspect);
+  void on_isolation(Time t, NodeId node, NodeId suspect);
+  void note_revocation(Time t, NodeId by, NodeId suspect);
 
-  const sim::Simulator& simulator_;
   const topo::DiscGraph& graph_;
   std::vector<NodeId> malicious_;
   std::unordered_set<NodeId> malicious_set_;

@@ -53,8 +53,7 @@ double Config::get_double(const std::string& key, double def) const {
     if (used != v->size()) throw std::invalid_argument(*v);
     return parsed;
   } catch (const std::exception&) {
-    throw std::invalid_argument("config key '" + key +
-                                "' is not a number: " + *v);
+    throw ConfigError("config key '" + key + "' is not a number: " + *v);
   }
 }
 
@@ -67,8 +66,7 @@ int Config::get_int(const std::string& key, int def) const {
     if (used != v->size()) throw std::invalid_argument(*v);
     return parsed;
   } catch (const std::exception&) {
-    throw std::invalid_argument("config key '" + key +
-                                "' is not an integer: " + *v);
+    throw ConfigError("config key '" + key + "' is not an integer: " + *v);
   }
 }
 
@@ -77,8 +75,7 @@ bool Config::get_bool(const std::string& key, bool def) const {
   if (!v) return def;
   if (*v == "true" || *v == "1" || *v == "yes") return true;
   if (*v == "false" || *v == "0" || *v == "no") return false;
-  throw std::invalid_argument("config key '" + key +
-                              "' is not a boolean: " + *v);
+  throw ConfigError("config key '" + key + "' is not a boolean: " + *v);
 }
 
 std::vector<std::string> Config::unread_keys() const {

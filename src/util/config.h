@@ -7,10 +7,18 @@
 
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace lw {
+
+/// A value a typed getter cannot parse ("config key 'runs' is not an
+/// integer: abc"). Mains map it to their usage exit status.
+class ConfigError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class Config {
  public:
@@ -24,7 +32,7 @@ class Config {
   bool has(const std::string& key) const;
 
   /// Typed getters return the default when the key is absent, and throw
-  /// std::invalid_argument when the value does not parse.
+  /// ConfigError when the value does not parse.
   std::string get_string(const std::string& key, std::string def) const;
   double get_double(const std::string& key, double def) const;
   int get_int(const std::string& key, int def) const;

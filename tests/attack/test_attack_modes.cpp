@@ -3,6 +3,8 @@
 // the paper claims (all but protocol deviation).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "attack/modes.h"
 #include "scenario/runner.h"
 
@@ -151,6 +153,62 @@ TEST(AttackTiming, NoDamageBeforeStartTime) {
   net.run_until(config.attack.start_time - 1.0);
   EXPECT_EQ(net.metrics().data_dropped_malicious, 0u);
   EXPECT_EQ(net.metrics().wormhole_routes, 0u);
+}
+
+// ---- Ground truth in the trace: every replaying mode emits atk.replay ----
+
+// The single-node modes replay frames as the tunnel modes do, so their
+// replays reach the trace and anchor an incident's first malicious act.
+// Data dropping is off, leaving the replays as the attacker's only acts,
+// and three compromised guards accuse the attacker: LITEWORP rejects these
+// modes at admission and never convicts them on its own evidence.
+std::unique_ptr<scenario::Network> run_accused(WormholeMode mode,
+                                               std::uint64_t seed) {
+  auto config = attack_config(mode, 1, /*liteworp=*/true, seed);
+  config.duration = 300.0;
+  config.attack.drop_data = false;
+  config.obs.trace = true;
+  config.obs.trace_layers = obs::layer_bit(obs::Layer::kAttack);
+  config.obs.forensics = true;
+  NodeId attacker;
+  {
+    scenario::Network pick(config);
+    attacker = pick.malicious_ids().at(0);
+  }
+  config.fault.framings.push_back({.victim = attacker, .guards = 3,
+                                   .start = 150.0});
+  config.finalize();
+  auto net = std::make_unique<scenario::Network>(config);
+  net->run();
+  return net;
+}
+
+TEST(SingleNodeModes, HighPowerReplaysAnchorTheIncident) {
+  const auto run = run_accused(WormholeMode::kHighPower, 25);
+  const scenario::Network& net = *run;
+  EXPECT_GT(net.metrics().wormhole_replays, 0u);
+  EXPECT_NE(net.trace_jsonl().find(R"("layer":"atk","event":"replay")"),
+            std::string::npos);
+  const auto incidents = net.incidents();
+  ASSERT_EQ(incidents.size(), 1u);
+  EXPECT_TRUE(incidents[0].true_positive());
+  EXPECT_GE(incidents[0].first_malicious_act,
+            net.config().attack.start_time);
+}
+
+TEST(SingleNodeModes, RelayReplaysGiveADetectionLatency) {
+  const auto run = run_accused(WormholeMode::kRelay, 25);
+  const scenario::Network& net = *run;
+  EXPECT_GT(net.metrics().wormhole_replays, 0u);
+  EXPECT_NE(net.trace_jsonl().find(R"("layer":"atk","event":"replay")"),
+            std::string::npos);
+  const auto incidents = net.incidents();
+  ASSERT_EQ(incidents.size(), 1u);
+  EXPECT_TRUE(incidents[0].true_positive());
+  EXPECT_TRUE(incidents[0].isolated());
+  EXPECT_GE(incidents[0].first_malicious_act,
+            net.config().attack.start_time);
+  EXPECT_GT(incidents[0].detection_latency(), 0.0);
 }
 
 }  // namespace

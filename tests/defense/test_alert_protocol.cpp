@@ -27,7 +27,7 @@ constexpr NodeId kFar = 9;
 
 class AlertProtocolTest : public ::testing::TestWithParam<std::string> {
  protected:
-  AlertProtocolTest() : env_(kGuard), routing_(env_, table_, {}, nullptr) {
+  AlertProtocolTest() : env_(kGuard), routing_(env_, table_, {}) {
     table_.add_neighbor(kX);
     table_.add_neighbor(kA);
     table_.add_neighbor(kOther);
@@ -49,7 +49,7 @@ class AlertProtocolTest : public ::testing::TestWithParam<std::string> {
   }
 
   std::unique_ptr<Defense> build(const DefenseConfig& c) {
-    auto defense = make(c, Wiring{env_, table_, routing_, nullptr});
+    auto defense = make(c, Wiring{env_, table_, routing_});
     defense->start();
     return defense;
   }

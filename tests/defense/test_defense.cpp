@@ -29,9 +29,9 @@ void expect_reject(const DefenseConfig& config, const std::string& fragment) {
 /// Minimal wiring for constructing backends outside a scenario.
 class MakeFixture : public ::testing::Test {
  protected:
-  MakeFixture() : env_(0), routing_(env_, table_, {}, nullptr) {}
+  MakeFixture() : env_(0), routing_(env_, table_, {}) {}
 
-  Wiring wiring() { return {env_, table_, routing_, nullptr}; }
+  Wiring wiring() { return {env_, table_, routing_}; }
 
   test::FakeEnv env_;
   nbr::NeighborTable table_;

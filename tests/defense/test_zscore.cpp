@@ -1,11 +1,9 @@
 // Z-score neighbor-table detector: anomaly accounting, the three
-// conviction gates (samples, absolute rate, leave-one-out outlier), the
-// shared alert protocol, and crash-reset hygiene — driven by hand-crafted
-// packet sequences through the same fake environment as the LITEWORP
-// monitor tests.
+// conviction gates (samples, absolute rate, leave-one-out outlier) and
+// admission — driven by hand-crafted packet sequences through the same
+// fake environment as the LITEWORP monitor tests. The alert protocol it
+// shares with LITEWORP is pinned for both in test_alert_protocol.cpp.
 #include <gtest/gtest.h>
-
-#include <string>
 
 #include "defense/zscore.h"
 #include "tests/liteworp/fake_env.h"
@@ -27,8 +25,8 @@ class ZScoreTest : public ::testing::Test {
  protected:
   ZScoreTest()
       : env_(kGuard),
-        routing_(env_, table_, {}, nullptr),
-        defense_(config(), Wiring{env_, table_, routing_, nullptr}) {
+        routing_(env_, table_, {}),
+        defense_(config(), Wiring{env_, table_, routing_}) {
     table_.add_neighbor(kW);
     table_.add_neighbor(kH1);
     table_.add_neighbor(kH2);
@@ -77,21 +75,6 @@ class ZScoreTest : public ::testing::Test {
   void qualify_honest_baseline() {
     for (SeqNo seq = 100; seq < 104; ++seq) clean_forward(kH1, kH2, seq);
     for (SeqNo seq = 200; seq < 204; ++seq) clean_forward(kH2, kH1, seq);
-  }
-
-  /// Authenticated ALERT from `guard` accusing `accused`, addressed to us.
-  pkt::Packet alert(NodeId guard, NodeId accused, SeqNo seq) {
-    pkt::Packet p = env_.packet_factory().make(pkt::PacketType::kAlert);
-    p.origin = guard;
-    p.claimed_tx = guard;
-    p.seq = seq;
-    p.accused = accused;
-    p.accusing_guard = guard;
-    p.ttl = 2;
-    std::string payload;
-    p.auth_payload_into(payload);
-    p.alert_auth.push_back({kGuard, env_.keys().sign(guard, kGuard, payload)});
-    return p;
   }
 
   test::FakeEnv env_;
@@ -197,71 +180,6 @@ TEST_F(ZScoreTest, AdmitEnforcesRevocationOnly) {
   EXPECT_EQ(stats.revoked_sender, 1u);
   EXPECT_EQ(stats.revoked_prev_hop, 1u);
   EXPECT_EQ(stats.accepted, 2u);
-}
-
-TEST_F(ZScoreTest, AlertRepeatsFireOnSchedule) {
-  qualify_honest_baseline();
-  for (SeqNo seq = 1; seq <= 4; ++seq) anomalous_forward(kW, kH1, seq);
-  ASSERT_EQ(env_.sent_of(pkt::PacketType::kAlert).size(), 1u);
-  env_.simulator().run_until(60.0);
-  // alert_repeats = 3: the original plus two scheduled repeats.
-  EXPECT_EQ(env_.sent_of(pkt::PacketType::kAlert).size(), 3u);
-}
-
-TEST_F(ZScoreTest, ResetClearsStateAndDisarmsScheduledRepeats) {
-  qualify_honest_baseline();
-  for (SeqNo seq = 1; seq <= 4; ++seq) anomalous_forward(kW, kH1, seq);
-  ASSERT_TRUE(defense_.locally_detected(kW));
-  defense_.reset();  // crash: volatile detection state is gone
-  EXPECT_FALSE(defense_.locally_detected(kW));
-  EXPECT_DOUBLE_EQ(defense_.anomaly_rate(kW), 0.0);
-  EXPECT_EQ(defense_.alert_count(kW), 0);
-  env_.simulator().run_until(60.0);
-  EXPECT_EQ(env_.sent_of(pkt::PacketType::kAlert).size(), 1u)
-      << "pre-crash repeats must be disarmed by the epoch guard";
-}
-
-TEST_F(ZScoreTest, GammaDistinctAccusersIsolate) {
-  DefenseConfig c = config();
-  c.zscore.detection_confidence = 2;  // two distinct guards in this field
-  ZScoreDefense d(c, Wiring{env_, table_, routing_, nullptr});
-  d.handle_alert(alert(kH1, kW, 1));
-  EXPECT_EQ(d.alert_count(kW), 1);
-  EXPECT_FALSE(table_.is_revoked(kW));
-  // A repeat from the SAME guard is not a second accuser.
-  d.handle_alert(alert(kH1, kW, 2));
-  EXPECT_EQ(d.alert_count(kW), 1);
-  EXPECT_FALSE(table_.is_revoked(kW));
-  d.handle_alert(alert(kH2, kW, 3));
-  EXPECT_EQ(d.alert_count(kW), 2);
-  EXPECT_TRUE(table_.is_revoked(kW)) << "gamma distinct accusers reached";
-}
-
-TEST_F(ZScoreTest, UnauthenticAlertIgnored) {
-  pkt::Packet forged = alert(kH1, kW, 1);
-  // Re-sign with the wrong pairwise key: verification must fail.
-  std::string payload;
-  forged.auth_payload_into(payload);
-  forged.alert_auth[0].tag = env_.keys().sign(kH2, kGuard, payload);
-  defense_.handle_alert(forged);
-  EXPECT_EQ(defense_.alert_count(kW), 0);
-  EXPECT_FALSE(table_.is_revoked(kW));
-}
-
-TEST_F(ZScoreTest, AlertRelayedWithTtlDecrement) {
-  defense_.handle_alert(alert(kH1, kW, 1));
-  const auto relayed = env_.sent_of(pkt::PacketType::kAlert);
-  ASSERT_EQ(relayed.size(), 1u);
-  EXPECT_EQ(relayed[0].ttl, 1u);
-  EXPECT_EQ(relayed[0].accused, kW);
-  // A zero-TTL alert is consumed, not relayed.
-  pkt::Packet spent = alert(kH2, kW, 2);
-  spent.ttl = 0;
-  std::string payload;
-  spent.auth_payload_into(payload);
-  spent.alert_auth[0].tag = env_.keys().sign(kH2, kGuard, payload);
-  defense_.handle_alert(spent);
-  EXPECT_EQ(env_.sent_of(pkt::PacketType::kAlert).size(), 1u);
 }
 
 TEST_F(ZScoreTest, CostSnapshotCountsDeterministicWork) {

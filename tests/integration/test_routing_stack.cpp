@@ -77,12 +77,13 @@ TEST(RoutingStack, SteadyTrafficDeliversMostPackets) {
   net.run_until(300.0);
 
   const auto& m = net.metrics();
-  ASSERT_GT(m.data_originated, 100u);
+  const auto originated =
+      scenario::RunResult::from_metrics(net).data_originated;
+  ASSERT_GT(originated, 100u);
   const double delivery_ratio =
-      static_cast<double>(m.data_delivered) /
-      static_cast<double>(m.data_originated);
+      static_cast<double>(m.data_delivered) / static_cast<double>(originated);
   EXPECT_GT(delivery_ratio, 0.75)
-      << "delivered " << m.data_delivered << " of " << m.data_originated
+      << "delivered " << m.data_delivered << " of " << originated
       << " (no attacker, collisions on)";
   EXPECT_EQ(m.false_isolations, 0u)
       << "honest nodes were isolated without an attacker";

@@ -1,5 +1,7 @@
-// LITEWORP local monitor: guard accounting, alerts, isolation — driven by
-// hand-crafted packet sequences through a fake environment.
+// LITEWORP local monitor: guard accounting and the detection that starts an
+// alert — driven by hand-crafted packet sequences through a fake
+// environment. Alert reception and isolation are pinned for both accusing
+// backends in tests/defense/test_alert_protocol.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,8 +25,8 @@ class MonitorTest : public ::testing::Test {
  protected:
   MonitorTest()
       : env_(kGuard),
-        routing_(env_, table_, {}, nullptr),
-        monitor_(env_, table_, routing_, params(), nullptr) {
+        routing_(env_, table_, {}),
+        monitor_(env_, table_, routing_, params()) {
     table_.add_neighbor(kX);
     table_.add_neighbor(kA);
     table_.add_neighbor(kOther);
@@ -183,102 +185,10 @@ TEST_F(MonitorTest, AlertCarriesPerRecipientTags) {
   }
 }
 
-// ---- Alert reception (the isolating node's perspective) ----
-
-class AlertTest : public MonitorTest {
- protected:
-  /// A properly signed alert from `guard` accusing kA, addressed to us.
-  pkt::Packet signed_alert(NodeId guard, SeqNo seq) {
-    pkt::Packet alert = env_.packet_factory().make(pkt::PacketType::kAlert);
-    alert.origin = guard;
-    alert.claimed_tx = guard;
-    alert.seq = seq;
-    alert.accused = kA;
-    alert.accusing_guard = guard;
-    alert.ttl = 1;
-    alert.alert_auth.push_back(
-        {kGuard, env_.keys().sign(guard, kGuard, alert.auth_payload())});
-    return alert;
-  }
-};
-
-TEST_F(AlertTest, IsolatesAtGammaDistinctGuards) {
-  // Guards must be neighbors of the accused per R_A = {kGuard,kX,kOther,kFar}.
-  monitor_.handle_alert(signed_alert(kX, 1));
-  EXPECT_FALSE(table_.is_revoked(kA));
-  monitor_.handle_alert(signed_alert(kOther, 1));
-  EXPECT_FALSE(table_.is_revoked(kA));
-  monitor_.handle_alert(signed_alert(kFar, 1));
-  EXPECT_TRUE(table_.is_revoked(kA)) << "third distinct guard = gamma";
-}
-
-TEST_F(AlertTest, DuplicateGuardDoesNotDoubleCount) {
-  monitor_.handle_alert(signed_alert(kX, 1));
-  monitor_.handle_alert(signed_alert(kX, 2));
-  monitor_.handle_alert(signed_alert(kX, 3));
-  EXPECT_FALSE(table_.is_revoked(kA))
-      << "one compromised guard cannot reach gamma alone (framing attack)";
-  EXPECT_EQ(monitor_.alert_count(kA), 1);
-}
-
-TEST_F(AlertTest, UnauthenticAlertIgnored) {
-  pkt::Packet alert = signed_alert(kX, 1);
-  alert.alert_auth[0].tag = crypto::forge_tag(9);
-  monitor_.handle_alert(alert);
-  EXPECT_EQ(monitor_.alert_count(kA), 0);
-}
-
-TEST_F(AlertTest, AlertFromNonGuardIgnored) {
-  // Node 8 is not in R_A, so it cannot be a guard of any of kA's links.
-  pkt::Packet alert = env_.packet_factory().make(pkt::PacketType::kAlert);
-  alert.origin = 8;
-  alert.claimed_tx = 8;
-  alert.seq = 1;
-  alert.accused = kA;
-  alert.accusing_guard = 8;
-  alert.alert_auth.push_back(
-      {kGuard, env_.keys().sign(8, kGuard, alert.auth_payload())});
-  monitor_.handle_alert(alert);
-  EXPECT_EQ(monitor_.alert_count(kA), 0);
-}
-
-TEST_F(AlertTest, AlertAboutStrangerIgnored) {
-  pkt::Packet alert = env_.packet_factory().make(pkt::PacketType::kAlert);
-  alert.origin = kX;
-  alert.claimed_tx = kX;
-  alert.seq = 1;
-  alert.accused = 77;  // not our neighbor
-  alert.accusing_guard = kX;
-  alert.alert_auth.push_back(
-      {kGuard, env_.keys().sign(kX, kGuard, alert.auth_payload())});
-  monitor_.handle_alert(alert);
-  EXPECT_EQ(monitor_.alert_count(77), 0);
-}
-
-TEST_F(AlertTest, AlertRelayedExactlyOnce) {
-  pkt::Packet alert = signed_alert(kX, 1);
-  monitor_.handle_alert(alert);
-  auto relayed = env_.sent_of(pkt::PacketType::kAlert);
-  ASSERT_EQ(relayed.size(), 1u);
-  EXPECT_EQ(relayed[0].ttl, 0);
-  EXPECT_EQ(relayed[0].origin, kX) << "relay preserves the guard identity";
-  // Hearing the relay again (or the original twice) must not re-relay.
-  monitor_.handle_alert(alert);
-  EXPECT_EQ(env_.sent_of(pkt::PacketType::kAlert).size(), 1u);
-}
-
-TEST_F(AlertTest, ZeroTtlAlertNotRelayed) {
-  pkt::Packet alert = signed_alert(kX, 1);
-  alert.ttl = 0;
-  monitor_.handle_alert(alert);
-  EXPECT_TRUE(env_.sent_of(pkt::PacketType::kAlert).empty());
-  EXPECT_EQ(monitor_.alert_count(kA), 1) << "still counted";
-}
-
 TEST_F(MonitorTest, DisabledMonitorDoesNothing) {
   LiteworpParams off = params();
   off.enabled = false;
-  LocalMonitor disabled(env_, table_, routing_, off, nullptr);
+  LocalMonitor disabled(env_, table_, routing_, off);
   for (int i = 0; i < 10; ++i) {
     disabled.on_overhear(req(kA, kX, kFar, static_cast<SeqNo>(i)));
   }

@@ -20,8 +20,8 @@ class MonitorExtensions : public ::testing::Test {
  protected:
   MonitorExtensions()
       : env_(kGuard),
-        routing_(env_, table_, {}, nullptr),
-        monitor_(env_, table_, routing_, LiteworpParams{}, nullptr) {
+        routing_(env_, table_, {}),
+        monitor_(env_, table_, routing_, LiteworpParams{}) {
     table_.add_neighbor(kX);
     table_.add_neighbor(kA);
     table_.add_neighbor(kOther);
@@ -134,7 +134,7 @@ TEST_F(MonitorExtensions, RepeatedAlertsFromOneGuardStillCountOnce) {
 TEST_F(MonitorExtensions, StrictLinkCheckAblationConvictsOnMissedHandoff) {
   LiteworpParams strict;
   strict.strict_link_check = true;
-  LocalMonitor monitor(env_, table_, routing_, strict, nullptr);
+  LocalMonitor monitor(env_, table_, routing_, strict);
   // Guard heard the flood from kOther but missed kX's copy: the strict
   // check convicts; the default flow-wide check (MonitorTest) does not.
   pkt::Packet origin_copy =
@@ -157,7 +157,7 @@ TEST_F(MonitorExtensions, StrictLinkCheckAblationConvictsOnMissedHandoff) {
 TEST_F(MonitorExtensions, DisabledWindowNeverResets) {
   LiteworpParams params;
   params.window_packets = 0;  // ablation: evidence accumulates forever
-  LocalMonitor monitor(env_, table_, routing_, params, nullptr);
+  LocalMonitor monitor(env_, table_, routing_, params);
   // 3 fabrications then many benign observations; MalC must persist.
   for (int i = 0; i < 3; ++i) {
     pkt::Packet p = env_.packet_factory().make(pkt::PacketType::kRouteRequest);

@@ -10,7 +10,7 @@ namespace {
 
 class RoutingUnitTest : public ::testing::Test {
  protected:
-  RoutingUnitTest() : env_(/*id=*/5), routing_(env_, table_, {}, nullptr) {
+  RoutingUnitTest() : env_(/*id=*/5), routing_(env_, table_, {}) {
     // Our neighbors 1 and 2 with lists covering the ids used below.
     table_.add_neighbor(1);
     table_.add_neighbor(2);

@@ -184,10 +184,55 @@ TEST(Network, RunUntilIsMonotonic) {
   config.finalize();
   Network net(config);
   net.run_until(30.0);
-  const auto mid = net.metrics().data_originated;
+  const auto mid = RunResult::from_metrics(net).data_originated;
   net.run_until(100.0);
-  EXPECT_GE(net.metrics().data_originated, mid);
+  EXPECT_GE(RunResult::from_metrics(net).data_originated, mid);
 }
+
+// The metrics collector and the counter registry are two sinks on one
+// event bus: every protocol fact the run reports must read the same from
+// both.
+class OneStream : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OneStream, RunResultMatchesRegistryCounters) {
+  auto config = ExperimentConfig::table2_defaults();
+  config.node_count = 40;
+  config.seed = 31;
+  config.duration = 300.0;
+  config.defense.name = GetParam();
+  config.obs.counters = true;
+  config.finalize();
+  Network net(config);
+  net.run();
+  const RunResult r = RunResult::from_metrics(net);
+  const auto counters = net.registry_snapshot().counters;
+  auto count = [&counters](const char* name) -> std::uint64_t {
+    auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+  };
+
+  EXPECT_GT(r.data_delivered, 0u);
+  EXPECT_GT(r.wormhole_replays, 0u);
+  EXPECT_GT(r.local_detections, 0u) << "the scenario must exercise detection";
+  EXPECT_EQ(r.data_delivered, count("route.deliver"));
+  EXPECT_EQ(r.data_dropped_no_route, count("route.drop"));
+  EXPECT_EQ(r.routes_established, count("route.established"));
+  EXPECT_EQ(r.discoveries, count("route.discovery"));
+  EXPECT_EQ(r.local_detections, count("mon.detection"));
+  EXPECT_EQ(r.alerts_sent, count("mon.detection"));
+  EXPECT_EQ(r.isolation_events, count("mon.isolation"));
+  EXPECT_EQ(r.data_dropped_malicious, count("atk.drop"));
+  EXPECT_EQ(r.wormhole_replays, count("atk.replay"));
+  EXPECT_EQ(r.suspicions_fabrication + r.suspicions_drop +
+                r.suspicions_anomaly,
+            count("mon.suspicion"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, OneStream, ::testing::Values("liteworp", "zscore"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace lw::scenario

@@ -1,4 +1,5 @@
-// Metrics collector: ground-truth classification and isolation tracking.
+// Metrics collector: ground-truth classification and isolation tracking,
+// fed the route/mon/atk events a run's recorder delivers to it.
 #include <gtest/gtest.h>
 
 #include "stats/metrics.h"
@@ -7,20 +8,57 @@
 namespace lw::stats {
 namespace {
 
+using obs::EventKind;
+
 class MetricsTest : public ::testing::Test {
  protected:
   // Line 0-1-2-3-4 (spacing 20, range 25): consecutive nodes adjacent.
   MetricsTest()
-      : graph_(topo::place_line(5, 20.0), 25.0),
-        metrics_(sim_, graph_, {2}) {}
+      : graph_(topo::place_line(5, 20.0), 25.0), metrics_(graph_, {2}) {}
 
-  sim::Simulator sim_;
+  /// `source` cached `path` (route.established carries the winning REP).
+  void route_established(NodeId source, pkt::NodeList path) {
+    pkt::Packet rep;
+    rep.route = std::move(path);
+    metrics_.on_event({.kind = EventKind::kRouteEstablished,
+                       .node = source,
+                       .peer = rep.route.back(),
+                       .value = static_cast<double>(rep.route.size() - 1),
+                       .packet = &rep});
+  }
+  void local_detection(NodeId guard, NodeId suspect, Time t = 0.0) {
+    metrics_.on_event({.t = t,
+                       .kind = EventKind::kMonDetection,
+                       .node = guard,
+                       .peer = suspect});
+  }
+  void isolation(NodeId node, NodeId suspect, Time t = 0.0) {
+    metrics_.on_event({.t = t,
+                       .kind = EventKind::kMonIsolation,
+                       .node = node,
+                       .peer = suspect,
+                       .value = 3.0});
+  }
+  void suspicion(NodeId guard, NodeId suspect, std::uint8_t detail) {
+    metrics_.on_event({.kind = EventKind::kMonSuspicion,
+                       .node = guard,
+                       .peer = suspect,
+                       .detail = detail});
+  }
+  /// route.deliver at `t` of a packet created at `created_at`.
+  void delivered(Time t, Time created_at) {
+    metrics_.on_event({.t = t,
+                       .kind = EventKind::kRouteDeliver,
+                       .node = 4,
+                       .value = t - created_at});
+  }
+
   topo::DiscGraph graph_;
   MetricsCollector metrics_;
 };
 
 TEST_F(MetricsTest, PhysicalRouteIsClean) {
-  metrics_.on_route_established(0, {0, 1, 2, 3});
+  route_established(0, {0, 1, 2, 3});
   EXPECT_EQ(metrics_.routes_established, 1u);
   EXPECT_EQ(metrics_.wormhole_routes, 0u);
   EXPECT_EQ(metrics_.routes_via_malicious, 1u) << "node 2 is malicious";
@@ -29,13 +67,13 @@ TEST_F(MetricsTest, PhysicalRouteIsClean) {
 
 TEST_F(MetricsTest, FakeLinkClassifiedAsWormhole) {
   // 1 -> 4 is not a physical link (60 m apart).
-  metrics_.on_route_established(0, {0, 1, 4});
+  route_established(0, {0, 1, 4});
   EXPECT_EQ(metrics_.wormhole_routes, 1u);
   EXPECT_EQ(metrics_.wormhole_route_times.size(), 1u);
 }
 
 TEST_F(MetricsTest, MaliciousEndpointIsNotTransit) {
-  metrics_.on_route_established(2, {2, 3, 4});
+  route_established(2, {2, 3, 4});
   EXPECT_EQ(metrics_.routes_via_malicious, 1u);
   EXPECT_EQ(metrics_.routes_via_malicious_transit, 0u)
       << "the malicious node's own traffic is not a captured route";
@@ -46,65 +84,56 @@ TEST_F(MetricsTest, IsolationRequiresAllHonestNeighbors) {
   const auto& record = metrics_.isolation().at(2);
   EXPECT_EQ(record.required, (std::set<NodeId>{1, 3}));
 
-  metrics_.on_local_detection(1, 2);
+  local_detection(1, 2);
   EXPECT_FALSE(metrics_.all_malicious_isolated());
-  metrics_.on_isolation(3, 2, 3);
+  isolation(3, 2);
   EXPECT_TRUE(metrics_.all_malicious_isolated());
   EXPECT_EQ(metrics_.malicious_isolated_count(), 1u);
 }
 
 TEST_F(MetricsTest, IsolationLatencyIsMaxOverMalicious) {
-  sim_.schedule(10.0, [this] { metrics_.on_local_detection(1, 2); });
-  sim_.schedule(25.0, [this] { metrics_.on_isolation(3, 2, 3); });
-  sim_.run_all();
+  local_detection(1, 2, /*t=*/10.0);
+  isolation(3, 2, /*t=*/25.0);
   auto latency = metrics_.isolation_latency(/*attack_start=*/5.0);
   ASSERT_TRUE(latency.has_value());
   EXPECT_DOUBLE_EQ(*latency, 20.0);
 }
 
 TEST_F(MetricsTest, IncompleteIsolationHasNoLatency) {
-  metrics_.on_local_detection(1, 2);
+  local_detection(1, 2);
   EXPECT_FALSE(metrics_.isolation_latency(0.0).has_value());
 }
 
 TEST_F(MetricsTest, FalseAccusationsTracked) {
-  metrics_.on_local_detection(0, 3);  // node 3 is honest
+  local_detection(0, 3);  // node 3 is honest
   EXPECT_EQ(metrics_.false_local_detections, 1u);
   EXPECT_EQ(metrics_.false_isolations, 0u)
       << "a lone guard's conviction is not a network isolation";
-  metrics_.on_isolation(4, 3, 3);  // gamma-confirmed: THE false alarm
+  isolation(4, 3);  // gamma-confirmed: THE false alarm
   EXPECT_EQ(metrics_.false_isolations, 1u);
 }
 
 TEST_F(MetricsTest, SuspicionClassification) {
-  metrics_.on_suspicion(0, 2, lite::Suspicion::kFabrication);
-  metrics_.on_suspicion(0, 3, lite::Suspicion::kDrop);
+  suspicion(0, 2, obs::kSuspicionFabrication);
+  suspicion(0, 3, obs::kSuspicionDrop);
   EXPECT_EQ(metrics_.suspicions_fabrication, 1u);
   EXPECT_EQ(metrics_.suspicions_drop, 1u);
   EXPECT_EQ(metrics_.false_suspicions, 1u) << "only the one against node 3";
 }
 
 TEST_F(MetricsTest, DropAccountingWithTimestamps) {
-  sim_.schedule(3.0, [this] {
-    pkt::Packet p;
-    metrics_.on_data_dropped(2, p);
-  });
-  sim_.run_all();
+  pkt::Packet data;
+  metrics_.on_event({.t = 3.0,
+                     .kind = EventKind::kAtkDrop,
+                     .node = 2,
+                     .packet = &data});
   EXPECT_EQ(metrics_.data_dropped_malicious, 1u);
   ASSERT_EQ(metrics_.drop_times.size(), 1u);
   EXPECT_DOUBLE_EQ(metrics_.drop_times[0], 3.0);
 }
 
 TEST_F(MetricsTest, DeliveryLatencyStatistics) {
-  for (double latency : {1.0, 2.0, 3.0, 4.0}) {
-    sim_.schedule(10.0 + latency, [this, latency] {
-      pkt::Packet p;
-      p.created_at = 10.0;
-      (void)latency;
-      metrics_.on_data_delivered(4, p);
-    });
-  }
-  sim_.run_all();
+  for (double latency : {1.0, 2.0, 3.0, 4.0}) delivered(10.0 + latency, 10.0);
   ASSERT_EQ(metrics_.delivery_latencies.size(), 4u);
   EXPECT_NEAR(metrics_.mean_delivery_latency(), 2.5, 1e-9);
   EXPECT_NEAR(metrics_.latency_percentile(0.0), 1.0, 1e-9);
@@ -123,12 +152,7 @@ TEST_F(MetricsTest, ExtremePercentilesOnEmptyRunAreZero) {
 }
 
 TEST_F(MetricsTest, SingleSampleIsEveryPercentile) {
-  sim_.schedule(12.5, [this] {
-    pkt::Packet p;
-    p.created_at = 10.0;
-    metrics_.on_data_delivered(4, p);
-  });
-  sim_.run_all();
+  delivered(12.5, 10.0);
   ASSERT_EQ(metrics_.delivery_latencies.size(), 1u);
   EXPECT_DOUBLE_EQ(metrics_.mean_delivery_latency(), 2.5);
   EXPECT_DOUBLE_EQ(metrics_.latency_percentile(0.0), 2.5);
@@ -137,14 +161,7 @@ TEST_F(MetricsTest, SingleSampleIsEveryPercentile) {
 }
 
 TEST_F(MetricsTest, PercentileInterpolatesBetweenSamples) {
-  for (double latency : {1.0, 2.0, 3.0, 4.0}) {
-    sim_.schedule(10.0 + latency, [this] {
-      pkt::Packet p;
-      p.created_at = 10.0;
-      metrics_.on_data_delivered(4, p);
-    });
-  }
-  sim_.run_all();
+  for (double latency : {1.0, 2.0, 3.0, 4.0}) delivered(10.0 + latency, 10.0);
   // rank = 0.25 * 3 = 0.75: three quarters of the way from 1.0 to 2.0.
   EXPECT_NEAR(metrics_.latency_percentile(25.0), 1.75, 1e-12);
   EXPECT_NEAR(metrics_.latency_percentile(95.0), 3.85, 1e-12);
