@@ -85,16 +85,21 @@
 
 namespace bench {
 
-/// Every bench's main(): parses argv and runs `body` on the flags. A value
-/// a typed getter cannot parse (--runs=abc, --nodes=abc) exits 2 with the
-/// getter's message, the usage status of every lw-* CLI.
+/// Every bench's main(): parses argv and runs `body` on the flags. A bad
+/// scenario (a flag value a typed getter cannot parse, --runs=abc, or a
+/// config validate() rejects, --nodes=0) throws std::invalid_argument and
+/// exits 2 with its message, the usage status of every lw-* CLI. Any other
+/// failure (--nodes=3: no connected topology) exits 1 with its message.
 inline int run_main(int argc, char** argv, int (*body)(lw::Config&)) {
   lw::Config args = lw::Config::from_args(argc, argv);
   try {
     return body(args);
-  } catch (const lw::ConfigError& e) {
+  } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
   }
 }
 

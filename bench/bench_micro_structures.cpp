@@ -75,7 +75,6 @@ void BM_HmacSerialSign(benchmark::State& state) {
   // keys, one midstate-cached HMAC at a time; range(0) is k.
   const std::size_t fanout = static_cast<std::size_t>(state.range(0));
   lw::crypto::KeyManager keys(7);
-  keys.reserve_nodes(fanout + 1);
   std::vector<lw::crypto::AuthTag> tags(fanout);
   for (auto _ : state) {
     for (std::size_t i = 1; i <= fanout; ++i) {

@@ -64,7 +64,8 @@ void narrate(const lw::attack::ModeInfo& info,
                   "%llu alerts\n",
                   static_cast<unsigned long long>(m.suspicions_fabrication),
                   static_cast<unsigned long long>(m.suspicions_drop),
-                  static_cast<unsigned long long>(m.alerts_sent));
+                  static_cast<unsigned long long>(
+                      net.defense_cost().control_messages));
       for (const auto& [mal, record] : m.isolation()) {
         if (record.complete) {
           std::printf("  attacker %u completely isolated at t = %.1f s\n",

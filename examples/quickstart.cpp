@@ -76,7 +76,8 @@ int main(int argc, char** argv) {
             << '\n'
             << "drop suspicions         : " << result.suspicions_drop << '\n'
             << "local detections        : " << result.local_detections << '\n'
-            << "alerts sent             : " << result.alerts_sent << '\n'
+            << "alerts sent             : "
+            << result.defense_cost.control_messages << '\n'
             << "malicious isolated      : " << result.malicious_isolated
             << " / " << result.malicious_count << '\n'
             << "false isolations        : " << result.false_isolations << '\n';

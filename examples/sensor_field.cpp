@@ -147,7 +147,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(m.false_suspicions));
   std::printf("  local detections %llu  alerts %llu  false isolations %llu\n",
               static_cast<unsigned long long>(m.local_detections),
-              static_cast<unsigned long long>(m.alerts_sent),
+              static_cast<unsigned long long>(
+                  net.defense_cost().control_messages),
               static_cast<unsigned long long>(m.false_isolations));
   for (const auto& [mal, record] : m.isolation()) {
     std::printf("  malicious %u: first detection %s, isolation %s "

@@ -37,16 +37,6 @@ std::array<std::uint8_t, kLabelBytes> pair_label(NodeId lo, NodeId hi) {
 KeyManager::KeyManager(std::uint64_t master_secret)
     : master_state_(make_master_state(master_secret)) {}
 
-void KeyManager::reserve_nodes(std::size_t count) {
-  if (count <= reserved_nodes_) return;
-  // Growing an existing reservation would need an index remap; no caller
-  // grows the deployment after wiring, so rebuild from scratch (cached
-  // states re-derive on demand).
-  reserved_nodes_ = count;
-  slot_index_.assign(count * (count + 1) / 2, -1);
-  states_.clear();
-}
-
 Key KeyManager::pairwise_key(NodeId a, NodeId b) const {
   const NodeId lo = std::min(a, b);
   const NodeId hi = std::max(a, b);
@@ -65,21 +55,11 @@ HmacKey KeyManager::derive_state(NodeId lo, NodeId hi) const {
 const HmacKey& KeyManager::pairwise_state(NodeId a, NodeId b) const {
   const NodeId lo = std::min(a, b);
   const NodeId hi = std::max(a, b);
-  if (hi < reserved_nodes_) {
-    const std::size_t idx = static_cast<std::size_t>(hi) * (hi + 1) / 2 + lo;
-    std::int32_t slot = slot_index_[idx];
-    if (slot < 0) {
-      slot = static_cast<std::int32_t>(states_.size());
-      states_.push_back(derive_state(lo, hi));
-      slot_index_[idx] = slot;
-    }
-    return states_[static_cast<std::size_t>(slot)];
-  }
   const std::uint64_t pair =
       (static_cast<std::uint64_t>(lo) << 32) | static_cast<std::uint64_t>(hi);
-  auto it = overflow_.find(pair);
-  if (it == overflow_.end()) {
-    it = overflow_.emplace(pair, derive_state(lo, hi)).first;
+  auto it = states_.find(pair);
+  if (it == states_.end()) {
+    it = states_.emplace(pair, derive_state(lo, hi)).first;
   }
   return it->second;
 }

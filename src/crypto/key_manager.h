@@ -7,13 +7,15 @@
 // K(a,b) = HMAC(master, min(a,b) || max(a,b)) gives each unordered pair a
 // distinct key without any per-node state, which matches the paper's claim
 // that key management costs nothing during failure-free operation.
+//
+// Prepared HMAC states are cached per unordered pair in one hash map, so
+// the cache holds only the pairs that actually exchange authenticated
+// messages (about N * N_B / 2), keeping per-node state O(N_B).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "crypto/hmac.h"
 #include "util/ids.h"
@@ -26,12 +28,9 @@ class KeyManager {
   /// KeyManager (same deployment) agree on all pairwise keys.
   explicit KeyManager(std::uint64_t master_secret);
 
-  /// Pre-sizes the dense pair table for node ids < `count` (the deployment
-  /// size, late joiners included). Ids beyond the reservation still work
-  /// through a hash-map fallback; the dense path is an O(1) array index
-  /// with no hashing and no per-pair node allocation. Keys themselves are
-  /// still derived lazily — the reservation is 4 bytes per unordered pair.
-  void reserve_nodes(std::size_t count);
+  /// Bucket hint for a deployment of `count` nodes (late joiners
+  /// included). Any id works without it; states are derived lazily.
+  void reserve_nodes(std::size_t count) { states_.reserve(count); }
 
   /// Symmetric key shared by the unordered pair {a, b}. pairwise_key(a,b)
   /// == pairwise_key(b,a).
@@ -47,7 +46,8 @@ class KeyManager {
   /// Prepared HMAC state for the key shared by {a, b}. Derived once per
   /// unordered pair and cached; sign/verify reuse it so every tag costs
   /// two SHA-256 finishes instead of a key derivation plus pad rehashing.
-  /// References stay valid for the KeyManager's lifetime (deque-backed).
+  /// References stay valid for the KeyManager's lifetime (map nodes never
+  /// move on rehash).
   /// Safe without locking: each simulated deployment owns its KeyManager.
   const HmacKey& pairwise_state(NodeId a, NodeId b) const;
 
@@ -56,15 +56,8 @@ class KeyManager {
   HmacKey derive_state(NodeId lo, NodeId hi) const;
 
   HmacKey master_state_;
-  /// Dense triangular index for ids < reserved_nodes_: pair (lo, hi) maps
-  /// to slot_index_[hi*(hi+1)/2 + lo], which is -1 or an index into
-  /// states_. states_ is a deque so cached HmacKey references are stable
-  /// across growth.
-  std::size_t reserved_nodes_ = 0;
-  mutable std::vector<std::int32_t> slot_index_;
-  mutable std::deque<HmacKey> states_;
-  /// Fallback for ids outside the reservation (tests, ad-hoc tools).
-  mutable std::unordered_map<std::uint64_t, HmacKey> overflow_;
+  /// Prepared state per unordered pair, keyed by lo << 32 | hi.
+  mutable std::unordered_map<std::uint64_t, HmacKey> states_;
 };
 
 /// An external attacker: has no valid keys, so every tag it forges is an

@@ -4,15 +4,9 @@
 
 namespace lw::nbr {
 
-void NeighborTable::set(std::vector<std::uint8_t>& flags, NodeId id) {
-  if (id == kInvalidNode) return;  // sentinel, never a table member
-  if (id >= flags.size()) flags.resize(id + 1, 0);
-  flags[id] = 1;
-}
-
 void NeighborTable::add_neighbor(NodeId id) {
-  if (knows_neighbor(id)) return;
-  set(neighbor_flags_, id);
+  // kInvalidNode is a sentinel, never a table member.
+  if (id == kInvalidNode || knows_neighbor(id)) return;
   order_.push_back(id);
 }
 
@@ -33,22 +27,18 @@ const std::vector<NodeId>* NeighborTable::list_of(NodeId owner) const {
 
 void NeighborTable::revoke(NodeId id) {
   if (!knows_neighbor(id) || is_revoked(id)) return;
-  set(revoked_flags_, id);
-  ++revoked_count_;
+  revoked_.push_back(id);
 }
 
 void NeighborTable::expire_neighbor(NodeId id) {
   if (!knows_neighbor(id)) return;
-  neighbor_flags_[id] = 0;
   order_.erase(std::remove(order_.begin(), order_.end(), id), order_.end());
   lists_.erase(id);
 }
 
 void NeighborTable::clear() {
   order_.clear();
-  neighbor_flags_.clear();
-  revoked_flags_.clear();
-  revoked_count_ = 0;
+  revoked_.clear();
   lists_.clear();
 }
 

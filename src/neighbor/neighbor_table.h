@@ -6,15 +6,13 @@
 // Revocation marks a neighbor as isolated: it stays in the table (so alerts
 // about it still verify) but fails every admission check.
 //
-// NodeIds are dense small integers, so first-hop membership questions —
-// asked once per overheard frame per guard, the hottest predicate in the
-// simulator — are answered from byte-flag vectors indexed by id instead of
-// hash sets. A second-hop list holds about N_B ids and is scanned directly.
+// Every structure is sized by the neighborhood, never by the network: the
+// first-hop list and the revoked ids are short vectors (about N_B entries)
+// that membership questions scan directly, as they do a second-hop list.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <unordered_map>
@@ -30,11 +28,11 @@ class NeighborTable {
   void add_neighbor(NodeId id);
 
   /// True if `id` is a known first-hop neighbor, revoked or not.
-  bool knows_neighbor(NodeId id) const { return test(neighbor_flags_, id); }
+  bool knows_neighbor(NodeId id) const { return contains(order_, id); }
 
   /// True if `id` is a first-hop neighbor in good standing.
   bool is_active_neighbor(NodeId id) const {
-    return test(neighbor_flags_, id) && !test(revoked_flags_, id);
+    return knows_neighbor(id) && !is_revoked(id);
   }
 
   /// Stores the authenticated neighbor list R_owner of a first-hop
@@ -61,12 +59,12 @@ class NeighborTable {
 
   /// Marks a neighbor as isolated. Idempotent.
   void revoke(NodeId id);
-  bool is_revoked(NodeId id) const { return test(revoked_flags_, id); }
+  bool is_revoked(NodeId id) const { return contains(revoked_, id); }
 
-  /// Drops a first-hop neighbor entirely (crash aging): flag, order entry
-  /// and its stored second-hop list all go, so the node can be re-admitted
-  /// from scratch when it recovers. Revocation is NOT forgotten — an
-  /// isolated attacker stays isolated across its own reboot.
+  /// Drops a first-hop neighbor entirely (crash aging): its entry and its
+  /// stored second-hop list go, so the node can be re-admitted from
+  /// scratch when it recovers. Revocation is NOT forgotten — an isolated
+  /// attacker stays isolated across its own reboot.
   void expire_neighbor(NodeId id);
 
   /// Wipes everything including revocations (the owner itself crashed).
@@ -79,24 +77,20 @@ class NeighborTable {
   std::vector<NodeId> active_neighbors() const;
 
   std::size_t neighbor_count() const { return order_.size(); }
-  std::size_t revoked_count() const { return revoked_count_; }
+  std::size_t revoked_count() const { return revoked_.size(); }
 
   /// Storage footprint per the paper's cost model: 5 bytes per first-hop
   /// entry (4 id + 1 MalC) plus 4 bytes per stored second-hop list entry.
   std::size_t storage_bytes() const;
 
  private:
-  static bool test(const std::vector<std::uint8_t>& flags, NodeId id) {
-    return id < flags.size() && flags[id] != 0;
+  static bool contains(const std::vector<NodeId>& ids, NodeId id) {
+    return std::find(ids.begin(), ids.end(), id) != ids.end();
   }
-  /// Sets flags[id], growing the vector on demand (ids are dense, so the
-  /// vector tops out at the network size).
-  static void set(std::vector<std::uint8_t>& flags, NodeId id);
 
   std::vector<NodeId> order_;
-  std::vector<std::uint8_t> neighbor_flags_;
-  std::vector<std::uint8_t> revoked_flags_;
-  std::size_t revoked_count_ = 0;
+  /// Revoked ids; kept across expire_neighbor, emptied only by clear().
+  std::vector<NodeId> revoked_;
   /// R_owner per first-hop neighbor, in received order (alert recipients
   /// are signed in this order).
   std::unordered_map<NodeId, std::vector<NodeId>> lists_;

@@ -18,6 +18,14 @@ std::uint64_t Histogram::next_random() {
   return z ^ (z >> 31);
 }
 
+double sorted_percentile(const std::vector<double>& sorted, double p) {
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const auto index = static_cast<std::size_t>(rank);
+  if (index + 1 >= sorted.size()) return sorted.back();
+  const double frac = rank - static_cast<double>(index);
+  return sorted[index] * (1.0 - frac) + sorted[index + 1] * frac;
+}
+
 void Histogram::add(double sample) {
   if (count_ == 0) {
     min_ = sample;
@@ -47,29 +55,13 @@ HistogramSummary Histogram::summary() const {
   s.min = min_;
   s.max = max_;
   s.mean = sum_ / static_cast<double>(count_);
-  const auto percentile = [&sorted](double p) {
-    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-    const auto index = static_cast<std::size_t>(rank);
-    if (index + 1 >= sorted.size()) return sorted.back();
-    const double frac = rank - static_cast<double>(index);
-    return sorted[index] * (1.0 - frac) + sorted[index + 1] * frac;
-  };
-  s.p50 = percentile(50.0);
-  s.p95 = percentile(95.0);
+  s.p50 = sorted_percentile(sorted, 50.0);
+  s.p95 = sorted_percentile(sorted, 95.0);
   return s;
 }
 
 void RegistrySnapshot::add_counters(const RegistrySnapshot& other) {
   for (const auto& [name, count] : other.counters) counters[name] += count;
-}
-
-RegistrySnapshot MetricsRegistry::snapshot() const {
-  RegistrySnapshot snap;
-  snap.counters = counters_;
-  for (const auto& [name, hist] : histograms_) {
-    snap.histograms.emplace(name, hist.summary());
-  }
-  return snap;
 }
 
 void RegistrySink::on_event(const Event& event) {

@@ -30,6 +30,12 @@ struct HistogramSummary {
   double p95 = 0.0;
 };
 
+/// p-th percentile (p in [0, 100]) of a non-empty ascending sample: rank
+/// p/100 * (n - 1), interpolated linearly between the samples either side.
+/// Every percentile in the repo (histograms, span summaries, run latency)
+/// goes through this one routine.
+double sorted_percentile(const std::vector<double>& sorted, double p);
+
 /// The O(1) exact aggregates of a Histogram: everything that does not need
 /// the reservoir. This is what the telemetry sampler reads at every bucket
 /// boundary — reading never touches (or perturbs) the reservoir state, so
@@ -48,7 +54,7 @@ struct HistogramSnapshot {
 /// holds everything, so percentiles are bit-identical to an unbounded
 /// sample-keeping histogram (the pre-reservoir behavior); beyond that,
 /// memory stays flat and percentiles become a uniform-subsample estimate.
-/// Percentile interpolation matches MetricsCollector::latency_percentile.
+/// Percentiles come from sorted_percentile.
 class Histogram {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
@@ -90,23 +96,6 @@ struct RegistrySnapshot {
   /// Sums `other`'s counters into this snapshot (histograms are per-run
   /// and are not merged).
   void add_counters(const RegistrySnapshot& other);
-};
-
-/// General-purpose registry for code that wants named metrics outside the
-/// event stream. The event-driven path (RegistrySink) bypasses the string
-/// lookup entirely.
-class MetricsRegistry {
- public:
-  void add(const std::string& name, std::uint64_t delta = 1) {
-    counters_[name] += delta;
-  }
-  Histogram& histogram(const std::string& name) { return histograms_[name]; }
-
-  RegistrySnapshot snapshot() const;
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 /// EventSink that counts every event per kind and feeds the

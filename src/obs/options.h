@@ -16,7 +16,7 @@ struct Options {
   bool trace = false;
   /// Layers included in the trace (metrics/profiling always see all).
   std::uint32_t trace_layers = kAllLayers;
-  /// Count events into a MetricsRegistry snapshot (RunResult::registry).
+  /// Count events into a RegistrySink snapshot (RunResult::registry).
   bool counters = false;
   /// Profile the run (RunResult::profile): per-layer wall time and event
   /// counts, events/second, simulator queue high-water mark.

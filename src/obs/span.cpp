@@ -58,15 +58,8 @@ HistogramSummary summarize_samples(const std::vector<double>& samples) {
   double sum = 0.0;
   for (double x : sorted) sum += x;
   s.mean = sum / static_cast<double>(sorted.size());
-  const auto percentile = [&sorted](double p) {
-    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-    const auto index = static_cast<std::size_t>(rank);
-    if (index + 1 >= sorted.size()) return sorted.back();
-    const double frac = rank - static_cast<double>(index);
-    return sorted[index] * (1.0 - frac) + sorted[index + 1] * frac;
-  };
-  s.p50 = percentile(50.0);
-  s.p95 = percentile(95.0);
+  s.p50 = sorted_percentile(sorted, 50.0);
+  s.p95 = sorted_percentile(sorted, 95.0);
   return s;
 }
 

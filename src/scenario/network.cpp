@@ -35,7 +35,7 @@ bool has_relay_victims(const topo::DiscGraph& graph, NodeId x,
 Network::Network(ExperimentConfig config)
     : config_(std::move(config)), keys_(config_.key_master_secret) {
   config_.finalize();
-  // Dense O(1) pairwise-key table for every id this deployment can mint.
+  // Pair-key cache bucket hint: every id this deployment can mint.
   keys_.reserve_nodes(config_.node_count + config_.late_joiners);
   RngFactory rngs(config_.seed);
 

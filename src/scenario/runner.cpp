@@ -27,7 +27,6 @@ RunResult RunResult::from_metrics(const Network& network) {
   r.suspicions_anomaly = m.suspicions_anomaly;
   r.false_suspicions = m.false_suspicions;
   r.local_detections = m.local_detections;
-  r.alerts_sent = m.alerts_sent;
   r.isolation_events = m.isolation_events;
   r.false_isolations = m.false_isolations;
   r.malicious_count = network.malicious_ids().size();

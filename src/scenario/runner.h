@@ -38,7 +38,6 @@ struct RunResult {
   std::uint64_t suspicions_anomaly = 0;
   std::uint64_t false_suspicions = 0;
   std::uint64_t local_detections = 0;
-  std::uint64_t alerts_sent = 0;
   std::uint64_t isolation_events = 0;
   std::uint64_t false_isolations = 0;
 

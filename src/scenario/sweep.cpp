@@ -240,7 +240,6 @@ void emit_replica(util::JsonWriter& json, const RunResult& r,
   json.key("routes_via_malicious").value(r.routes_via_malicious);
   json.key("false_isolations").value(r.false_isolations);
   json.key("local_detections").value(r.local_detections);
-  json.key("alerts_sent").value(r.alerts_sent);
   json.key("malicious_count")
       .value(static_cast<std::uint64_t>(r.malicious_count));
   json.key("malicious_isolated")

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/metrics_registry.h"
+
 namespace lw::stats {
 
 MetricsCollector::MetricsCollector(const topo::DiscGraph& graph,
@@ -63,20 +65,14 @@ double MetricsCollector::mean_delivery_latency() const {
 
 double MetricsCollector::latency_percentile(double p) const {
   if (delivery_latencies.empty()) return 0.0;
-  std::vector<Duration> sorted(delivery_latencies.begin(),
-                               delivery_latencies.end());
+  std::vector<Duration> sorted = delivery_latencies;
   std::sort(sorted.begin(), sorted.end());
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto index = static_cast<std::size_t>(rank);
-  if (index + 1 >= sorted.size()) return sorted.back();
-  const double frac = rank - static_cast<double>(index);
-  return sorted[index] * (1.0 - frac) + sorted[index + 1] * frac;
+  return obs::sorted_percentile(sorted, p);
 }
 
 void MetricsCollector::on_route_established(Time t,
                                             const pkt::NodeList& path) {
   ++routes_established;
-  route_times.push_back(t);
 
   bool fake_link = false;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -113,9 +109,7 @@ void MetricsCollector::on_suspicion(NodeId suspect, std::uint8_t detail) {
 
 void MetricsCollector::on_local_detection(Time t, NodeId guard,
                                           NodeId suspect) {
-  // The conviction that raises mon.detection also sends the first alert.
   ++local_detections;
-  ++alerts_sent;
   if (!is_malicious(suspect)) {
     // One guard's noise conviction: it severs one link. Only a
     // gamma-confirmed isolation (mon.isolation) counts as the network

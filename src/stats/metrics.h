@@ -75,9 +75,6 @@ class MetricsCollector : public obs::EventSink {
   /// Local detections of honest nodes: a single guard's noise conviction,
   /// severing one link (the per-guard false alarm of the analysis).
   std::uint64_t false_local_detections = 0;
-  /// Alerts a detecting guard started (one per local detection: the
-  /// conviction sends the first alert itself).
-  std::uint64_t alerts_sent = 0;
   std::uint64_t isolation_events = 0;
   /// Gamma-confirmed isolations of honest nodes — the network-level false
   /// alarm of Figure 6(b). Must be 0 at the calibrated operating point.
@@ -88,7 +85,6 @@ class MetricsCollector : public obs::EventSink {
   // (reports copy them out at the end).
   std::vector<Time> drop_times;
   std::vector<Time> wormhole_route_times;
-  std::vector<Time> route_times;
   /// End-to-end delivery latency of each delivered data packet.
   std::vector<Duration> delivery_latencies;
 

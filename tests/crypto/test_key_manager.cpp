@@ -68,8 +68,8 @@ TEST(KeyManager, KeyLengthIsDigestLength) {
 TEST(KeyManager, SignKnownAnswer) {
   // Pins the tag bytes themselves: traces carry no tags, so a key
   // derivation or HMAC change that stays self-consistent would otherwise
-  // pass every golden check. {3, 9} resolves through the dense pair table,
-  // {3, 40} (beyond the reservation) through the overflow map.
+  // pass every golden check. {3, 40} lies beyond the reserve_nodes hint,
+  // which must not matter.
   KeyManager keys(0xFEEDFACEu);
   keys.reserve_nodes(16);
   const std::string message = "alert|accused=7|guard=3";
@@ -105,27 +105,23 @@ TEST(KeyManager, CachedVerifyRoundTripManyPairs) {
   }
 }
 
-TEST(KeyManagerDenseCache, MatchesUnreservedBehavior) {
-  // The dense pair table is a cache layout change only: keys, tags and
-  // verification outcomes must be identical with and without reservation,
-  // and across the dense/overflow boundary.
-  KeyManager dense(42);
-  dense.reserve_nodes(16);
-  KeyManager plain(42);
-  const std::string message = "equivalence";
-  for (NodeId a = 0; a < 20; ++a) {
-    for (NodeId b = a + 1; b < 20; b += 3) {
-      EXPECT_EQ(dense.pairwise_key(a, b), plain.pairwise_key(a, b));
-      EXPECT_EQ(dense.sign(a, b, message), plain.sign(b, a, message));
-      EXPECT_TRUE(plain.verify(a, b, message, dense.sign(a, b, message)));
+TEST(KeyManager, CachedStateSurvivesGrowth) {
+  // A held pairwise_state reference must stay valid while thousands of
+  // further pairs are cached (the pair map rehashes several times), with
+  // and without the reserve_nodes hint, and tags must not depend on it.
+  const std::string message = "growth";
+  const AuthTag expected = KeyManager(42).sign(0, 1, message);
+  for (const bool hint : {false, true}) {
+    KeyManager keys(42);
+    if (hint) keys.reserve_nodes(16);
+    const HmacKey& held = keys.pairwise_state(0, 1);
+    ASSERT_EQ(held.tag(message), expected);
+    for (NodeId a = 1; a < 70; ++a) {
+      for (NodeId b = a + 1; b < 70; ++b) (void)keys.pairwise_state(a, b);
     }
+    EXPECT_EQ(&keys.pairwise_state(1, 0), &held) << "hint " << hint;
+    EXPECT_EQ(held.tag(message), expected) << "hint " << hint;
   }
-  // Reference stability: holding one cached state across many new
-  // insertions must stay valid (deque-backed storage).
-  const HmacKey& held = dense.pairwise_state(0, 1);
-  const AuthTag before = held.tag(message);
-  for (NodeId b = 2; b < 16; ++b) (void)dense.pairwise_state(0, b);
-  EXPECT_EQ(held.tag(message), before);
 }
 
 }  // namespace

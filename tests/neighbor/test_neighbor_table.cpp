@@ -96,6 +96,77 @@ TEST(NeighborTable, StorageMatchesPaperCostModel) {
   EXPECT_LT(table.storage_bytes(), 512u);
 }
 
+TEST(NeighborTable, LargeIdsNextToSmallOnes) {
+  // Ids are only compared, never used as indices: an id far beyond the
+  // table size goes through add, revoke, expire and re-add like any other.
+  constexpr NodeId kFar = 1'000'000;
+  NeighborTable table;
+  table.add_neighbor(7);
+  table.add_neighbor(kFar);
+  EXPECT_TRUE(table.knows_neighbor(kFar));
+  EXPECT_FALSE(table.knows_neighbor(kFar - 1));
+  EXPECT_FALSE(table.knows_neighbor(kFar + 1));
+  EXPECT_EQ(table.neighbors(), (std::vector<NodeId>{7, kFar}));
+
+  table.revoke(kFar);
+  EXPECT_TRUE(table.is_revoked(kFar));
+  EXPECT_FALSE(table.is_revoked(7));
+  EXPECT_TRUE(table.is_active_neighbor(7));
+  EXPECT_EQ(table.active_neighbors(), (std::vector<NodeId>{7}));
+
+  table.expire_neighbor(kFar);
+  EXPECT_FALSE(table.knows_neighbor(kFar));
+  EXPECT_EQ(table.neighbors(), (std::vector<NodeId>{7}));
+  table.add_neighbor(kFar);
+  EXPECT_EQ(table.neighbors(), (std::vector<NodeId>{7, kFar}));
+  EXPECT_FALSE(table.is_active_neighbor(kFar)) << "still revoked on re-add";
+  EXPECT_EQ(table.storage_bytes(), 5u * 2);
+}
+
+TEST(NeighborTable, RevocationOutlivesExpiryUntilClear) {
+  NeighborTable table;
+  table.add_neighbor(3);
+  table.add_neighbor(4);
+  table.set_neighbor_list(3, {8});
+  table.revoke(3);
+  table.revoke(3);
+  EXPECT_EQ(table.revoked_count(), 1u) << "revoke is idempotent";
+
+  table.expire_neighbor(3);
+  EXPECT_FALSE(table.knows_neighbor(3));
+  EXPECT_FALSE(table.has_list_of(3)) << "expiry drops the second-hop list";
+  EXPECT_TRUE(table.is_revoked(3)) << "revocation outlives expiry";
+  EXPECT_EQ(table.revoked_count(), 1u);
+  table.revoke(3);
+  EXPECT_EQ(table.revoked_count(), 1u);
+
+  table.add_neighbor(3);
+  EXPECT_TRUE(table.knows_neighbor(3));
+  EXPECT_FALSE(table.is_active_neighbor(3));
+  table.revoke(4);
+  EXPECT_EQ(table.revoked_count(), 2u);
+
+  table.clear();
+  EXPECT_FALSE(table.is_revoked(3)) << "only clear() forgets a revocation";
+  EXPECT_FALSE(table.is_revoked(4));
+  EXPECT_EQ(table.revoked_count(), 0u);
+  EXPECT_EQ(table.neighbor_count(), 0u);
+  table.add_neighbor(3);
+  EXPECT_TRUE(table.is_active_neighbor(3));
+}
+
+TEST(NeighborTable, InvalidNodeIsNeverAdded) {
+  NeighborTable table;
+  table.add_neighbor(5);
+  table.add_neighbor(kInvalidNode);
+  table.add_neighbor(kInvalidNode);
+  EXPECT_EQ(table.neighbors(), (std::vector<NodeId>{5}));
+  EXPECT_FALSE(table.knows_neighbor(kInvalidNode));
+  table.revoke(kInvalidNode);
+  EXPECT_FALSE(table.is_revoked(kInvalidNode));
+  EXPECT_EQ(table.revoked_count(), 0u);
+}
+
 TEST(NeighborTable, ListReplacementOverwrites) {
   NeighborTable table;
   table.add_neighbor(3);

@@ -319,16 +319,6 @@ TEST(RegistrySnapshot, EmptyReflectsBothMaps) {
   EXPECT_FALSE(snap.empty());
 }
 
-TEST(MetricsRegistry, NamedCountersAndHistograms) {
-  MetricsRegistry registry;
-  registry.add("custom.thing");
-  registry.add("custom.thing", 4);
-  registry.histogram("custom.size").add(10.0);
-  const RegistrySnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.at("custom.thing"), 5u);
-  EXPECT_EQ(snap.histograms.at("custom.size").count, 1u);
-}
-
 // ---- Profiler ----
 
 TEST(RunProfiler, CountsEventsPerLayer) {

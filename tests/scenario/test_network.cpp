@@ -219,7 +219,6 @@ TEST_P(OneStream, RunResultMatchesRegistryCounters) {
   EXPECT_EQ(r.routes_established, count("route.established"));
   EXPECT_EQ(r.discoveries, count("route.discovery"));
   EXPECT_EQ(r.local_detections, count("mon.detection"));
-  EXPECT_EQ(r.alerts_sent, count("mon.detection"));
   EXPECT_EQ(r.isolation_events, count("mon.isolation"));
   EXPECT_EQ(r.data_dropped_malicious, count("atk.drop"));
   EXPECT_EQ(r.wormhole_replays, count("atk.replay"));
