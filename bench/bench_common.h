@@ -6,13 +6,10 @@
 //   --threads=T  sweep worker threads (0 = one per hardware thread,
 //                default 1); results are bit-identical for any T
 //   --json       machine-readable output instead of the text tables
-//   --trace=F    write a JSONL event trace of every run to file F
-//                (buffered per run in memory, written in spec order at the
-//                end)
-//   --trace-out=F  same trace, streamed to F during the sweep instead of
-//                buffered in RunResult::trace_jsonl — constant memory for
-//                long runs; byte-identical to --trace at any --threads.
-//                Mutually exclusive with --trace.
+//   --trace=F    write a JSONL event trace of every completed run to file
+//                F, streamed in spec order during the sweep (each run's
+//                trace is dropped from memory once written); byte-identical
+//                at any --threads
 //   --trace-filter=L  comma-separated layers to trace (phy,mac,nbr,route,
 //                mon,atk; default all)
 //   --profile    collect run profiles; adds per-point profiler totals and
@@ -27,8 +24,8 @@
 //   --spans      fold events into protocol-transaction spans (route
 //                sessions, alibi windows, alert rounds, tunnel sessions,
 //                join handshakes): adds a "spans" object to every replica
-//                in the sweep JSON and, when combined with --trace /
-//                --trace-out, span.begin/span.end lines to the trace.
+//                in the sweep JSON and, when combined with --trace,
+//                span.begin/span.end lines to the trace.
 //                Byte-identical per seed at any --threads value.
 //   --watch      live progress view on stderr while each run executes
 //                (sim-time, event rate, queue depth, ETA). Display only —
@@ -50,7 +47,7 @@
 //
 // Sweep benches also install SIGINT/SIGTERM handlers: the first signal
 // cancels the sweep cooperatively (jobs not yet started are skipped,
-// in-flight runs finish and drain, --json / --trace-out output stays
+// in-flight runs finish and drain, --json / --trace output stays
 // complete and parseable, with an "interrupted" marker in the JSON); a
 // second signal falls through to the default handler and kills the
 // process.
@@ -108,10 +105,8 @@ struct Common {
   std::uint64_t seed = 1;
   int threads = 1;
   bool json = false;
-  /// JSONL trace output file (buffered per run); empty = off.
-  std::string trace_file;
   /// JSONL trace output file (streamed during the sweep); empty = off.
-  std::string trace_out_file;
+  std::string trace_file;
   std::uint32_t trace_layers = lw::obs::kAllLayers;
   bool profile = false;
   /// Telemetry series sampling (--series[=bucket_seconds]).
@@ -131,9 +126,9 @@ struct Common {
 };
 
 /// Parses the standard flags. A bad value (--runs below 1, an unknown
-/// --defense backend, a --series width that is not a positive number, an
-/// unknown --trace-filter layer, or --trace together with --trace-out) exits
-/// 2 with its message, the usage status of every lw-* CLI.
+/// --defense backend, a --series width that is not a positive number, or an
+/// unknown --trace-filter layer) exits 2 with its message, the usage status
+/// of every lw-* CLI.
 inline Common parse_common(const lw::Config& args, int default_runs,
                            std::uint64_t default_seed) {
   Common common;
@@ -148,11 +143,6 @@ inline Common parse_common(const lw::Config& args, int default_runs,
   common.threads = args.get_int("threads", 1);
   common.json = args.get_bool("json", false);
   common.trace_file = args.get_string("trace", "");
-  common.trace_out_file = args.get_string("trace-out", "");
-  if (!common.trace_file.empty() && !common.trace_out_file.empty()) {
-    std::fprintf(stderr, "--trace and --trace-out are mutually exclusive\n");
-    std::exit(2);
-  }
   common.profile = args.get_bool("profile", false);
   // --series is a flag ("true") or carries the bucket width (--series=2.5).
   const std::string series = args.get_string("series", "");
@@ -232,12 +222,11 @@ inline void apply_defense(const Common& common,
 }
 
 /// Applies the common knobs to a sweep spec (including the observability
-/// switches: tracing when --trace/--trace-out was given, counters and
+/// switches: tracing when --trace was given, counters and
 /// profiling under --trace/--profile, forensic incident folding whenever a
 /// trace is requested — or when the bench itself enabled it).
 inline void apply(const Common& common, lw::scenario::SweepSpec& spec) {
-  const bool tracing =
-      !common.trace_file.empty() || !common.trace_out_file.empty();
+  const bool tracing = !common.trace_file.empty();
   spec.runs = common.runs;
   spec.base_seed = common.seed;
   spec.threads = common.threads;
@@ -297,28 +286,6 @@ inline std::function<void(std::size_t, std::size_t)> make_progress(
   };
 }
 
-/// Writes every run's buffered trace in spec order, each introduced by a
-/// meta line identifying the point and seed. Spec-order writing is what
-/// keeps the file byte-identical at any --threads value.
-inline void write_trace(const Common& common,
-                        const lw::scenario::SweepResult& result) {
-  std::ofstream out(common.trace_file);
-  if (!out) {
-    std::fprintf(stderr, "cannot write trace file %s\n",
-                 common.trace_file.c_str());
-    std::exit(1);
-  }
-  for (const auto& point : result.points) {
-    for (const auto& replica : point.replicas) {
-      // Failed replicas (cancelled / timed out) produced no trace; writing
-      // their headers would fake empty runs.
-      if (replica.failed) continue;
-      out << lw::obs::run_header_line(point.label, replica.seed);
-      out << replica.trace_jsonl;
-    }
-  }
-}
-
 inline void print_profile(const lw::scenario::SweepResult& result) {
   std::fprintf(stderr, "== profile (%d thread(s), %.2f s wall) ==\n",
                result.threads_used, result.wall_seconds);
@@ -351,7 +318,7 @@ inline void print_profile(const lw::scenario::SweepResult& result) {
 }  // namespace detail
 
 /// Runs the sweep with the common knobs applied: progress line on a TTY,
-/// trace file written in spec order afterwards, profile summary on stderr.
+/// trace file streamed in spec order, profile summary on stderr.
 /// Sweep benches call this instead of lw::scenario::run_sweep directly.
 inline lw::scenario::SweepResult run_sweep(const Common& common,
                                            lw::scenario::SweepSpec spec) {
@@ -359,28 +326,30 @@ inline lw::scenario::SweepResult run_sweep(const Common& common,
   spec.progress = detail::make_progress(common);
   detail::install_cancel_handlers();
   spec.cancel = &detail::g_cancel;
-  std::ofstream stream_out;
-  if (!common.trace_out_file.empty()) {
-    stream_out.open(common.trace_out_file);
-    if (!stream_out) {
+  std::ofstream trace_out;
+  if (!common.trace_file.empty()) {
+    trace_out.open(common.trace_file);
+    if (!trace_out) {
       std::fprintf(stderr, "cannot write trace file %s\n",
-                   common.trace_out_file.c_str());
+                   common.trace_file.c_str());
       std::exit(1);
     }
-    // Stream each replica's trace as soon as it is next in spec order (the
-    // drain hook serializes under the engine lock), then drop the buffer:
-    // the file matches --trace byte for byte without holding every run's
-    // trace in memory until the sweep ends.
-    spec.drain = [&stream_out, &spec](std::size_t p, std::size_t /*i*/,
-                                      lw::scenario::RunResult& r) {
-      stream_out << lw::obs::run_header_line(spec.points[p].label, r.seed);
-      stream_out << r.trace_jsonl;
+    // Stream each replica's trace, introduced by a meta line naming the
+    // point and seed, as soon as it is next in spec order (the drain hook
+    // serializes under the engine lock), then drop the buffer. Spec order
+    // keeps the file byte-identical at any --threads value. A failed
+    // replica (timed out) produced no trace: its header would fake an
+    // empty run.
+    spec.drain = [&trace_out, &spec](std::size_t p, std::size_t /*i*/,
+                                     lw::scenario::RunResult& r) {
+      if (r.failed) return;
+      trace_out << lw::obs::run_header_line(spec.points[p].label, r.seed);
+      trace_out << r.trace_jsonl;
       r.trace_jsonl.clear();
       r.trace_jsonl.shrink_to_fit();
     };
   }
   lw::scenario::SweepResult result = lw::scenario::run_sweep(spec);
-  if (!common.trace_file.empty()) detail::write_trace(common, result);
   if (common.profile) detail::print_profile(result);
   if (result.interrupted) {
     std::fprintf(stderr,

@@ -3,6 +3,7 @@
 //
 //   ./bench_hotpath [--runs=1] [--seed=1] [--nodes=50,200,500,1000c]
 //                   [--duration=120] [--json] [--series[=B]] [--watch]
+//                   [--profile]
 //
 // A --nodes entry may carry a `c` (collisions only) or `i` (ideal only)
 // suffix; bare counts run both variants. The default ends with 1000c: a
@@ -12,6 +13,10 @@
 // With --series each JSON row gains the deterministic telemetry high-water
 // fields (queue_high_water, mem_*): feed two such runs to `lw-report diff`
 // for a per-case perf comparison.
+//
+// --profile times every layer's handlers and prints per-layer self seconds
+// on stderr; it adds that instrumentation to the measured wall time, so
+// throughput comparisons run without it.
 //
 // Each case runs the full simulator (discovery, routing, LITEWORP monitor,
 // two colluding attackers) and reports wall-clock throughput next to the
@@ -107,7 +112,7 @@ CaseResult run_case(const Case& spec, const bench::Common& common,
     config.malicious_count = 2;
     config.seed = common.seed + static_cast<std::uint64_t>(r);
     config.phy.collisions_enabled = spec.collisions;
-    config.obs.profile = true;  // events_executed / max_pending counters
+    config.obs.profile = common.profile;
     config.obs.series = common.series;
     config.obs.series_bucket = common.series_bucket;
     config.obs.watch = common.watch;
@@ -135,12 +140,7 @@ static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 1);
   const double duration = args.get_double("duration", 120.0);
   const std::string nodes_csv = args.get_string("nodes", "50,200,500,1000c");
-  const bool show_profile = args.get_bool("profile", false);
   if (int status = bench::finish(args)) return status;
-  if (common.runs < 1) {
-    std::fprintf(stderr, "runs must be positive\n");
-    return 1;
-  }
 
   std::vector<Case> cases;
   for (const NodesSpec& spec : parse_nodes_list(nodes_csv)) {
@@ -159,7 +159,7 @@ static int run_bench(lw::Config& args) {
       std::fprintf(stderr, "running %s...\n", c.name.c_str());
     }
     results.push_back(run_case(c, common, duration));
-    if (show_profile) {
+    if (common.profile) {
       const CaseResult& r = results.back();
       std::fprintf(stderr, "%s per layer:", c.name.c_str());
       for (std::size_t i = 0; i < lw::obs::kLayerCount; ++i) {

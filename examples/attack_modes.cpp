@@ -46,19 +46,18 @@ void narrate(const lw::attack::ModeInfo& info,
     net.run();
 
     const auto& m = net.metrics();
-    const auto originated =
-        lw::scenario::RunResult::from_metrics(net).data_originated;
+    const auto r = lw::scenario::RunResult::from_metrics(net);
     std::printf("  routes: %llu total, %llu with forged links, %llu via "
                 "attacker transit\n",
-                static_cast<unsigned long long>(m.routes_established),
+                static_cast<unsigned long long>(r.routes_established),
                 static_cast<unsigned long long>(m.wormhole_routes),
                 static_cast<unsigned long long>(
                     m.routes_via_malicious_transit));
     std::printf("  data:   %llu sent, %llu delivered, %llu swallowed by "
                 "attackers\n",
-                static_cast<unsigned long long>(originated),
-                static_cast<unsigned long long>(m.data_delivered),
-                static_cast<unsigned long long>(m.data_dropped_malicious));
+                static_cast<unsigned long long>(r.data_originated),
+                static_cast<unsigned long long>(r.data_delivered),
+                static_cast<unsigned long long>(r.data_dropped_malicious));
     if (liteworp) {
       std::printf("  guards: %llu fabrication + %llu drop suspicions, "
                   "%llu alerts\n",

@@ -110,8 +110,10 @@ int main(int argc, char** argv) {
   std::printf("\nafter %.0f s: %llu delivered, %llu swallowed by the "
               "wormhole\n",
               config.duration,
-              static_cast<unsigned long long>(m.data_delivered),
-              static_cast<unsigned long long>(m.data_dropped_malicious));
+              static_cast<unsigned long long>(
+                  net.recorder().count(lw::obs::EventKind::kRouteDeliver)),
+              static_cast<unsigned long long>(
+                  net.recorder().count(lw::obs::EventKind::kAtkDrop)));
   if (const auto* final_route =
           net.node(0).routing().cache().peek(4, net.simulator().now())) {
     std::printf("final cached route A -> B:");

@@ -43,11 +43,13 @@ int main(int argc, char** argv) {
 
   // Phase 1: the initial network settles.
   net.run_until(config.late_join_time - 1.0);
+  const lw::obs::Recorder& events = net.recorder();
   std::printf("[t=%6.1f] initial network: %llu routes, %llu data delivered\n",
               net.simulator().now(),
               static_cast<unsigned long long>(
-                  net.metrics().routes_established),
-              static_cast<unsigned long long>(net.metrics().data_delivered));
+                  events.count(lw::obs::EventKind::kRouteEstablished)),
+              static_cast<unsigned long long>(
+                  events.count(lw::obs::EventKind::kRouteDeliver)));
 
   // Phase 2: the joiners arrive.
   const double settled = config.late_join_time +
@@ -72,8 +74,10 @@ int main(int argc, char** argv) {
   std::printf("\n[t=%6.1f] final: %llu data delivered, %llu eaten by the "
               "wormhole, %zu/%zu attackers isolated, %llu false isolations\n",
               net.simulator().now(),
-              static_cast<unsigned long long>(m.data_delivered),
-              static_cast<unsigned long long>(m.data_dropped_malicious),
+              static_cast<unsigned long long>(
+                  events.count(lw::obs::EventKind::kRouteDeliver)),
+              static_cast<unsigned long long>(
+                  events.count(lw::obs::EventKind::kAtkDrop)),
               m.malicious_isolated_count(), net.malicious_ids().size(),
               static_cast<unsigned long long>(m.false_isolations));
   for (const auto& [mal, record] : m.isolation()) {

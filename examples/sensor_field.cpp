@@ -4,14 +4,17 @@
 // timelines. The diagnostic companion to `quickstart`.
 //
 //   ./sensor_field [--nodes=100] [--seed=1] [--duration=2000]
-//                  [--malicious=2] [--liteworp=true]
+//                  [--malicious=2] [--liteworp=true] [--trace=F]
+//
+// --trace=F streams every PHY event to F as a JSONL trace (the schema of
+// docs/TRACE_FORMAT.md, readable by `lw-trace stats` / `follow`).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
 
+#include "obs/trace_writer.h"
 #include "packet/packet.h"
-#include "phy/trace.h"
 #include "scenario/network.h"
 #include "scenario/runner.h"
 #include "util/config.h"
@@ -43,10 +46,10 @@ int main(int argc, char** argv) {
 
   lw::scenario::Network net(config);
   std::ofstream trace_file;
-  std::unique_ptr<lw::phy::TextTrace> trace;
+  std::unique_ptr<lw::obs::TraceWriter> trace;
   if (!trace_path.empty()) {
     trace_file.open(trace_path);
-    trace = std::make_unique<lw::phy::TextTrace>(trace_file);
+    trace = std::make_unique<lw::obs::TraceWriter>(trace_file);
     net.recorder().add_sink(trace.get(),
                             lw::obs::layer_bit(lw::obs::Layer::kPhy));
     std::cout << "tracing every PHY event to " << trace_path << '\n';
@@ -59,8 +62,7 @@ int main(int argc, char** argv) {
   net.run();
 
   const auto& m = net.metrics();
-  const auto originated =
-      lw::scenario::RunResult::from_metrics(net).data_originated;
+  const auto r = lw::scenario::RunResult::from_metrics(net);
   const auto& phy = net.medium().stats();
 
   std::cout << "\n--- channel airtime by frame type ---\n";
@@ -109,15 +111,15 @@ int main(int argc, char** argv) {
   std::cout << "\n--- traffic ---\n";
   std::printf("  originated %llu  delivered %llu (%.1f%%)  wormhole-dropped "
               "%llu  no-route %llu\n",
-              static_cast<unsigned long long>(originated),
-              static_cast<unsigned long long>(m.data_delivered),
-              100.0 * static_cast<double>(m.data_delivered) /
-                  static_cast<double>(originated),
-              static_cast<unsigned long long>(m.data_dropped_malicious),
-              static_cast<unsigned long long>(m.data_dropped_no_route));
+              static_cast<unsigned long long>(r.data_originated),
+              static_cast<unsigned long long>(r.data_delivered),
+              100.0 * static_cast<double>(r.data_delivered) /
+                  static_cast<double>(r.data_originated),
+              static_cast<unsigned long long>(r.data_dropped_malicious),
+              static_cast<unsigned long long>(r.data_dropped_no_route));
   std::printf("  discoveries %llu  routes %llu  wormhole routes %llu\n",
-              static_cast<unsigned long long>(m.discoveries),
-              static_cast<unsigned long long>(m.routes_established),
+              static_cast<unsigned long long>(r.discoveries),
+              static_cast<unsigned long long>(r.routes_established),
               static_cast<unsigned long long>(m.wormhole_routes));
   std::printf("  delivery latency: mean %.3f s, p95 %.3f s\n",
               m.mean_delivery_latency(), m.latency_percentile(95.0));
@@ -146,7 +148,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(m.suspicions_drop),
               static_cast<unsigned long long>(m.false_suspicions));
   std::printf("  local detections %llu  alerts %llu  false isolations %llu\n",
-              static_cast<unsigned long long>(m.local_detections),
+              static_cast<unsigned long long>(r.local_detections),
               static_cast<unsigned long long>(
                   net.defense_cost().control_messages),
               static_cast<unsigned long long>(m.false_isolations));

@@ -18,7 +18,6 @@ class LiteworpDefense final : public Defense {
   LiteworpDefense(const DefenseConfig& config, const Wiring& wiring)
       : env_(wiring.env),
         table_(wiring.table),
-        enabled_(config.liteworp.enabled),
         monitor_(wiring.env, wiring.table, wiring.routing, config.liteworp) {}
 
   obs::DefenseTag tag() const override { return obs::DefenseTag::kLiteworp; }
@@ -31,7 +30,6 @@ class LiteworpDefense final : public Defense {
   }
 
   bool admit(const pkt::Packet& packet) override {
-    if (!enabled_) return true;
     obs::Recorder* recorder = env_.obs();
     obs::ScopedTimer timer(recorder ? recorder->profiler() : nullptr,
                            obs::Layer::kNeighbor);
@@ -80,7 +78,6 @@ class LiteworpDefense final : public Defense {
  private:
   node::NodeEnv& env_;
   nbr::NeighborTable& table_;
-  bool enabled_;
   lite::LocalMonitor monitor_;
   nbr::AdmissionStats admission_stats_;
   std::uint64_t frames_observed_ = 0;
@@ -201,14 +198,6 @@ obs::DefenseTag tag_for(const std::string& name) {
            registry_list() + ")");
   }
   return tag;
-}
-
-void DefenseConfig::finalize() {
-  // Selection is by name; the per-backend master switches are derived so
-  // code consulting them directly (the monitor, the leash checker) agrees.
-  liteworp.enabled = name == "liteworp";
-  leash.enabled = name == "leash";
-  zscore.enabled = name == "zscore";
 }
 
 void DefenseConfig::validate() const {

@@ -47,8 +47,6 @@ namespace lw::defense {
 /// needs the neighbor to be a statistical outlier among its peers, not just
 /// noisy in absolute terms.
 struct ZScoreParams {
-  /// Master switch; a disabled detector ignores everything.
-  bool enabled = true;
   /// Convict when (rate - mean_others) / std_others reaches this.
   double z_threshold = 2.5;
   /// Judged forwards a neighbor needs before its rate is trusted (both as
@@ -112,9 +110,6 @@ struct DefenseConfig {
   leash::LeashParams leash;
   ZScoreParams zscore;
 
-  /// Syncs the per-backend master switches with the selection, so code
-  /// that consults e.g. liteworp.enabled directly stays correct.
-  void finalize();
   /// Rejects unknown backend names and out-of-range parameters of the
   /// SELECTED backend with actionable messages (std::invalid_argument).
   void validate() const;

@@ -21,7 +21,6 @@ void ZScoreDefense::reset() {
 }
 
 void ZScoreDefense::observe(const pkt::Packet& packet) {
-  if (!params_.enabled) return;
   ++frames_observed_;
   if (!pkt::is_watched_control(packet.type)) return;
   observe_control(packet);
@@ -115,7 +114,6 @@ void ZScoreDefense::maybe_detect(NodeId suspect) {
 }
 
 void ZScoreDefense::emit_false_alert(NodeId victim) {
-  if (!params_.enabled) return;
   // Compromised guard: a genuine-looking authenticated accusation with no
   // statistics behind it. No local revocation (same as the LITEWORP
   // framer): the gamma threshold is what must hold the line.
@@ -123,14 +121,12 @@ void ZScoreDefense::emit_false_alert(NodeId victim) {
 }
 
 void ZScoreDefense::handle_alert(const pkt::Packet& packet) {
-  if (!params_.enabled) return;
   // No corroboration shortcut: this detector has no per-packet counter
   // whose bar a circulating accusation could lower.
   alerts_.receive(packet);
 }
 
 bool ZScoreDefense::admit(const pkt::Packet& packet) {
-  if (!params_.enabled) return true;
   // Isolation enforcement only: no traffic from (or via) a revoked node.
   // The statistical evidence itself never drops individual frames.
   admission_stats_.accepted += 1;  // provisional; flipped below on reject

@@ -31,7 +31,6 @@ bool LeashChecker::check_geographical(const pkt::Packet& packet) const {
 }
 
 bool LeashChecker::check(const pkt::Packet& packet, Time now) {
-  if (!params_.enabled) return true;
   ++stats_.checked;
   const bool ok = params_.mode == LeashMode::kTemporal
                       ? check_temporal(packet, now)

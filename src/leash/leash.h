@@ -33,8 +33,6 @@ enum class LeashMode {
 };
 
 struct LeashParams {
-  /// Master switch (off: checker accepts everything).
-  bool enabled = false;
   LeashMode mode = LeashMode::kTemporal;
   /// Localization error of the geographical leash (meters).
   double location_error = 5.0;

@@ -19,7 +19,6 @@ LocalMonitor::LocalMonitor(node::NodeEnv& env, nbr::NeighborTable& table,
 void LocalMonitor::start() {}
 
 void LocalMonitor::on_overhear(const pkt::Packet& packet) {
-  if (!params_.enabled) return;
   if (pkt::is_watched_control(packet.type)) {
     observe_control(packet);
     return;
@@ -172,7 +171,6 @@ void LocalMonitor::observe(NodeId suspect, bool suspicious,
 }
 
 void LocalMonitor::emit_false_alert(NodeId victim) {
-  if (!params_.enabled) return;
   // The framing guard behaves exactly like a detecting guard on the wire —
   // same recipients, same per-recipient tags, same flooding — just without
   // any evidence. It does NOT revoke the victim locally: a lone framer
@@ -188,7 +186,6 @@ void LocalMonitor::reset() {
 }
 
 void LocalMonitor::handle_alert(const pkt::Packet& packet) {
-  if (!params_.enabled) return;
   if (!alerts_.receive(packet)) return;
   // Corroboration: the circulating accusation lowers our own bar; our
   // partial evidence may now suffice for a detection of our own.

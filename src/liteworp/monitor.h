@@ -28,8 +28,6 @@
 namespace lw::lite {
 
 struct LiteworpParams {
-  /// Master switch; a disabled monitor ignores everything (baseline runs).
-  bool enabled = true;
   /// delta: how long a REP may sit at the next hop before it counts as
   /// dropped. Must cover worst-case MAC queueing plus the full
   /// ARQ-retransmission window (backoffs included) at 40 kbps — including

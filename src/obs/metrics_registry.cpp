@@ -65,7 +65,6 @@ void RegistrySnapshot::add_counters(const RegistrySnapshot& other) {
 }
 
 void RegistrySink::on_event(const Event& event) {
-  ++by_kind_[static_cast<std::size_t>(event.kind)];
   if (event.kind == EventKind::kRouteDeliver) {
     deliver_latency_.add(event.value);
   } else if (event.kind == EventKind::kMacBackoff) {
@@ -73,15 +72,15 @@ void RegistrySink::on_event(const Event& event) {
   }
 }
 
-RegistrySnapshot RegistrySink::snapshot() const {
+RegistrySnapshot RegistrySink::snapshot(const Recorder& tally) const {
   RegistrySnapshot snap;
   for (std::size_t i = 0; i < kEventKindCount; ++i) {
-    if (by_kind_[i] == 0) continue;
     const EventKind kind = static_cast<EventKind>(i);
+    if (tally.count(kind) == 0) continue;
     std::string name = to_string(layer_of(kind));
     name += '.';
     name += to_string(kind);
-    snap.counters.emplace(std::move(name), by_kind_[i]);
+    snap.counters.emplace(std::move(name), tally.count(kind));
   }
   if (deliver_latency_.count() > 0) {
     snap.histograms.emplace("route.deliver_latency",

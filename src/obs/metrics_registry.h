@@ -1,12 +1,10 @@
-// Named counters and histograms fed by the event stream.
+// Named counters and histograms of a run.
 //
-// The registry counts the same stream that stats::MetricsCollector
-// classifies against ground truth: every event kind becomes a counter named
-// "<layer>.<event>" (e.g. "phy.tx", "mon.isolation"), and selected
-// value-carrying events feed histograms ("route.deliver_latency",
-// "mac.backoff_delay"). Counting is O(1) per event — a fixed array indexed
-// by EventKind — and names are materialized only when a snapshot is taken,
-// so the per-event cost is an increment.
+// Every event kind becomes a counter named "<layer>.<event>" (e.g.
+// "phy.tx", "mon.isolation"), read from the Recorder's tally; names are
+// materialized only when a snapshot is taken. The RegistrySink adds the
+// histograms of value-carrying events ("route.deliver_latency",
+// "mac.backoff_delay").
 //
 // Snapshots use std::map so iteration (and hence JSON emission) is in
 // deterministic name order.
@@ -37,9 +35,8 @@ struct HistogramSummary {
 double sorted_percentile(const std::vector<double>& sorted, double p);
 
 /// The O(1) exact aggregates of a Histogram: everything that does not need
-/// the reservoir. This is what the telemetry sampler reads at every bucket
-/// boundary — reading never touches (or perturbs) the reservoir state, so
-/// sampling a run cannot change its final percentiles.
+/// the reservoir. Reading never touches (or perturbs) the reservoir state,
+/// so sampling a histogram mid-run cannot change its final percentiles.
 struct HistogramSnapshot {
   std::uint64_t count = 0;
   double min = 0.0;
@@ -98,26 +95,25 @@ struct RegistrySnapshot {
   void add_counters(const RegistrySnapshot& other);
 };
 
-/// EventSink that counts every event per kind and feeds the
-/// value-carrying histograms. `seed` (the run seed) makes the histogram
-/// reservoirs deterministic per run at any sweep thread count.
+/// EventSink feeding the value-carrying histograms. `seed` (the run seed)
+/// makes the histogram reservoirs deterministic per run at any sweep
+/// thread count.
 class RegistrySink final : public EventSink {
  public:
+  /// The layers whose events carry histogram values.
+  static constexpr std::uint32_t kLayers =
+      layer_bit(Layer::kRouting) | layer_bit(Layer::kMac);
+
   explicit RegistrySink(std::uint64_t seed = 0)
       : deliver_latency_(seed), backoff_delay_(seed ^ 0x9E3779B97F4A7C15ull) {}
 
   void on_event(const Event& event) override;
 
-  /// Materializes counter/histogram names; zero-count kinds are omitted.
-  RegistrySnapshot snapshot() const;
-
-  /// Direct histogram access for the telemetry sampler's per-bucket
-  /// Histogram::snapshot() reads (const: cannot perturb the reservoirs).
-  const Histogram& deliver_latency() const { return deliver_latency_; }
-  const Histogram& backoff_delay() const { return backoff_delay_; }
+  /// Names the counters of `tally` (zero-count kinds omitted) beside this
+  /// sink's histograms (empty ones omitted).
+  RegistrySnapshot snapshot(const Recorder& tally) const;
 
  private:
-  std::uint64_t by_kind_[kEventKindCount] = {};
   Histogram deliver_latency_;
   Histogram backoff_delay_;
 };

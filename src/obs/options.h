@@ -2,7 +2,8 @@
 //
 // All off by default: the run's Recorder then serves only the metrics
 // collector (route, mon and atk layers), and every phy, mac, nbr and flt
-// emit site reduces to a mask test.
+// emit site reduces to a mask test. counters, profile and series each
+// keep every layer live and read the Recorder's per-kind event tally.
 #pragma once
 
 #include <cstdint>
@@ -14,17 +15,17 @@ namespace lw::obs {
 struct Options {
   /// Record a JSONL event trace into RunResult::trace_jsonl.
   bool trace = false;
-  /// Layers included in the trace (metrics/profiling always see all).
+  /// Layers included in the trace (the event tally always sees all).
   std::uint32_t trace_layers = kAllLayers;
-  /// Count events into a RegistrySink snapshot (RunResult::registry).
+  /// Snapshot the per-kind event counts plus the delivery-latency and
+  /// backoff histograms (RunResult::registry).
   bool counters = false;
   /// Profile the run (RunResult::profile): per-layer wall time and event
   /// counts, events/second, simulator queue high-water mark.
   bool profile = false;
   /// Sample a deterministic sim-time telemetry series
   /// (RunResult::series): per-bucket layer event rates, queue depth and
-  /// high-water, memory gauges. Implies counters (the sampler reads the
-  /// registry's latency histogram per bucket).
+  /// high-water, deliveries and their latency, memory gauges.
   bool series = false;
   /// Series bucket width in simulated seconds.
   double series_bucket = 1.0;

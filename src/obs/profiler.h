@@ -1,8 +1,8 @@
 // Run profiling: where a simulation run spends its wall time.
 //
-// A RunProfiler is an EventSink (per-layer event counts come from the
-// stream for free) plus a scoped-timer facility giving per-layer SELF wall
-// time: ScopedTimer instances nest, and a child's elapsed time is
+// A RunProfiler is a scoped-timer facility giving per-layer SELF wall
+// time (the per-layer event counts beside it come from the Recorder's
+// tally): ScopedTimer instances nest, and a child's elapsed time is
 // subtracted from its parent's attribution, so layer times sum to roughly
 // the instrumented total instead of double-counting (a routing handler
 // that triggers a PHY transmit attributes the radio work to PHY, not to
@@ -18,7 +18,7 @@
 #include <chrono>
 #include <cstdint>
 
-#include "obs/recorder.h"
+#include "obs/event.h"
 
 namespace lw::obs {
 
@@ -64,23 +64,20 @@ struct ProfileTotals {
 
 class ScopedTimer;
 
-class RunProfiler final : public EventSink {
+class RunProfiler {
  public:
-  void on_event(const Event& event) override {
-    ++layers_[static_cast<std::size_t>(layer_of(event.kind))].events;
-  }
-
-  const std::array<LayerProfile, kLayerCount>& layers() const {
-    return layers_;
+  /// Wall time spent so far inside each layer's handlers.
+  const std::array<double, kLayerCount>& self_seconds() const {
+    return self_seconds_;
   }
 
  private:
   friend class ScopedTimer;
   void add_self_time(Layer layer, double seconds) {
-    layers_[static_cast<std::size_t>(layer)].self_seconds += seconds;
+    self_seconds_[static_cast<std::size_t>(layer)] += seconds;
   }
 
-  std::array<LayerProfile, kLayerCount> layers_{};
+  std::array<double, kLayerCount> self_seconds_{};
   ScopedTimer* current_ = nullptr;  // innermost open timer (nesting chain)
 };
 

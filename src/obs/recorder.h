@@ -7,14 +7,20 @@
 // and trace output stays deterministic for a given seed at any thread
 // count.
 //
+// The Recorder is also the run's one event tally: emit() counts every
+// event by kind before dispatching it, and the run metrics, the profile,
+// the telemetry series and the counter registry all read that count.
+//
 // Emit sites guard with
 //   if (rec != nullptr && rec->wants(Layer::kX)) rec->emit({...});
 // Every scenario::Network run subscribes its stats::MetricsCollector to the
-// route, mon and atk layers, so those always emit. For the phy, mac, nbr
+// route, mon and atk layers, so those always emit; a profiled, sampled or
+// counted run listen()s to every layer. Otherwise, for the phy, mac, nbr
 // and flt layers the guard is the zero-cost-when-disabled contract: a run
 // that does not observe them pays one mask test per site.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -24,8 +30,8 @@ namespace lw::obs {
 
 class RunProfiler;
 
-/// Consumer of the event stream (trace writer, metrics registry,
-/// profiler). Dispatch is synchronous; sinks must not retain
+/// Consumer of the event stream (trace writer, span builder, metrics
+/// collector, ...). Dispatch is synchronous; sinks must not retain
 /// Event::packet.
 class EventSink {
  public:
@@ -39,11 +45,25 @@ class Recorder {
   /// the recorder.
   void add_sink(EventSink* sink, std::uint32_t layer_mask = kAllLayers);
 
-  /// True when at least one sink listens to `layer`: the emit-site guard.
+  /// Keeps the layers in `layer_mask` live without a sink, so the tally
+  /// alone counts them.
+  void listen(std::uint32_t layer_mask) { active_mask_ |= layer_mask; }
+
+  /// True when the layer is live (a sink or listen() covers it): the
+  /// emit-site guard.
   bool wants(Layer layer) const { return (active_mask_ & layer_bit(layer)) != 0; }
 
-  /// Dispatches to every sink whose mask covers the event's layer.
+  /// Counts the event, then dispatches it to every sink whose mask covers
+  /// its layer.
   void emit(const Event& event);
+
+  /// Events of `kind` emitted so far.
+  std::uint64_t count(EventKind kind) const {
+    return tally_[static_cast<std::size_t>(kind)];
+  }
+  /// Events emitted so far per layer (sums of count() over each layer's
+  /// kinds).
+  std::array<std::uint64_t, kLayerCount> layer_counts() const;
 
   /// The profiler driving ScopedTimer attribution; null when profiling is
   /// off (timers become no-ops).
@@ -58,6 +78,7 @@ class Recorder {
 
   std::vector<Subscription> sinks_;
   std::uint32_t active_mask_ = 0;
+  std::array<std::uint64_t, kEventKindCount> tally_{};
   RunProfiler* profiler_ = nullptr;
 };
 

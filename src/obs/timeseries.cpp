@@ -19,58 +19,30 @@ void write_gauges(util::JsonWriter& json, const MemoryGauges& gauges) {
 TelemetrySampler::TelemetrySampler(Duration bucket_seconds)
     : bucket_seconds_(bucket_seconds) {}
 
-void TelemetrySampler::on_event(const Event& event) {
-  ++open_layer_events_[static_cast<std::size_t>(layer_of(event.kind))];
-  ++open_events_emitted_;
-}
-
 SeriesBucket TelemetrySampler::make_bucket(Time start,
                                            const BucketSample& sample) const {
   SeriesBucket bucket;
   bucket.start = start;
-  bucket.layer_events = open_layer_events_;
-  bucket.events_emitted = open_events_emitted_;
-  bucket.events_executed = sample.events_executed - prev_events_executed_;
-  if (registry_ != nullptr) {
-    const HistogramSnapshot lat = registry_->deliver_latency().snapshot();
-    bucket.deliveries = lat.count - prev_deliveries_;
-    bucket.delivery_latency_sum = lat.sum - prev_delivery_latency_sum_;
+  for (std::size_t i = 0; i < kLayerCount; ++i) {
+    bucket.layer_events[i] = sample.layer_events[i] - last_.layer_events[i];
+    bucket.events_emitted += bucket.layer_events[i];
+    bucket.layer_self_seconds[i] =
+        sample.self_seconds[i] - last_.self_seconds[i];
   }
+  bucket.events_executed = sample.events_executed - last_.events_executed;
+  bucket.deliveries = sample.deliveries - last_.deliveries;
+  bucket.delivery_latency_sum =
+      sample.delivery_latency_sum - last_.delivery_latency_sum;
   bucket.queue_depth = sample.queue_depth;
   bucket.queue_high_water = sample.queue_high_water;
   bucket.memory = sample.memory;
-  if (profiler_ != nullptr) {
-    const auto& layers = profiler_->layers();
-    for (std::size_t i = 0; i < kLayerCount; ++i) {
-      bucket.layer_self_seconds[i] =
-          layers[i].self_seconds - prev_self_seconds_[i];
-    }
-  }
   return bucket;
-}
-
-bool TelemetrySampler::open_bucket_active(const BucketSample& sample) const {
-  return open_events_emitted_ > 0 ||
-         sample.events_executed > prev_events_executed_;
 }
 
 void TelemetrySampler::close_bucket(Time boundary, const BucketSample& sample) {
   closed_.push_back(make_bucket(open_start_, sample));
   open_start_ = boundary;
-  open_layer_events_ = {};
-  open_events_emitted_ = 0;
-  prev_events_executed_ = sample.events_executed;
-  if (registry_ != nullptr) {
-    const HistogramSnapshot lat = registry_->deliver_latency().snapshot();
-    prev_deliveries_ = lat.count;
-    prev_delivery_latency_sum_ = lat.sum;
-  }
-  if (profiler_ != nullptr) {
-    const auto& layers = profiler_->layers();
-    for (std::size_t i = 0; i < kLayerCount; ++i) {
-      prev_self_seconds_[i] = layers[i].self_seconds;
-    }
-  }
+  last_ = sample;
 }
 
 SeriesReport TelemetrySampler::report(const BucketSample& final_sample) const {
@@ -81,8 +53,9 @@ SeriesReport TelemetrySampler::report(const BucketSample& final_sample) const {
   // Tail activity after the last boundary becomes a trailing partial
   // bucket; a quiet tail (e.g. duration an exact multiple of the bucket)
   // adds nothing, keeping the series free of an all-zero sentinel row.
-  if (open_bucket_active(final_sample)) {
-    report.buckets.push_back(make_bucket(open_start_, final_sample));
+  const SeriesBucket tail = make_bucket(open_start_, final_sample);
+  if (tail.events_emitted > 0 || tail.events_executed > 0) {
+    report.buckets.push_back(tail);
   }
   for (const SeriesBucket& bucket : report.buckets) {
     if (bucket.queue_high_water > report.queue_high_water) {

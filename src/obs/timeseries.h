@@ -1,13 +1,14 @@
 // Deterministic sim-time telemetry series: WHEN inside a run work and
 // memory happen, not just end-of-run totals.
 //
-// A TelemetrySampler is an EventSink that tallies per-layer event counts
-// into fixed-width sim-time buckets, and at every bucket boundary absorbs a
-// BucketSample the host (scenario::Network) takes through the simulator's
-// tick hook: executed-event delta, queue depth and in-bucket high-water,
-// and the memory gauges the paper's "lightweight" claim is about (event
-// slab occupancy, live WatchBuffer entries, neighbor-table bytes,
-// per-defense CostSnapshot storage).
+// A TelemetrySampler turns cumulative run totals into fixed-width sim-time
+// buckets. At every bucket boundary the host (scenario::Network) takes a
+// BucketSample through the simulator's tick hook: the Recorder's per-layer
+// event tally, executed events, deliveries and their summed latency, queue
+// depth and in-bucket high-water, and the memory gauges the paper's
+// "lightweight" claim is about (event slab occupancy, live WatchBuffer
+// entries, neighbor-table bytes, per-defense CostSnapshot storage). A
+// bucket's counts are the differences between consecutive samples.
 //
 // Determinism contract: every deterministic field is keyed on SIMULATED
 // time and derived from simulation state only, so a run's series is
@@ -26,13 +27,10 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "obs/metrics_registry.h"
-#include "obs/profiler.h"
-#include "obs/recorder.h"
+#include "obs/event.h"
 
 namespace lw::obs {
 
@@ -60,9 +58,17 @@ struct MemoryGauges {
 };
 
 /// What the host samples at each boundary (and once more at run end).
+/// Counts and sums are run totals so far; the sampler stores deltas.
 struct BucketSample {
-  /// Events executed by the simulator so far (the sampler stores deltas).
+  /// Events emitted into the Recorder per layer (its tally).
+  std::array<std::uint64_t, kLayerCount> layer_events{};
+  /// Events executed by the simulator.
   std::uint64_t events_executed = 0;
+  /// Data deliveries (route.deliver) and their summed end-to-end latency.
+  std::uint64_t deliveries = 0;
+  double delivery_latency_sum = 0.0;
+  /// Per-layer handler self-time (wall clock; zero unless profiling).
+  std::array<double, kLayerCount> self_seconds{};
   /// Queue depth at the boundary instant.
   std::size_t queue_depth = 0;
   /// Queue high-water within the closing bucket
@@ -82,7 +88,7 @@ struct SeriesBucket {
   /// Simulator events executed within the bucket.
   std::uint64_t events_executed = 0;
   /// Data deliveries within the bucket and their summed end-to-end
-  /// latency (from Histogram::snapshot deltas — per-bucket mean latency).
+  /// latency (per-bucket mean latency).
   std::uint64_t deliveries = 0;
   double delivery_latency_sum = 0.0;
   std::size_t queue_depth = 0;
@@ -103,24 +109,12 @@ struct SeriesReport {
   MemoryGauges memory_high_water;
 };
 
-/// EventSink + boundary accumulator. The host owns the sampling loop:
-/// it registers the sampler on the run's Recorder (event tallies) and
-/// forwards every simulator tick-hook firing to close_bucket() with a
-/// freshly taken BucketSample.
-class TelemetrySampler final : public EventSink {
+/// Boundary accumulator. The host owns the sampling loop: it forwards
+/// every simulator tick-hook firing to close_bucket() with a freshly taken
+/// BucketSample.
+class TelemetrySampler {
  public:
   explicit TelemetrySampler(Duration bucket_seconds);
-
-  /// Optional wall-clock source: per-layer self-time deltas are taken from
-  /// this profiler at each boundary. Null (profiling off) leaves them 0.
-  void set_profiler(const RunProfiler* profiler) { profiler_ = profiler; }
-
-  /// Optional latency source: per-bucket delivery count/latency-sum deltas
-  /// come from cheap Histogram::snapshot() reads on this registry. Null
-  /// leaves them 0.
-  void set_registry(const RegistrySink* registry) { registry_ = registry; }
-
-  void on_event(const Event& event) override;
 
   /// Closes the bucket ending at `boundary` (possibly empty). Boundaries
   /// must arrive in increasing order — the simulator tick hook guarantees
@@ -136,25 +130,14 @@ class TelemetrySampler final : public EventSink {
   Duration bucket_seconds() const { return bucket_seconds_; }
 
  private:
-  /// Folds the open accumulators + `sample` into a SeriesBucket.
+  /// The bucket from the last close up to `sample`.
   SeriesBucket make_bucket(Time start, const BucketSample& sample) const;
-  /// True when the open bucket saw any emission or execution activity.
-  bool open_bucket_active(const BucketSample& sample) const;
 
   Duration bucket_seconds_;
-  const RunProfiler* profiler_ = nullptr;
-  const RegistrySink* registry_ = nullptr;
-
   std::vector<SeriesBucket> closed_;
-  /// Open-bucket accumulators (reset at each close).
-  std::array<std::uint64_t, kLayerCount> open_layer_events_{};
-  std::uint64_t open_events_emitted_ = 0;
   Time open_start_ = 0.0;
-  /// Totals as of the previous close (delta baselines).
-  std::uint64_t prev_events_executed_ = 0;
-  std::uint64_t prev_deliveries_ = 0;
-  double prev_delivery_latency_sum_ = 0.0;
-  std::array<double, kLayerCount> prev_self_seconds_{};
+  /// The sample taken at the last close (the delta baseline).
+  BucketSample last_;
 };
 
 /// Renders a SeriesReport as a JSON object (compact, deterministic field

@@ -72,7 +72,7 @@ class Medium {
 
   /// Attaches the run's observability recorder; the medium emits typed
   /// phy.tx/rx/collision/loss events into it (per-frame tracing — e.g.
-  /// phy::TextTrace — subscribes there). Must outlive the medium; nullptr
+  /// an obs::TraceWriter — subscribes there). Must outlive the medium; nullptr
   /// (the default) disables emission entirely.
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 

@@ -37,14 +37,10 @@ void ExperimentConfig::finalize() {
   defense.leash.range = radio_range;
   defense.leash.bandwidth_bps = phy.bandwidth_bps;
   defense.leash.propagation_speed = phy.propagation_speed;
-  defense.finalize();
   if (traffic.start_time < t_nd) traffic.start_time = t_nd + 1.0;
   if (attack.start_time < traffic.start_time) {
     attack.start_time = traffic.start_time;
   }
-  // The telemetry sampler reads the registry's latency histogram at every
-  // bucket boundary, so a series run always counts.
-  if (obs.series) obs.counters = true;
 }
 
 void ExperimentConfig::validate() const {

@@ -54,8 +54,7 @@ struct ExperimentConfig {
   routing::TrafficParams traffic;
   /// Defense backend selection plus every backend's parameter block
   /// (defense.name picks one of defense::registry()). finalize() aligns
-  /// the leash block's range/bandwidth with the PHY and syncs the
-  /// per-backend master switches with the selection.
+  /// the leash block's range/bandwidth with the PHY.
   defense::DefenseConfig defense;
 
   // ---- Incremental deployment (Sections 4.1 / 7) ----
@@ -90,8 +89,8 @@ struct ExperimentConfig {
   bool oracle_discovery = false;
 
   // ---- Observability ----
-  /// Typed event recording (trace / counters / profiling). All off by
-  /// default; the stack then skips every emit site on a null check.
+  /// Typed event recording (trace / counters / profiling / series). All
+  /// off by default; only the metrics collector's layers then emit.
   obs::Options obs;
 
   /// The paper's Table 2 setup. defense.name selects protected

@@ -40,10 +40,14 @@ Network::Network(ExperimentConfig config)
   RngFactory rngs(config_.seed);
 
   // The recorder always exists so callers can attach their own sinks
-  // (e.g. phy::TextTrace) right after construction. The metrics collector
-  // keeps the route, mon and atk layers live in every run; a phy, mac, nbr
-  // or flt emit site with no sink short-circuits on the wants() mask test.
+  // right after construction. The metrics collector keeps the route, mon
+  // and atk layers live in every run; profile, series and counters read
+  // every layer from the recorder's tally. Otherwise a phy, mac, nbr or
+  // flt emit site with no sink short-circuits on the wants() mask test.
   recorder_ = std::make_unique<obs::Recorder>();
+  if (config_.obs.profile || config_.obs.series || config_.obs.counters) {
+    recorder_->listen(obs::kAllLayers);
+  }
   if (config_.obs.trace) {
     trace_writer_ = std::make_unique<obs::TraceWriter>(trace_buffer_);
     recorder_->add_sink(trace_writer_.get(), config_.obs.trace_layers);
@@ -65,7 +69,7 @@ Network::Network(ExperimentConfig config)
     // Seeded so reservoir histograms are reproducible per run (and hence
     // identical across sweep thread counts).
     registry_ = std::make_unique<obs::RegistrySink>(config_.seed);
-    recorder_->add_sink(registry_.get());
+    recorder_->add_sink(registry_.get(), obs::RegistrySink::kLayers);
   }
   if (config_.obs.forensics) {
     incident_builder_ = std::make_unique<forensics::IncidentBuilder>();
@@ -76,15 +80,11 @@ Network::Network(ExperimentConfig config)
   }
   if (config_.obs.profile) {
     profiler_ = std::make_unique<obs::RunProfiler>();
-    recorder_->add_sink(profiler_.get());
     recorder_->set_profiler(profiler_.get());
   }
   if (config_.obs.series) {
     sampler_ = std::make_unique<obs::TelemetrySampler>(
         config_.obs.series_bucket);
-    sampler_->set_registry(registry_.get());    // finalize() forces counters
-    sampler_->set_profiler(profiler_.get());    // null when profiling off
-    recorder_->add_sink(sampler_.get());
   }
   if (config_.obs.series || config_.obs.watch) {
     // The boundary hook only OBSERVES (sampler close + watch print), so
@@ -382,7 +382,11 @@ void Network::emit_false_alert(NodeId guard, NodeId victim) {
 
 obs::BucketSample Network::take_bucket_sample() {
   obs::BucketSample sample;
+  sample.layer_events = recorder_->layer_counts();
   sample.events_executed = simulator_.executed();
+  sample.deliveries = recorder_->count(obs::EventKind::kRouteDeliver);
+  sample.delivery_latency_sum = metrics_->delivery_latency_sum;
+  if (profiler_) sample.self_seconds = profiler_->self_seconds();
   sample.queue_depth = simulator_.pending();
   sample.queue_high_water = simulator_.take_window_max_pending();
   sample.memory.slab_slots = simulator_.slab_slots();
@@ -498,7 +502,12 @@ obs::ProfileReport Network::profile() const {
   report.events_executed = simulator_.executed();
   report.max_queue_depth = simulator_.max_pending();
   report.virtual_seconds = simulator_.now();
-  if (profiler_) report.layers = profiler_->layers();
+  if (profiler_) {
+    const auto events = recorder_->layer_counts();
+    for (std::size_t i = 0; i < obs::kLayerCount; ++i) {
+      report.layers[i] = {events[i], profiler_->self_seconds()[i]};
+    }
+  }
   return report;
 }
 

@@ -61,11 +61,12 @@ class Network : public fault::FaultHost {
 
   // ---- Observability (config().obs selects what is live) ----
 
-  /// The run's event recorder. Always present, with the metrics collector
-  /// subscribed to the route, mon and atk layers: config().obs selects the
-  /// other built-in sinks (trace/counters/profile), and callers may add
-  /// their own (e.g. phy::TextTrace) before running.
+  /// The run's event recorder and event tally. Always present, with the
+  /// metrics collector subscribed to the route, mon and atk layers:
+  /// config().obs selects the other built-in sinks (trace/spans/counters/
+  /// forensics), and callers may add their own before running.
   obs::Recorder& recorder() { return *recorder_; }
+  const obs::Recorder& recorder() const { return *recorder_; }
 
   /// JSONL trace accumulated so far (empty unless obs.trace). Buffered in
   /// memory so sweeps can write per-run traces in spec order regardless of
@@ -76,7 +77,8 @@ class Network : public fault::FaultHost {
 
   /// Counter/histogram snapshot (empty unless obs.counters).
   obs::RegistrySnapshot registry_snapshot() const {
-    return registry_ ? registry_->snapshot() : obs::RegistrySnapshot{};
+    return registry_ ? registry_->snapshot(*recorder_)
+                     : obs::RegistrySnapshot{};
   }
 
   /// Profiling report; enabled flag mirrors obs.profile. Wall time covers
@@ -135,9 +137,10 @@ class Network : public fault::FaultHost {
 
  private:
   topo::DiscGraph build_topology(const RngFactory& rngs);
-  /// Deterministic boundary snapshot for the telemetry sampler: queue
-  /// state from the simulator, memory gauges summed over nodes in id
-  /// order.
+  /// Boundary snapshot for the telemetry sampler: the recorder's event
+  /// tally, deliveries and their latency sum, queue state from the
+  /// simulator, memory gauges summed over nodes in id order, and (when
+  /// profiling) per-layer self-time.
   obs::BucketSample take_bucket_sample();
   /// Wall-throttled stderr progress line (obs.watch); display only.
   void print_watch_line(Time boundary);

@@ -6,6 +6,7 @@ namespace lw::scenario {
 
 RunResult RunResult::from_metrics(const Network& network) {
   const stats::MetricsCollector& m = network.metrics();
+  const obs::Recorder& events = network.recorder();
   const phy::MediumStats& phy = network.medium().stats();
 
   RunResult r;
@@ -14,20 +15,20 @@ RunResult RunResult::from_metrics(const Network& network) {
   for (NodeId id = 0; id < network.size(); ++id) {
     r.data_originated += network.node(id).routing().data_originated();
   }
-  r.data_delivered = m.data_delivered;
-  r.data_dropped_malicious = m.data_dropped_malicious;
-  r.data_dropped_no_route = m.data_dropped_no_route;
-  r.discoveries = m.discoveries;
-  r.routes_established = m.routes_established;
+  r.data_delivered = events.count(obs::EventKind::kRouteDeliver);
+  r.data_dropped_malicious = events.count(obs::EventKind::kAtkDrop);
+  r.data_dropped_no_route = events.count(obs::EventKind::kRouteDrop);
+  r.discoveries = events.count(obs::EventKind::kRouteDiscovery);
+  r.routes_established = events.count(obs::EventKind::kRouteEstablished);
   r.wormhole_routes = m.wormhole_routes;
   r.routes_via_malicious = m.routes_via_malicious;
-  r.wormhole_replays = m.wormhole_replays;
+  r.wormhole_replays = events.count(obs::EventKind::kAtkReplay);
   r.suspicions_fabrication = m.suspicions_fabrication;
   r.suspicions_drop = m.suspicions_drop;
   r.suspicions_anomaly = m.suspicions_anomaly;
   r.false_suspicions = m.false_suspicions;
-  r.local_detections = m.local_detections;
-  r.isolation_events = m.isolation_events;
+  r.local_detections = events.count(obs::EventKind::kMonDetection);
+  r.isolation_events = events.count(obs::EventKind::kMonIsolation);
   r.false_isolations = m.false_isolations;
   r.malicious_count = network.malicious_ids().size();
   r.malicious_isolated = m.malicious_isolated_count();

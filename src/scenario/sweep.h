@@ -56,7 +56,7 @@ struct SweepSpec {
   /// becomes nonzero, jobs not yet started are skipped (their replicas are
   /// marked failed with reason "cancelled"), in-flight jobs finish and are
   /// drained normally, and run_sweep returns with `interrupted` set — so
-  /// an interrupted --json / --trace-out sweep still emits complete,
+  /// an interrupted --json / --trace sweep still emits complete,
   /// parseable output for every point that ran.
   const volatile std::sig_atomic_t* cancel = nullptr;
 

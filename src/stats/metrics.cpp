@@ -23,17 +23,11 @@ MetricsCollector::MetricsCollector(const topo::DiscGraph& graph,
 void MetricsCollector::on_event(const obs::Event& event) {
   switch (event.kind) {
     case obs::EventKind::kRouteDeliver:
-      ++data_delivered;
       delivery_latencies.push_back(event.value);  // now - created_at
-      break;
-    case obs::EventKind::kRouteDrop:
-      ++data_dropped_no_route;
+      delivery_latency_sum += event.value;
       break;
     case obs::EventKind::kRouteEstablished:
       on_route_established(event.t, event.packet->route);
-      break;
-    case obs::EventKind::kRouteDiscovery:
-      ++discoveries;
       break;
     case obs::EventKind::kMonSuspicion:
       on_suspicion(event.peer, event.detail);
@@ -45,11 +39,7 @@ void MetricsCollector::on_event(const obs::Event& event) {
       on_isolation(event.t, event.node, event.peer);
       break;
     case obs::EventKind::kAtkDrop:
-      ++data_dropped_malicious;
       drop_times.push_back(event.t);
-      break;
-    case obs::EventKind::kAtkReplay:
-      ++wormhole_replays;
       break;
     default:
       break;
@@ -58,9 +48,7 @@ void MetricsCollector::on_event(const obs::Event& event) {
 
 double MetricsCollector::mean_delivery_latency() const {
   if (delivery_latencies.empty()) return 0.0;
-  double sum = 0.0;
-  for (Duration latency : delivery_latencies) sum += latency;
-  return sum / static_cast<double>(delivery_latencies.size());
+  return delivery_latency_sum / static_cast<double>(delivery_latencies.size());
 }
 
 double MetricsCollector::latency_percentile(double p) const {
@@ -72,8 +60,6 @@ double MetricsCollector::latency_percentile(double p) const {
 
 void MetricsCollector::on_route_established(Time t,
                                             const pkt::NodeList& path) {
-  ++routes_established;
-
   bool fake_link = false;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     if (!graph_.is_neighbor(path[i], path[i + 1])) {
@@ -109,7 +95,6 @@ void MetricsCollector::on_suspicion(NodeId suspect, std::uint8_t detail) {
 
 void MetricsCollector::on_local_detection(Time t, NodeId guard,
                                           NodeId suspect) {
-  ++local_detections;
   if (!is_malicious(suspect)) {
     // One guard's noise conviction: it severs one link. Only a
     // gamma-confirmed isolation (mon.isolation) counts as the network
@@ -123,7 +108,6 @@ void MetricsCollector::on_local_detection(Time t, NodeId guard,
 }
 
 void MetricsCollector::on_isolation(Time t, NodeId node, NodeId suspect) {
-  ++isolation_events;
   if (!is_malicious(suspect)) {
     ++false_isolations;
     return;

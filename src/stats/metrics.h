@@ -3,11 +3,14 @@
 // A MetricsCollector is an event sink on the routing, monitoring and attack
 // layers of the run's obs::Recorder. It classifies those events against
 // ground truth (the deployment geometry and the set of malicious nodes)
-// that individual nodes do not have. Output parameters match Section 6:
-// packets dropped by the wormhole, routes established / malicious routes,
-// isolation latency, plus detection/false-alarm accounting for the
-// analysis comparisons. Data originations are not an event: each node's
-// routing layer counts its own (routing::OnDemandRouting::data_originated).
+// that individual nodes do not have, and keeps what needs event fields:
+// suspicion kinds, event times and delivery latencies. Output parameters
+// match Section 6: routes through the wormhole, isolation latency, plus
+// false-alarm accounting for the analysis comparisons. Plain per-kind
+// counts (deliveries, drops, discoveries, detections, isolations) are the
+// Recorder's tally (obs::Recorder::count). Data originations are not an
+// event: each node's routing layer counts its own
+// (routing::OnDemandRouting::data_originated).
 #pragma once
 
 #include <cstdint>
@@ -48,12 +51,7 @@ class MetricsCollector : public obs::EventSink {
 
   void on_event(const obs::Event& event) override;
 
-  // ---- Counters ----
-  std::uint64_t data_delivered = 0;
-  std::uint64_t data_dropped_malicious = 0;
-  std::uint64_t data_dropped_no_route = 0;
-  std::uint64_t discoveries = 0;
-  std::uint64_t routes_established = 0;
+  // ---- Ground-truth classification ----
   /// Routes containing a link that does not exist physically (the wormhole
   /// illusion: a tunneled or relayed hop).
   std::uint64_t wormhole_routes = 0;
@@ -62,7 +60,6 @@ class MetricsCollector : public obs::EventSink {
   /// Routes where a malicious node is a TRANSIT hop (neither source nor
   /// destination) — the routes an attacker actually captured.
   std::uint64_t routes_via_malicious_transit = 0;
-  std::uint64_t wormhole_replays = 0;
 
   std::uint64_t suspicions_fabrication = 0;
   std::uint64_t suspicions_drop = 0;
@@ -71,11 +68,9 @@ class MetricsCollector : public obs::EventSink {
   std::uint64_t suspicions_anomaly = 0;
   /// Suspicions whose suspect is actually honest (channel-noise artifacts).
   std::uint64_t false_suspicions = 0;
-  std::uint64_t local_detections = 0;
   /// Local detections of honest nodes: a single guard's noise conviction,
   /// severing one link (the per-guard false alarm of the analysis).
   std::uint64_t false_local_detections = 0;
-  std::uint64_t isolation_events = 0;
   /// Gamma-confirmed isolations of honest nodes — the network-level false
   /// alarm of Figure 6(b). Must be 0 at the calibrated operating point.
   std::uint64_t false_isolations = 0;
@@ -87,6 +82,9 @@ class MetricsCollector : public obs::EventSink {
   std::vector<Time> wormhole_route_times;
   /// End-to-end delivery latency of each delivered data packet.
   std::vector<Duration> delivery_latencies;
+  /// Running sum of delivery_latencies, in delivery order (the telemetry
+  /// series reads it at every bucket boundary).
+  double delivery_latency_sum = 0.0;
 
   /// Mean end-to-end data latency (0 if nothing delivered).
   double mean_delivery_latency() const;

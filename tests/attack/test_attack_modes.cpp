@@ -151,7 +151,7 @@ TEST(AttackTiming, NoDamageBeforeStartTime) {
   auto config = attack_config(WormholeMode::kOutOfBand, 2, false, 29);
   scenario::Network net(config);
   net.run_until(config.attack.start_time - 1.0);
-  EXPECT_EQ(net.metrics().data_dropped_malicious, 0u);
+  EXPECT_EQ(net.recorder().count(obs::EventKind::kAtkDrop), 0u);
   EXPECT_EQ(net.metrics().wormhole_routes, 0u);
 }
 
@@ -186,7 +186,7 @@ std::unique_ptr<scenario::Network> run_accused(WormholeMode mode,
 TEST(SingleNodeModes, HighPowerReplaysAnchorTheIncident) {
   const auto run = run_accused(WormholeMode::kHighPower, 25);
   const scenario::Network& net = *run;
-  EXPECT_GT(net.metrics().wormhole_replays, 0u);
+  EXPECT_GT(net.recorder().count(obs::EventKind::kAtkReplay), 0u);
   EXPECT_NE(net.trace_jsonl().find(R"("layer":"atk","event":"replay")"),
             std::string::npos);
   const auto incidents = net.incidents();
@@ -199,7 +199,7 @@ TEST(SingleNodeModes, HighPowerReplaysAnchorTheIncident) {
 TEST(SingleNodeModes, RelayReplaysGiveADetectionLatency) {
   const auto run = run_accused(WormholeMode::kRelay, 25);
   const scenario::Network& net = *run;
-  EXPECT_GT(net.metrics().wormhole_replays, 0u);
+  EXPECT_GT(net.recorder().count(obs::EventKind::kAtkReplay), 0u);
   EXPECT_NE(net.trace_jsonl().find(R"("layer":"atk","event":"replay")"),
             std::string::npos);
   const auto incidents = net.incidents();

@@ -1,10 +1,13 @@
 // The shared bench CLI (bench/bench_common.h): every flag-value error, in
 // --defense-opt (a malformed pair, an unknown key or a value out of range)
 // and in the standard flags parse_common reads, exits 2 with its message
-// before any run.
+// before any run; and the streamed --trace file holds completed runs only.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <initializer_list>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "bench/bench_common.h"
@@ -67,10 +70,26 @@ TEST(BenchCli, UnknownTraceFilterLayerExitsTwo) {
               testing::ExitedWithCode(2), "--trace-filter: ");
 }
 
-TEST(BenchCli, TraceWithTraceOutExitsTwo) {
-  EXPECT_EXIT(parse_flags({{"trace", "a.jsonl"}, {"trace-out", "b.jsonl"}}),
-              testing::ExitedWithCode(2),
-              "--trace and --trace-out are mutually exclusive");
+TEST(BenchCli, TimedOutReplicaWritesNoTraceHeader) {
+  // A replica the watchdog killed produced no trace; a run header for it
+  // would fake an empty run.
+  bench::Common common;
+  common.runs = 2;
+  common.quiet = true;
+  common.run_timeout = 1e-6;
+  common.trace_file = testing::TempDir() + "bench_cli_timed_out.jsonl";
+  lw::scenario::SweepSpec spec;
+  spec.base = lw::scenario::ExperimentConfig::table2_defaults();
+  spec.base.node_count = 40;
+  spec.base.duration = 300.0;
+  spec.points.push_back({.label = "timed-out", .mutate = nullptr});
+  const lw::scenario::SweepResult result = bench::run_sweep(common, spec);
+  ASSERT_EQ(result.points[0].aggregate.failed_runs, 2);
+  std::ifstream in(common.trace_file);
+  ASSERT_TRUE(in) << common.trace_file;
+  const std::string trace((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(trace, "");
 }
 
 TEST(BenchCli, ValidDefenseOptsApply) {

@@ -47,7 +47,6 @@ TEST_F(MakeFixture, RegistryNamesAreKnownConstructibleAndTagConsistent) {
     EXPECT_TRUE(known(name)) << name;
     DefenseConfig config;
     config.name = name;
-    config.finalize();
     EXPECT_NO_THROW(config.validate()) << name;
     auto backend = make(config, wiring());
     ASSERT_NE(backend, nullptr) << name;
@@ -67,25 +66,11 @@ TEST_F(MakeFixture, UnknownNameRejectedEverywhere) {
   EXPECT_THROW(make(config, wiring()), std::invalid_argument);
 }
 
-TEST(DefenseConfig, FinalizeDerivesMasterSwitchesFromSelection) {
-  DefenseConfig config;
-  config.name = "zscore";
-  config.finalize();
-  EXPECT_TRUE(config.zscore.enabled);
-  EXPECT_FALSE(config.liteworp.enabled);
-  EXPECT_FALSE(config.leash.enabled);
-  config.name = "liteworp";
-  config.finalize();
-  EXPECT_TRUE(config.liteworp.enabled);
-  EXPECT_FALSE(config.zscore.enabled);
-}
-
 // ---- The undefended baseline is a true no-op ----
 
 TEST_F(MakeFixture, NoneBackendIsInert) {
   DefenseConfig config;
   config.name = "none";
-  config.finalize();
   auto backend = make(config, wiring());
   pkt::Packet packet = env_.packet_factory().make(pkt::PacketType::kRouteRequest);
   packet.claimed_tx = 5;

@@ -42,7 +42,6 @@ class ZScoreTest : public ::testing::Test {
     DefenseConfig c;
     c.name = "zscore";
     c.zscore.min_samples = 4;
-    c.finalize();
     return c;
   }
 

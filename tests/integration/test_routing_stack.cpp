@@ -30,9 +30,9 @@ TEST(RoutingStack, SingleDiscoveryIdealChannel) {
   net.node(0).routing().send_data(net.size() - 1, 32);
   net.run_until(40.0);
 
-  EXPECT_GE(net.metrics().routes_established, 1u);
-  EXPECT_EQ(net.metrics().data_delivered, 1u);
-  EXPECT_EQ(net.metrics().data_dropped_no_route, 0u);
+  EXPECT_GE(net.recorder().count(obs::EventKind::kRouteEstablished), 1u);
+  EXPECT_EQ(net.recorder().count(obs::EventKind::kRouteDeliver), 1u);
+  EXPECT_EQ(net.recorder().count(obs::EventKind::kRouteDrop), 0u);
 }
 
 TEST(RoutingStack, SingleDiscoveryWithCollisions) {
@@ -44,7 +44,9 @@ TEST(RoutingStack, SingleDiscoveryWithCollisions) {
     net.run_until(10.0);
     net.node(0).routing().send_data(net.size() - 1, 32);
     net.run_until(60.0);
-    if (net.metrics().data_delivered == 1u) ++delivered_runs;
+    if (net.recorder().count(obs::EventKind::kRouteDeliver) == 1u) {
+      ++delivered_runs;
+    }
   }
   // A single discovery on an otherwise idle channel should essentially
   // always succeed.
@@ -60,13 +62,15 @@ TEST(RoutingStack, CachedRouteIsReused) {
   const NodeId dst = static_cast<NodeId>(net.size() - 1);
   net.node(0).routing().send_data(dst, 32);
   net.run_until(40.0);
-  const std::uint64_t discoveries_after_first = net.metrics().discoveries;
+  const std::uint64_t discoveries_after_first =
+      net.recorder().count(obs::EventKind::kRouteDiscovery);
 
   net.node(0).routing().send_data(dst, 32);
   net.run_until(45.0);
-  EXPECT_EQ(net.metrics().discoveries, discoveries_after_first)
+  EXPECT_EQ(net.recorder().count(obs::EventKind::kRouteDiscovery),
+            discoveries_after_first)
       << "second packet must reuse the cached route";
-  EXPECT_EQ(net.metrics().data_delivered, 2u);
+  EXPECT_EQ(net.recorder().count(obs::EventKind::kRouteDeliver), 2u);
 }
 
 TEST(RoutingStack, SteadyTrafficDeliversMostPackets) {
@@ -76,16 +80,14 @@ TEST(RoutingStack, SteadyTrafficDeliversMostPackets) {
   scenario::Network net(config);
   net.run_until(300.0);
 
-  const auto& m = net.metrics();
-  const auto originated =
-      scenario::RunResult::from_metrics(net).data_originated;
-  ASSERT_GT(originated, 100u);
-  const double delivery_ratio =
-      static_cast<double>(m.data_delivered) / static_cast<double>(originated);
+  const auto r = scenario::RunResult::from_metrics(net);
+  ASSERT_GT(r.data_originated, 100u);
+  const double delivery_ratio = static_cast<double>(r.data_delivered) /
+                                static_cast<double>(r.data_originated);
   EXPECT_GT(delivery_ratio, 0.75)
-      << "delivered " << m.data_delivered << " of " << originated
+      << "delivered " << r.data_delivered << " of " << r.data_originated
       << " (no attacker, collisions on)";
-  EXPECT_EQ(m.false_isolations, 0u)
+  EXPECT_EQ(r.false_isolations, 0u)
       << "honest nodes were isolated without an attacker";
 }
 

@@ -2,15 +2,17 @@
 // LITEWORP paper tells against them.
 #include <gtest/gtest.h>
 
+#include "defense/defense.h"
 #include "leash/leash.h"
+#include "routing/routing.h"
 #include "scenario/runner.h"
+#include "tests/liteworp/fake_env.h"
 
 namespace lw::leash {
 namespace {
 
 LeashParams params_for_test() {
   LeashParams params;
-  params.enabled = true;
   params.range = 30.0;
   params.bandwidth_bps = 40000.0;
   params.sync_error = 1e-6;
@@ -53,12 +55,16 @@ TEST(LeashChecker, UnstampedFrameFailsClosed) {
 }
 
 TEST(LeashChecker, DisabledAcceptsEverything) {
-  LeashParams params = params_for_test();
-  params.enabled = false;
-  LeashChecker checker(params);
+  // Leashes are off when another backend ("none" here) is selected: no
+  // checker runs, so even an unstamped frame is admitted.
+  test::FakeEnv env(0);
+  nbr::NeighborTable table;
+  routing::OnDemandRouting routing(env, table, {});
+  defense::DefenseConfig off;
+  off.name = "none";
+  auto backend = defense::make(off, {env, table, routing});
   pkt::Packet p;  // not even stamped
-  EXPECT_TRUE(checker.check(p, 123.0));
-  EXPECT_EQ(checker.stats().checked, 0u);
+  EXPECT_TRUE(backend->admit(p));
 }
 
 TEST(LeashChecker, SyncErrorWidensTheBudget) {

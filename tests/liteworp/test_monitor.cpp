@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "defense/defense.h"
 #include "liteworp/monitor.h"
 #include "tests/liteworp/fake_env.h"
 
@@ -186,13 +187,15 @@ TEST_F(MonitorTest, AlertCarriesPerRecipientTags) {
 }
 
 TEST_F(MonitorTest, DisabledMonitorDoesNothing) {
-  LiteworpParams off = params();
-  off.enabled = false;
-  LocalMonitor disabled(env_, table_, routing_, off);
+  // Monitoring is off when the "none" backend is selected: the fabrications
+  // a LITEWORP guard convicts on revoke nobody.
+  defense::DefenseConfig off;
+  off.name = "none";
+  auto disabled = defense::make(off, {env_, table_, routing_});
   for (int i = 0; i < 10; ++i) {
-    disabled.on_overhear(req(kA, kX, kFar, static_cast<SeqNo>(i)));
+    disabled->observe(req(kA, kX, kFar, static_cast<SeqNo>(i)));
   }
-  EXPECT_FALSE(disabled.locally_detected(kA));
+  EXPECT_EQ(disabled->local_monitor(), nullptr);
   EXPECT_FALSE(table_.is_revoked(kA));
 }
 

@@ -67,11 +67,13 @@ TEST(DynamicJoin, JoinerExchangesDataTraffic) {
   scenario::Network net(config);
   const NodeId joiner = static_cast<NodeId>(config.node_count);
   net.run_until(config.late_join_time + 25.0);
-  const auto delivered_before = net.metrics().data_delivered;
+  const auto delivered_before =
+      net.recorder().count(obs::EventKind::kRouteDeliver);
   // Drive a flow from the joiner across the network.
   net.node(joiner).routing().send_data(0, 32);
   net.run_until(net.simulator().now() + 40.0);
-  EXPECT_GT(net.metrics().data_delivered, delivered_before)
+  EXPECT_GT(net.recorder().count(obs::EventKind::kRouteDeliver),
+            delivered_before)
       << "the joiner's packet never arrived";
 }
 
@@ -80,10 +82,12 @@ TEST(DynamicJoin, DataFlowsToTheJoinerToo) {
   scenario::Network net(config);
   const NodeId joiner = static_cast<NodeId>(config.node_count);
   net.run_until(config.late_join_time + 25.0);
-  const auto delivered_before = net.metrics().data_delivered;
+  const auto delivered_before =
+      net.recorder().count(obs::EventKind::kRouteDeliver);
   net.node(5).routing().send_data(joiner, 32);
   net.run_until(net.simulator().now() + 40.0);
-  EXPECT_GT(net.metrics().data_delivered, delivered_before);
+  EXPECT_GT(net.recorder().count(obs::EventKind::kRouteDeliver),
+            delivered_before);
 }
 
 TEST(DynamicJoin, MultipleJoinersAllIntegrate) {

@@ -1,5 +1,5 @@
-// Observability layer: event vocabulary, recorder dispatch, trace format,
-// metrics registry, and profiler accounting.
+// Observability layer: event vocabulary, recorder dispatch and event tally,
+// trace format, metrics registry, and profile totals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,6 +107,43 @@ TEST(Recorder, EmitDispatchesOnlyToMatchingSinks) {
   EXPECT_EQ(phy_only.events[0], EventKind::kPhyTx);
   ASSERT_EQ(everything.events.size(), 2u);
   EXPECT_EQ(everything.events[1], EventKind::kMonAlert);
+}
+
+TEST(Recorder, TallyCountsEveryEmittedEventByKind) {
+  Recorder rec;
+  rec.emit({.kind = EventKind::kPhyTx});
+  rec.emit({.kind = EventKind::kPhyTx});
+  rec.emit({.kind = EventKind::kRouteDrop});
+  EXPECT_EQ(rec.count(EventKind::kPhyTx), 2u);
+  EXPECT_EQ(rec.count(EventKind::kRouteDrop), 1u);
+  EXPECT_EQ(rec.count(EventKind::kAtkDrop), 0u)
+      << "route.drop and atk.drop share a short name, not a counter";
+}
+
+TEST(Recorder, LayerCountsSumTheTallyPerLayer) {
+  Recorder rec;
+  rec.emit({.kind = EventKind::kPhyTx});
+  rec.emit({.kind = EventKind::kPhyRx});
+  rec.emit({.kind = EventKind::kMacBackoff});
+  rec.emit({.kind = EventKind::kFltCorrupt});
+  const auto counts = rec.layer_counts();
+  EXPECT_EQ(counts[static_cast<std::size_t>(Layer::kPhy)], 2u);
+  EXPECT_EQ(counts[static_cast<std::size_t>(Layer::kMac)], 1u);
+  EXPECT_EQ(counts[static_cast<std::size_t>(Layer::kFault)], 1u);
+  EXPECT_EQ(counts[static_cast<std::size_t>(Layer::kRouting)], 0u);
+}
+
+TEST(Recorder, ListenKeepsLayersLiveWithoutASink) {
+  Recorder rec;
+  CountingSink mon_only;
+  rec.add_sink(&mon_only, layer_bit(Layer::kMonitor));
+  rec.listen(layer_bit(Layer::kPhy) | layer_bit(Layer::kMac));
+  EXPECT_TRUE(rec.wants(Layer::kPhy));
+  EXPECT_TRUE(rec.wants(Layer::kMac));
+  EXPECT_FALSE(rec.wants(Layer::kNeighbor));
+  rec.emit({.kind = EventKind::kPhyTx});
+  EXPECT_EQ(rec.count(EventKind::kPhyTx), 1u);
+  EXPECT_TRUE(mon_only.events.empty()) << "listen() adds no dispatch";
 }
 
 // ---- TraceWriter format ----
@@ -277,22 +314,26 @@ TEST(Histogram, SameSeedSameSummaryAcrossInstances) {
 }
 
 TEST(RegistrySink, CountersUseLayerDotEventNames) {
+  Recorder rec;
   RegistrySink sink;
-  sink.on_event({.kind = EventKind::kPhyTx});
-  sink.on_event({.kind = EventKind::kPhyTx});
-  sink.on_event({.kind = EventKind::kMonIsolation});
-  const RegistrySnapshot snap = sink.snapshot();
+  rec.add_sink(&sink, RegistrySink::kLayers);
+  rec.emit({.kind = EventKind::kPhyTx});
+  rec.emit({.kind = EventKind::kPhyTx});
+  rec.emit({.kind = EventKind::kMonIsolation});
+  const RegistrySnapshot snap = sink.snapshot(rec);
   ASSERT_EQ(snap.counters.size(), 2u) << "zero-count kinds omitted";
   EXPECT_EQ(snap.counters.at("phy.tx"), 2u);
   EXPECT_EQ(snap.counters.at("mon.isolation"), 1u);
 }
 
 TEST(RegistrySink, ValueCarryingEventsFeedHistograms) {
+  Recorder rec;
   RegistrySink sink;
-  sink.on_event({.kind = EventKind::kRouteDeliver, .value = 0.5});
-  sink.on_event({.kind = EventKind::kRouteDeliver, .value = 1.5});
-  sink.on_event({.kind = EventKind::kMacBackoff, .value = 0.01});
-  const RegistrySnapshot snap = sink.snapshot();
+  rec.add_sink(&sink, RegistrySink::kLayers);
+  rec.emit({.kind = EventKind::kRouteDeliver, .value = 0.5});
+  rec.emit({.kind = EventKind::kRouteDeliver, .value = 1.5});
+  rec.emit({.kind = EventKind::kMacBackoff, .value = 0.01});
+  const RegistrySnapshot snap = sink.snapshot(rec);
   ASSERT_EQ(snap.histograms.count("route.deliver_latency"), 1u);
   ASSERT_EQ(snap.histograms.count("mac.backoff_delay"), 1u);
   EXPECT_EQ(snap.histograms.at("route.deliver_latency").count, 2u);
@@ -320,33 +361,6 @@ TEST(RegistrySnapshot, EmptyReflectsBothMaps) {
 }
 
 // ---- Profiler ----
-
-TEST(RunProfiler, CountsEventsPerLayer) {
-  RunProfiler profiler;
-  profiler.on_event({.kind = EventKind::kPhyTx});
-  profiler.on_event({.kind = EventKind::kPhyRx});
-  profiler.on_event({.kind = EventKind::kMonDetection});
-  const auto& layers = profiler.layers();
-  EXPECT_EQ(layers[static_cast<std::size_t>(Layer::kPhy)].events, 2u);
-  EXPECT_EQ(layers[static_cast<std::size_t>(Layer::kMonitor)].events, 1u);
-  EXPECT_EQ(layers[static_cast<std::size_t>(Layer::kMac)].events, 0u);
-}
-
-TEST(ScopedTimer, NullProfilerIsANoOp) {
-  ScopedTimer timer(nullptr, Layer::kPhy);  // must not crash
-}
-
-TEST(ScopedTimer, NestedTimersAttributeExclusiveTime) {
-  RunProfiler profiler;
-  {
-    ScopedTimer outer(&profiler, Layer::kRouting);
-    { ScopedTimer inner(&profiler, Layer::kPhy); }
-  }
-  const auto& layers = profiler.layers();
-  EXPECT_GE(layers[static_cast<std::size_t>(Layer::kPhy)].self_seconds, 0.0);
-  EXPECT_GE(layers[static_cast<std::size_t>(Layer::kRouting)].self_seconds,
-            0.0);
-}
 
 TEST(ProfileTotals, AccumulateSumsAndTakesQueueMax) {
   ProfileReport a;

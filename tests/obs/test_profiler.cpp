@@ -1,6 +1,5 @@
 // RunProfiler edge cases: ScopedTimer nesting (including re-entrant timers
-// on the SAME layer), the null-profiler no-op contract, and per-layer
-// event attribution.
+// on the SAME layer) and the null-profiler no-op contract.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,9 +16,7 @@ constexpr std::size_t idx(Layer layer) {
 
 double total_self_seconds(const RunProfiler& profiler) {
   double total = 0.0;
-  for (const LayerProfile& layer : profiler.layers()) {
-    total += layer.self_seconds;
-  }
+  for (double seconds : profiler.self_seconds()) total += seconds;
   return total;
 }
 
@@ -55,9 +52,9 @@ TEST(Profiler, ChildTimeIsSubtractedFromParent) {
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - begin)
                              .count();
-  const auto& layers = profiler.layers();
-  EXPECT_GE(layers[idx(Layer::kPhy)].self_seconds, 0.009);
-  EXPECT_GE(layers[idx(Layer::kRouting)].self_seconds, 0.004);
+  const auto& self = profiler.self_seconds();
+  EXPECT_GE(self[idx(Layer::kPhy)], 0.009);
+  EXPECT_GE(self[idx(Layer::kRouting)], 0.004);
   // Double-counting the PHY child into routing would make the self times
   // sum past the real elapsed span.
   EXPECT_LE(total_self_seconds(profiler), elapsed * 1.001);
@@ -86,7 +83,7 @@ TEST(Profiler, ReentrantTimersOnSameLayerDoNotDoubleCount) {
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - begin)
                              .count();
-  const double attributed = profiler.layers()[idx(Layer::kRouting)].self_seconds;
+  const double attributed = profiler.self_seconds()[idx(Layer::kRouting)];
   // The full 12ms lands on the layer exactly once: double counting the
   // nesting levels would attribute ~2-3x the real elapsed span.
   EXPECT_GE(attributed, 0.011);
@@ -114,25 +111,12 @@ TEST(Profiler, SiblingTimersRestoreTheNestingChain) {
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - begin)
                              .count();
-  const auto& layers = profiler.layers();
-  EXPECT_GE(layers[idx(Layer::kPhy)].self_seconds, 0.005);
-  EXPECT_GE(layers[idx(Layer::kMac)].self_seconds, 0.001);
+  const auto& self = profiler.self_seconds();
+  EXPECT_GE(self[idx(Layer::kPhy)], 0.005);
+  EXPECT_GE(self[idx(Layer::kMac)], 0.001);
   // A broken chain (second sibling parented to the destroyed first one)
   // would lose the child subtraction and double-count into MAC.
   EXPECT_LE(total_self_seconds(profiler), elapsed * 1.001);
-}
-
-TEST(Profiler, CountsEventsPerLayer) {
-  RunProfiler profiler;
-  Event event;
-  event.kind = EventKind::kPhyTx;
-  profiler.on_event(event);
-  profiler.on_event(event);
-  event.kind = EventKind::kMacBackoff;
-  profiler.on_event(event);
-  EXPECT_EQ(profiler.layers()[idx(Layer::kPhy)].events, 2u);
-  EXPECT_EQ(profiler.layers()[idx(Layer::kMac)].events, 1u);
-  EXPECT_EQ(profiler.layers()[idx(Layer::kRouting)].events, 0u);
 }
 
 }  // namespace

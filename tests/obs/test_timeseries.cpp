@@ -28,9 +28,10 @@ Event make_event(Time t, EventKind kind) {
 }
 
 /// Harness: a bare simulator whose tick hook closes sampler buckets, with
-/// events that feed the sampler directly (no protocol stack).
+/// events emitted straight into a Recorder (no protocol stack).
 struct SeriesHarness {
   sim::Simulator simulator;
+  Recorder recorder;
   TelemetrySampler sampler{1.0};
 
   explicit SeriesHarness(Duration bucket = 1.0) : sampler(bucket) {
@@ -41,6 +42,7 @@ struct SeriesHarness {
 
   BucketSample sample() {
     BucketSample s;
+    s.layer_events = recorder.layer_counts();
     s.events_executed = simulator.executed();
     s.queue_depth = simulator.pending();
     s.queue_high_water = simulator.take_window_max_pending();
@@ -49,7 +51,7 @@ struct SeriesHarness {
 
   void emit_at(Time t, EventKind kind) {
     simulator.schedule_at(t, [this, t, kind] {
-      sampler.on_event(make_event(t, kind));
+      recorder.emit(make_event(t, kind));
     });
   }
 
@@ -125,6 +127,35 @@ TEST(TimeSeries, NoTrailingBucketWhenTailIsQuiet) {
   EXPECT_EQ(h.report().buckets.size(), 1u);
 }
 
+TEST(TimeSeries, BucketsAreDifferencesOfCumulativeSamples) {
+  constexpr std::size_t kRoute = static_cast<std::size_t>(Layer::kRouting);
+  TelemetrySampler sampler(1.0);
+  BucketSample first;
+  first.layer_events[kRoute] = 4;
+  first.events_executed = 10;
+  first.deliveries = 3;
+  first.delivery_latency_sum = 1.5;
+  first.self_seconds[kRoute] = 0.25;
+  sampler.close_bucket(1.0, first);
+  BucketSample second = first;
+  second.layer_events[kRoute] = 6;
+  second.events_executed = 12;
+  second.deliveries = 5;
+  second.delivery_latency_sum = 2.5;
+  second.self_seconds[kRoute] = 0.75;
+
+  const SeriesReport report = sampler.report(second);
+  ASSERT_EQ(report.buckets.size(), 2u);
+  const SeriesBucket& tail = report.buckets[1];
+  EXPECT_EQ(tail.layer_events[kRoute], 2u);
+  EXPECT_EQ(tail.events_emitted, 2u);
+  EXPECT_EQ(tail.events_executed, 2u);
+  EXPECT_EQ(tail.deliveries, 2u);
+  EXPECT_DOUBLE_EQ(tail.delivery_latency_sum, 1.0);
+  EXPECT_DOUBLE_EQ(tail.layer_self_seconds[kRoute], 0.5);
+  EXPECT_EQ(report.buckets[0].deliveries, 3u) << "first bucket: from zero";
+}
+
 TEST(TimeSeries, JsonOmitsTimingUnlessRequested) {
   SeriesHarness h;
   h.emit_at(0.5, EventKind::kPhyTx);
@@ -197,13 +228,6 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-TEST(SeriesEndToEnd, SeriesImpliesCounters) {
-  auto config = series_config();
-  config.obs.counters = false;
-  config.finalize();
-  EXPECT_TRUE(config.obs.counters);
-}
-
 TEST(SeriesEndToEnd, RepeatedRunsProduceByteIdenticalSeries) {
   const RunResult a = run_experiment(series_config());
   const RunResult b = run_experiment(series_config());
@@ -220,9 +244,9 @@ TEST(SeriesEndToEnd, SamplingNeverPerturbsTheRun) {
   auto with_series = series_config();
   with_series.obs.trace = true;
   with_series.obs.profile = true;
+  with_series.obs.counters = true;
   auto without_series = with_series;
   without_series.obs.series = false;
-  without_series.obs.counters = true;  // finalize() would set it via series
 
   const RunResult on = run_experiment(with_series);
   const RunResult off = run_experiment(without_series);

@@ -4,10 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include <sstream>
-
 #include "phy/medium.h"
-#include "phy/trace.h"
 #include "topology/field.h"
 
 namespace lw::phy {
@@ -229,20 +226,6 @@ TEST_F(MediumTest, RecorderObservesAllOutcomes) {
   EXPECT_GE(trace.rx, 2);   // first frame at 1, second burst at 3
   EXPECT_EQ(trace.coll, 2);
   EXPECT_EQ(trace.loss, 0);
-}
-
-TEST_F(MediumTest, TextTraceFormatsLines) {
-  build(PhyParams{});
-  std::ostringstream out;
-  obs::Recorder recorder;
-  TextTrace trace(out);
-  recorder.add_sink(&trace, obs::layer_bit(obs::Layer::kPhy));
-  medium_->set_recorder(&recorder);
-  medium_->transmit(1, make_packet(pkt::PacketType::kRouteRequest));
-  sim_.run_all();
-  const std::string text = out.str();
-  EXPECT_NE(text.find("TX   node=1 REQ"), std::string::npos) << text;
-  EXPECT_NE(text.find("RX   node=0 REQ"), std::string::npos) << text;
 }
 
 }  // namespace

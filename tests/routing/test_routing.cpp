@@ -43,7 +43,7 @@ TEST(Routing, EstablishedRouteFollowsRealLinks) {
   net.run_until(5.0);
   net.node(0).routing().send_data(29, 32);
   net.run_until(30.0);
-  ASSERT_GE(net.metrics().routes_established, 1u);
+  ASSERT_GE(net.recorder().count(obs::EventKind::kRouteEstablished), 1u);
   const Route* route = net.node(0).routing().cache().lookup(29, 30.0);
   ASSERT_NE(route, nullptr);
   EXPECT_EQ(route->path.front(), 0u);
@@ -80,9 +80,9 @@ TEST(Routing, PendingQueueOverflowDropsAsNoRoute) {
   for (std::size_t i = 0; i < limit + 5; ++i) {
     routing.send_data(19, 32);
   }
-  EXPECT_EQ(net.metrics().data_dropped_no_route, 5u);
+  EXPECT_EQ(net.recorder().count(obs::EventKind::kRouteDrop), 5u);
   net.run_until(40.0);
-  EXPECT_EQ(net.metrics().data_delivered, limit);
+  EXPECT_EQ(net.recorder().count(obs::EventKind::kRouteDeliver), limit);
 }
 
 TEST(Routing, QueuedDataFlushedOnRouteEstablishment) {
@@ -90,8 +90,8 @@ TEST(Routing, QueuedDataFlushedOnRouteEstablishment) {
   net.run_until(5.0);
   for (int i = 0; i < 5; ++i) net.node(0).routing().send_data(19, 32);
   net.run_until(40.0);
-  EXPECT_EQ(net.metrics().data_delivered, 5u);
-  EXPECT_EQ(net.metrics().discoveries, 1u)
+  EXPECT_EQ(net.recorder().count(obs::EventKind::kRouteDeliver), 5u);
+  EXPECT_EQ(net.recorder().count(obs::EventKind::kRouteDiscovery), 1u)
       << "one flood serves all queued packets";
 }
 

@@ -1,6 +1,9 @@
 // Scenario wiring: topology constraints, determinism, config handling.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "scenario/runner.h"
 
 namespace lw::scenario {
@@ -189,9 +192,9 @@ TEST(Network, RunUntilIsMonotonic) {
   EXPECT_GE(RunResult::from_metrics(net).data_originated, mid);
 }
 
-// The metrics collector and the counter registry are two sinks on one
-// event bus: every protocol fact the run reports must read the same from
-// both.
+// One event tally: the run metrics, the counter registry, the profile and
+// the telemetry series all read the Recorder's count, so every protocol
+// fact and every per-layer event total must read the same from each.
 class OneStream : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(OneStream, RunResultMatchesRegistryCounters) {
@@ -201,11 +204,14 @@ TEST_P(OneStream, RunResultMatchesRegistryCounters) {
   config.duration = 300.0;
   config.defense.name = GetParam();
   config.obs.counters = true;
+  config.obs.profile = true;
+  config.obs.series = true;
+  config.obs.series_bucket = 25.0;
   config.finalize();
   Network net(config);
   net.run();
   const RunResult r = RunResult::from_metrics(net);
-  const auto counters = net.registry_snapshot().counters;
+  const auto& counters = r.registry.counters;
   auto count = [&counters](const char* name) -> std::uint64_t {
     auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second;
@@ -225,6 +231,43 @@ TEST_P(OneStream, RunResultMatchesRegistryCounters) {
   EXPECT_EQ(r.suspicions_fabrication + r.suspicions_drop +
                 r.suspicions_anomaly,
             count("mon.suspicion"));
+  ASSERT_TRUE(r.registry.histograms.count("route.deliver_latency"));
+  EXPECT_EQ(r.registry.histograms.at("route.deliver_latency").count,
+            r.data_delivered);
+
+  // Per layer: profile events == registry counters summed by layer prefix
+  // == series buckets summed over the run.
+  std::array<std::uint64_t, obs::kLayerCount> by_prefix{};
+  std::array<std::uint64_t, obs::kLayerCount> by_bucket{};
+  for (const auto& [name, n] : counters) {
+    for (std::size_t i = 0; i < obs::kLayerCount; ++i) {
+      const std::string prefix =
+          std::string(obs::to_string(static_cast<obs::Layer>(i))) + ".";
+      if (name.rfind(prefix, 0) == 0) by_prefix[i] += n;
+    }
+  }
+  std::uint64_t deliveries = 0;
+  double latency_sum = 0.0;
+  for (const obs::SeriesBucket& bucket : r.series.buckets) {
+    for (std::size_t i = 0; i < obs::kLayerCount; ++i) {
+      by_bucket[i] += bucket.layer_events[i];
+    }
+    deliveries += bucket.deliveries;
+    latency_sum += bucket.delivery_latency_sum;
+  }
+  ASSERT_TRUE(r.profile.enabled);
+  for (std::size_t i = 0; i < obs::kLayerCount; ++i) {
+    const char* layer = obs::to_string(static_cast<obs::Layer>(i));
+    EXPECT_EQ(r.profile.layers[i].events, by_prefix[i]) << layer;
+    EXPECT_EQ(r.profile.layers[i].events, by_bucket[i]) << layer;
+  }
+  EXPECT_GT(r.profile.layers[static_cast<std::size_t>(obs::Layer::kPhy)]
+                .events,
+            0u)
+      << "profiling keeps every layer live";
+  EXPECT_EQ(deliveries, r.data_delivered);
+  EXPECT_NEAR(latency_sum, net.metrics().delivery_latency_sum,
+              1e-9 * (1.0 + latency_sum));
 }
 
 INSTANTIATE_TEST_SUITE_P(

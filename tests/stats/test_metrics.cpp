@@ -1,5 +1,6 @@
 // Metrics collector: ground-truth classification and isolation tracking,
-// fed the route/mon/atk events a run's recorder delivers to it.
+// fed the route/mon/atk events through a recorder, as in a run; plain
+// per-kind counts are the recorder's tally.
 #include <gtest/gtest.h>
 
 #include "stats/metrics.h"
@@ -14,52 +15,55 @@ class MetricsTest : public ::testing::Test {
  protected:
   // Line 0-1-2-3-4 (spacing 20, range 25): consecutive nodes adjacent.
   MetricsTest()
-      : graph_(topo::place_line(5, 20.0), 25.0), metrics_(graph_, {2}) {}
+      : graph_(topo::place_line(5, 20.0), 25.0), metrics_(graph_, {2}) {
+    recorder_.add_sink(&metrics_, MetricsCollector::kLayers);
+  }
 
   /// `source` cached `path` (route.established carries the winning REP).
   void route_established(NodeId source, pkt::NodeList path) {
     pkt::Packet rep;
     rep.route = std::move(path);
-    metrics_.on_event({.kind = EventKind::kRouteEstablished,
-                       .node = source,
-                       .peer = rep.route.back(),
-                       .value = static_cast<double>(rep.route.size() - 1),
-                       .packet = &rep});
+    recorder_.emit({.kind = EventKind::kRouteEstablished,
+                    .node = source,
+                    .peer = rep.route.back(),
+                    .value = static_cast<double>(rep.route.size() - 1),
+                    .packet = &rep});
   }
   void local_detection(NodeId guard, NodeId suspect, Time t = 0.0) {
-    metrics_.on_event({.t = t,
-                       .kind = EventKind::kMonDetection,
-                       .node = guard,
-                       .peer = suspect});
+    recorder_.emit({.t = t,
+                    .kind = EventKind::kMonDetection,
+                    .node = guard,
+                    .peer = suspect});
   }
   void isolation(NodeId node, NodeId suspect, Time t = 0.0) {
-    metrics_.on_event({.t = t,
-                       .kind = EventKind::kMonIsolation,
-                       .node = node,
-                       .peer = suspect,
-                       .value = 3.0});
+    recorder_.emit({.t = t,
+                    .kind = EventKind::kMonIsolation,
+                    .node = node,
+                    .peer = suspect,
+                    .value = 3.0});
   }
   void suspicion(NodeId guard, NodeId suspect, std::uint8_t detail) {
-    metrics_.on_event({.kind = EventKind::kMonSuspicion,
-                       .node = guard,
-                       .peer = suspect,
-                       .detail = detail});
+    recorder_.emit({.kind = EventKind::kMonSuspicion,
+                    .node = guard,
+                    .peer = suspect,
+                    .detail = detail});
   }
   /// route.deliver at `t` of a packet created at `created_at`.
   void delivered(Time t, Time created_at) {
-    metrics_.on_event({.t = t,
-                       .kind = EventKind::kRouteDeliver,
-                       .node = 4,
-                       .value = t - created_at});
+    recorder_.emit({.t = t,
+                    .kind = EventKind::kRouteDeliver,
+                    .node = 4,
+                    .value = t - created_at});
   }
 
   topo::DiscGraph graph_;
   MetricsCollector metrics_;
+  obs::Recorder recorder_;
 };
 
 TEST_F(MetricsTest, PhysicalRouteIsClean) {
   route_established(0, {0, 1, 2, 3});
-  EXPECT_EQ(metrics_.routes_established, 1u);
+  EXPECT_EQ(recorder_.count(EventKind::kRouteEstablished), 1u);
   EXPECT_EQ(metrics_.wormhole_routes, 0u);
   EXPECT_EQ(metrics_.routes_via_malicious, 1u) << "node 2 is malicious";
   EXPECT_EQ(metrics_.routes_via_malicious_transit, 1u);
@@ -123,11 +127,11 @@ TEST_F(MetricsTest, SuspicionClassification) {
 
 TEST_F(MetricsTest, DropAccountingWithTimestamps) {
   pkt::Packet data;
-  metrics_.on_event({.t = 3.0,
-                     .kind = EventKind::kAtkDrop,
-                     .node = 2,
-                     .packet = &data});
-  EXPECT_EQ(metrics_.data_dropped_malicious, 1u);
+  recorder_.emit({.t = 3.0,
+                  .kind = EventKind::kAtkDrop,
+                  .node = 2,
+                  .packet = &data});
+  EXPECT_EQ(recorder_.count(EventKind::kAtkDrop), 1u);
   ASSERT_EQ(metrics_.drop_times.size(), 1u);
   EXPECT_DOUBLE_EQ(metrics_.drop_times[0], 3.0);
 }
@@ -135,6 +139,7 @@ TEST_F(MetricsTest, DropAccountingWithTimestamps) {
 TEST_F(MetricsTest, DeliveryLatencyStatistics) {
   for (double latency : {1.0, 2.0, 3.0, 4.0}) delivered(10.0 + latency, 10.0);
   ASSERT_EQ(metrics_.delivery_latencies.size(), 4u);
+  EXPECT_DOUBLE_EQ(metrics_.delivery_latency_sum, 10.0);
   EXPECT_NEAR(metrics_.mean_delivery_latency(), 2.5, 1e-9);
   EXPECT_NEAR(metrics_.latency_percentile(0.0), 1.0, 1e-9);
   EXPECT_NEAR(metrics_.latency_percentile(100.0), 4.0, 1e-9);

@@ -1,4 +1,4 @@
-// lw-trace: offline analyzer for JSONL event traces (--trace/--trace-out).
+// lw-trace: offline analyzer for JSONL event traces (bench --trace).
 //
 // Subcommands:
 //   stats <file>                 event counts per layer.event, time span,
