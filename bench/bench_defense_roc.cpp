@@ -43,7 +43,7 @@
 #include "attack/modes.h"
 #include "bench_common.h"
 #include "defense/defense.h"
-#include "obs/span.h"
+#include "obs/metrics_registry.h"
 #include "scenario/sweep.h"
 #include "util/config.h"
 

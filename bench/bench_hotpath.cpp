@@ -144,7 +144,8 @@ static int run_bench(lw::Config& args) {
 
   std::vector<Case> cases;
   for (const NodesSpec& spec : parse_nodes_list(nodes_csv)) {
-    const std::string stem = "n" + std::to_string(spec.nodes);
+    std::string stem = "n";
+    stem += std::to_string(spec.nodes);
     if (spec.collisions_case) {
       cases.push_back({stem + "_collisions", spec.nodes, true});
     }

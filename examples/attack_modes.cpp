@@ -61,20 +61,20 @@ void narrate(const lw::attack::ModeInfo& info,
     if (liteworp) {
       std::printf("  guards: %llu fabrication + %llu drop suspicions, "
                   "%llu alerts\n",
-                  static_cast<unsigned long long>(m.suspicions_fabrication),
-                  static_cast<unsigned long long>(m.suspicions_drop),
+                  static_cast<unsigned long long>(r.suspicions_fabrication),
+                  static_cast<unsigned long long>(r.suspicions_drop),
                   static_cast<unsigned long long>(
                       net.defense_cost().control_messages));
-      for (const auto& [mal, record] : m.isolation()) {
+      for (const auto& record : m.isolation()) {
         if (record.complete) {
           std::printf("  attacker %u completely isolated at t = %.1f s\n",
-                      mal, *record.complete);
+                      record.node, *record.complete);
         } else if (record.first_detection) {
           std::printf("  attacker %u detected (t = %.1f s) but not fully "
                       "isolated\n",
-                      mal, *record.first_detection);
+                      record.node, *record.first_detection);
         } else {
-          std::printf("  attacker %u never detected%s\n", mal,
+          std::printf("  attacker %u never detected%s\n", record.node,
                       info.detected_by_liteworp
                           ? ""
                           : " (expected: the paper's stated limitation)");

@@ -128,18 +128,18 @@ int main(int argc, char** argv) {
     std::printf("  (%s)\n", clean ? "the honest chain"
                                   : "still the wormhole illusion");
   }
-  for (const auto& [mal, record] : m.isolation()) {
-    const char* name = mal == 5 ? "X" : "Y";
+  for (const auto& record : m.isolation()) {
+    const char* name = record.node == 5 ? "X" : "Y";
     if (record.complete) {
       std::printf("%s (node %u) completely isolated at t = %.1f s\n", name,
-                  mal, *record.complete);
+                  record.node, *record.complete);
     } else if (record.first_detection) {
       std::printf("%s (node %u) detected at t = %.1f s (%zu/%zu neighbors "
                   "revoked)\n",
-                  name, mal, *record.first_detection,
-                  record.revoked_by.size(), record.required.size());
+                  name, record.node, *record.first_detection,
+                  record.revoked, record.required);
     } else {
-      std::printf("%s (node %u) undetected%s\n", name, mal,
+      std::printf("%s (node %u) undetected%s\n", name, record.node,
                   liteworp ? "" : " (no defense)");
     }
   }

@@ -79,12 +79,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   events.count(lw::obs::EventKind::kAtkDrop)),
               m.malicious_isolated_count(), net.malicious_ids().size(),
-              static_cast<unsigned long long>(m.false_isolations));
-  for (const auto& [mal, record] : m.isolation()) {
+              static_cast<unsigned long long>(
+                  m.accusations().false_isolations));
+  for (const auto& record : m.isolation()) {
     if (record.complete) {
       std::printf("  attacker %u isolated at t = %.1f s "
                   "(%zu neighbors revoked it)\n",
-                  mal, *record.complete, record.revoked_by.size());
+                  record.node, *record.complete, record.revoked);
     }
   }
   std::puts("\nThe joiners participate as full citizens: they route, they"

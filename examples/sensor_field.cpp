@@ -144,24 +144,24 @@ int main(int argc, char** argv) {
 
   std::cout << "\n--- defense ---\n";
   std::printf("  suspicions: fabrication %llu, drop %llu (false %llu)\n",
-              static_cast<unsigned long long>(m.suspicions_fabrication),
-              static_cast<unsigned long long>(m.suspicions_drop),
-              static_cast<unsigned long long>(m.false_suspicions));
+              static_cast<unsigned long long>(r.suspicions_fabrication),
+              static_cast<unsigned long long>(r.suspicions_drop),
+              static_cast<unsigned long long>(r.false_suspicions));
   std::printf("  local detections %llu  alerts %llu  false isolations %llu\n",
               static_cast<unsigned long long>(r.local_detections),
               static_cast<unsigned long long>(
                   net.defense_cost().control_messages),
-              static_cast<unsigned long long>(m.false_isolations));
-  for (const auto& [mal, record] : m.isolation()) {
+              static_cast<unsigned long long>(r.false_isolations));
+  for (const auto& record : m.isolation()) {
     std::printf("  malicious %u: first detection %s, isolation %s "
                 "(%zu/%zu neighbors revoked it)\n",
-                mal,
+                record.node,
                 record.first_detection
                     ? std::to_string(*record.first_detection).c_str()
                     : "never",
                 record.complete ? std::to_string(*record.complete).c_str()
                                 : "incomplete",
-                record.revoked_by.size(), record.required.size());
+                record.revoked, record.required);
   }
 
   std::cout << "\n--- per-node state (sampled) ---\n";

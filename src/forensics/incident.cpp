@@ -63,6 +63,7 @@ void IncidentBuilder::on_event(const obs::Event& event) {
       if (incident.first_detection < 0.0) incident.first_detection = event.t;
       ++incident.detections;
       incident.peak_malc = std::max(incident.peak_malc, event.value);
+      incident.revoked_at.emplace(event.node, event.t);
       break;
     case obs::EventKind::kMonAlert: {
       ++incident.alerts;
@@ -74,6 +75,7 @@ void IncidentBuilder::on_event(const obs::Event& event) {
     case obs::EventKind::kMonIsolation:
       if (incident.first_isolation < 0.0) incident.first_isolation = event.t;
       ++incident.isolations;
+      incident.revoked_at.emplace(event.node, event.t);
       break;
     default:
       break;
@@ -93,9 +95,7 @@ std::vector<Incident> IncidentBuilder::build() const {
     }
     Incident labeled = incident;
     labeled.ground_truth_malicious = malicious_.count(accused) != 0;
-    auto act = first_act_.find(accused);
-    labeled.first_malicious_act =
-        act == first_act_.end() ? -1.0 : act->second;
+    labeled.first_malicious_act = first_malicious_act(accused);
     if (auto framed = framed_.find(accused); framed != framed_.end()) {
       labeled.framed = true;
       labeled.framers.assign(framed->second.begin(), framed->second.end());

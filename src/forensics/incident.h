@@ -10,11 +10,12 @@
 // attack-layer ground-truth events (atk.spawn/tunnel/replay/drop) to label
 // the incident a true or false positive.
 //
-// The same IncidentBuilder serves two callers: in-process as an
-// obs::EventSink attached by scenario::Network (config.obs.forensics), and
-// offline in tools/lw-trace, fed with events parsed back from a JSONL
-// trace. Both paths see identical Event streams, so labels never diverge
-// between live runs and post-hoc analysis.
+// The same IncidentBuilder serves two callers: in-process as the one
+// per-accused fold of every scenario::Network run (the run metrics and the
+// alert-round spans read it), and offline in tools/lw-trace, fed with
+// events parsed back from a JSONL trace. Both paths see identical Event
+// streams, so labels never diverge between live runs and post-hoc
+// analysis.
 #pragma once
 
 #include <cstdint>
@@ -71,6 +72,9 @@ struct Incident {
   Time first_isolation = -1.0;
   /// Distinct guards that transmitted alerts about the accused, ascending.
   std::vector<NodeId> accusing_guards;
+  /// Revoking node -> the first time it revoked the accused: the guard of
+  /// a mon.detection, the isolating node of a mon.isolation.
+  std::map<NodeId, Time> revoked_at;
   std::uint64_t suspicions_fabrication = 0;
   std::uint64_t suspicions_drop = 0;
   std::uint64_t suspicions_anomaly = 0;
@@ -131,16 +135,29 @@ struct ForensicsSummary {
 };
 
 /// EventSink folding monitor + attack + fault events into Incidents.
-/// Subscribe it to layer_bit(kMonitor) | layer_bit(kAttack) |
-/// layer_bit(kFault); other layers are ignored.
 class IncidentBuilder final : public obs::EventSink {
  public:
+  /// The layers it folds; events of other layers are ignored.
+  static constexpr std::uint32_t kLayers =
+      obs::layer_bit(obs::Layer::kMonitor) |
+      obs::layer_bit(obs::Layer::kAttack) | obs::layer_bit(obs::Layer::kFault);
+
   void on_event(const obs::Event& event) override;
 
   /// Incidents for every accused with at least one detection or isolation,
   /// sorted by accused id (deterministic), labeled against the attack
   /// ground truth seen so far.
   std::vector<Incident> build() const;
+
+  /// The evidence against every accused so far, suspicion-only ones
+  /// included, keyed by accused. Unlabeled: build() adds the ground truth.
+  const std::map<NodeId, Incident>& accused() const { return state_; }
+
+  /// First tunnel/replay/drop by `node`; negative when it never acted.
+  Time first_malicious_act(NodeId node) const {
+    auto act = first_act_.find(node);
+    return act == first_act_.end() ? -1.0 : act->second;
+  }
 
   ForensicsSummary summarize() const { return summarize(build()); }
   static ForensicsSummary summarize(const std::vector<Incident>& incidents);

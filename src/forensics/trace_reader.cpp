@@ -6,7 +6,7 @@
 #include <string_view>
 #include <utility>
 
-#include "obs/span.h"
+#include "forensics/span.h"
 #include "packet/packet.h"
 #include "util/json.h"
 
@@ -154,8 +154,8 @@ std::vector<Vocabulary> make_vocabularies() {
   vocabularies[TraceRecord::kDefense] = Vocabulary(enum_names<obs::DefenseTag>(
       0, static_cast<std::size_t>(obs::DefenseTag::kNone) + 1));
   vocabularies[TraceRecord::kSpanKind] =
-      Vocabulary(enum_names<obs::SpanKind>(0, obs::kSpanKindCount));
-  // The outcomes obs::SpanBuilder closes spans with.
+      Vocabulary(enum_names<SpanKind>(0, kSpanKindCount));
+  // The outcomes SpanBuilder closes spans with.
   vocabularies[TraceRecord::kOutcome] = Vocabulary(
       {"established", "cleared", "dropped", "isolated", "joined", "open"});
   return vocabularies;

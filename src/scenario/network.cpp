@@ -40,14 +40,18 @@ Network::Network(ExperimentConfig config)
   RngFactory rngs(config_.seed);
 
   // The recorder always exists so callers can attach their own sinks
-  // right after construction. The metrics collector keeps the route, mon
-  // and atk layers live in every run; profile, series and counters read
-  // every layer from the recorder's tally. Otherwise a phy, mac, nbr or
-  // flt emit site with no sink short-circuits on the wants() mask test.
+  // right after construction. The incident builder and the metrics
+  // collector keep the route, mon, atk and flt layers live in every run;
+  // profile, series and counters read every layer from the recorder's
+  // tally. Otherwise a phy, mac or nbr emit site with no sink
+  // short-circuits on the wants() mask test.
   recorder_ = std::make_unique<obs::Recorder>();
   if (config_.obs.profile || config_.obs.series || config_.obs.counters) {
     recorder_->listen(obs::kAllLayers);
   }
+  // First: the span builder reads an accused's incident at the isolation
+  // that closes its alert round.
+  recorder_->add_sink(&incident_builder_, forensics::IncidentBuilder::kLayers);
   if (config_.obs.trace) {
     trace_writer_ = std::make_unique<obs::TraceWriter>(trace_buffer_);
     recorder_->add_sink(trace_writer_.get(), config_.obs.trace_layers);
@@ -57,26 +61,13 @@ Network::Network(ExperimentConfig config)
     // lands immediately after the event that opened/closed it. Span lines
     // are written only when a trace is being recorded; otherwise the
     // builder collects statistics alone.
-    span_builder_ = std::make_unique<obs::SpanBuilder>(
-        config_.obs.trace ? &trace_buffer_ : nullptr);
+    span_builder_ = std::make_unique<forensics::SpanBuilder>(
+        incident_builder_, config_.obs.trace ? &trace_buffer_ : nullptr);
     recorder_->add_sink(span_builder_.get(),
                         obs::layer_bit(obs::Layer::kNeighbor) |
                             obs::layer_bit(obs::Layer::kRouting) |
                             obs::layer_bit(obs::Layer::kMonitor) |
                             obs::layer_bit(obs::Layer::kAttack));
-  }
-  if (config_.obs.counters) {
-    // Seeded so reservoir histograms are reproducible per run (and hence
-    // identical across sweep thread counts).
-    registry_ = std::make_unique<obs::RegistrySink>(config_.seed);
-    recorder_->add_sink(registry_.get(), obs::RegistrySink::kLayers);
-  }
-  if (config_.obs.forensics) {
-    incident_builder_ = std::make_unique<forensics::IncidentBuilder>();
-    recorder_->add_sink(incident_builder_.get(),
-                        obs::layer_bit(obs::Layer::kMonitor) |
-                            obs::layer_bit(obs::Layer::kAttack) |
-                            obs::layer_bit(obs::Layer::kFault));
   }
   if (config_.obs.profile) {
     profiler_ = std::make_unique<obs::RunProfiler>();
@@ -99,8 +90,8 @@ Network::Network(ExperimentConfig config)
   medium_ = std::make_unique<phy::Medium>(simulator_, *graph_, config_.phy,
                                           rngs.stream("phy-loss"));
   medium_->set_recorder(recorder_.get());
-  metrics_ =
-      std::make_unique<stats::MetricsCollector>(*graph_, malicious_ids_);
+  metrics_ = std::make_unique<stats::MetricsCollector>(*graph_, malicious_ids_,
+                                                       incident_builder_);
   recorder_->add_sink(metrics_.get(), stats::MetricsCollector::kLayers);
   coordinator_ = std::make_unique<attack::WormholeCoordinator>(
       simulator_, config_.attack);
@@ -316,9 +307,14 @@ void Network::configure_attack() {
   }
 
   if (config_.attack.mode == attack::WormholeMode::kHighPower) {
-    for (NodeId x : malicious_ids_) {
-      medium_->set_rx_range_multiplier(x, config_.attack.high_power_multiplier);
-    }
+    // An honest insider until the attack starts: the attacker completes
+    // neighbor discovery at normal power, then turns its power up.
+    simulator_.schedule_at(config_.attack.start_time, [this] {
+      for (NodeId x : malicious_ids_) {
+        medium_->set_rx_range_multiplier(x,
+                                         config_.attack.high_power_multiplier);
+      }
+    });
   }
 }
 
@@ -415,7 +411,7 @@ std::string Network::trace_jsonl() const {
   return trace_buffer_.str();
 }
 
-obs::SpanReport Network::spans() const {
+forensics::SpanReport Network::spans() const {
   if (!span_builder_) return {};
   const_cast<Network*>(this)->span_builder_->flush(simulator_.now());
   return span_builder_->report();

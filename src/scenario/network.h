@@ -14,10 +14,10 @@
 #include "attack/coordinator.h"
 #include "fault/injector.h"
 #include "forensics/incident.h"
+#include "forensics/span.h"
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "obs/recorder.h"
-#include "obs/span.h"
 #include "obs/timeseries.h"
 #include "obs/trace_writer.h"
 #include "phy/medium.h"
@@ -62,9 +62,10 @@ class Network : public fault::FaultHost {
   // ---- Observability (config().obs selects what is live) ----
 
   /// The run's event recorder and event tally. Always present, with the
-  /// metrics collector subscribed to the route, mon and atk layers:
-  /// config().obs selects the other built-in sinks (trace/spans/counters/
-  /// forensics), and callers may add their own before running.
+  /// incident builder subscribed to the mon, atk and flt layers and the
+  /// metrics collector to the route and atk layers: config().obs selects
+  /// the other built-in sinks (trace/spans), and callers may add their own
+  /// before running.
   obs::Recorder& recorder() { return *recorder_; }
   const obs::Recorder& recorder() const { return *recorder_; }
 
@@ -75,10 +76,10 @@ class Network : public fault::FaultHost {
   /// the buffer), so call after the run completes.
   std::string trace_jsonl() const;
 
-  /// Counter/histogram snapshot (empty unless obs.counters).
+  /// The tally's counters by name (empty unless obs.counters).
   obs::RegistrySnapshot registry_snapshot() const {
-    return registry_ ? registry_->snapshot(*recorder_)
-                     : obs::RegistrySnapshot{};
+    return config_.obs.counters ? obs::RegistrySnapshot::from(*recorder_)
+                                : obs::RegistrySnapshot{};
   }
 
   /// Profiling report; enabled flag mirrors obs.profile. Wall time covers
@@ -93,19 +94,19 @@ class Network : public fault::FaultHost {
   /// Labeled detection incidents folded live from the event stream (empty
   /// unless obs.forensics). Sorted by accused node id.
   std::vector<forensics::Incident> incidents() const {
-    return incident_builder_ ? incident_builder_->build()
-                             : std::vector<forensics::Incident>{};
+    return config_.obs.forensics ? incident_builder_.build()
+                                 : std::vector<forensics::Incident>{};
   }
 
   /// Protocol-transaction span statistics (enabled flag false unless
   /// obs.spans). Flushes still-open spans at the current sim time on
   /// first read, so call after the run completes.
-  obs::SpanReport spans() const;
+  forensics::SpanReport spans() const;
 
   /// Aggregate forensics summary; enabled flag mirrors obs.forensics.
   forensics::ForensicsSummary forensics_summary() const {
-    return incident_builder_ ? incident_builder_->summarize()
-                             : forensics::ForensicsSummary{};
+    return config_.obs.forensics ? incident_builder_.summarize()
+                                 : forensics::ForensicsSummary{};
   }
 
   /// Network-wide defense overhead: per-node CostSnapshots summed in
@@ -153,10 +154,10 @@ class Network : public fault::FaultHost {
   crypto::KeyManager keys_;
   pkt::PacketFactory factory_;
   std::ostringstream trace_buffer_;
+  /// The run's one per-accused fold; the metrics and spans read it.
+  forensics::IncidentBuilder incident_builder_;
   std::unique_ptr<obs::TraceWriter> trace_writer_;
-  std::unique_ptr<obs::SpanBuilder> span_builder_;
-  std::unique_ptr<obs::RegistrySink> registry_;
-  std::unique_ptr<forensics::IncidentBuilder> incident_builder_;
+  std::unique_ptr<forensics::SpanBuilder> span_builder_;
   std::unique_ptr<obs::RunProfiler> profiler_;
   std::unique_ptr<obs::TelemetrySampler> sampler_;
   std::unique_ptr<obs::Recorder> recorder_;

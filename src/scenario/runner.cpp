@@ -23,13 +23,14 @@ RunResult RunResult::from_metrics(const Network& network) {
   r.wormhole_routes = m.wormhole_routes;
   r.routes_via_malicious = m.routes_via_malicious;
   r.wormhole_replays = events.count(obs::EventKind::kAtkReplay);
-  r.suspicions_fabrication = m.suspicions_fabrication;
-  r.suspicions_drop = m.suspicions_drop;
-  r.suspicions_anomaly = m.suspicions_anomaly;
-  r.false_suspicions = m.false_suspicions;
+  const stats::Accusations accusations = m.accusations();
+  r.suspicions_fabrication = accusations.suspicions_fabrication;
+  r.suspicions_drop = accusations.suspicions_drop;
+  r.suspicions_anomaly = accusations.suspicions_anomaly;
+  r.false_suspicions = accusations.false_suspicions;
   r.local_detections = events.count(obs::EventKind::kMonDetection);
   r.isolation_events = events.count(obs::EventKind::kMonIsolation);
-  r.false_isolations = m.false_isolations;
+  r.false_isolations = accusations.false_isolations;
   r.malicious_count = network.malicious_ids().size();
   r.malicious_isolated = m.malicious_isolated_count();
   r.all_isolated = m.all_malicious_isolated();

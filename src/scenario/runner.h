@@ -91,7 +91,7 @@ struct RunResult {
   /// Sim-time telemetry series; enabled mirrors obs.series.
   obs::SeriesReport series;
   /// Protocol-transaction spans; enabled mirrors obs.spans.
-  obs::SpanReport spans;
+  forensics::SpanReport spans;
 
   double fraction_dropped() const {
     return data_originated == 0

@@ -311,7 +311,7 @@ void emit_replica(util::JsonWriter& json, const RunResult& r,
   if (r.spans.enabled) {
     // Pre-rendered by the obs layer (same pattern as "series"); absent
     // entirely when spans are off so existing output stays byte-identical.
-    json.key("spans").raw(obs::spans_to_json(r.spans));
+    json.key("spans").raw(forensics::spans_to_json(r.spans));
   }
   json.close('}');
 }

@@ -7,17 +7,12 @@
 namespace lw::stats {
 
 MetricsCollector::MetricsCollector(const topo::DiscGraph& graph,
-                                   std::vector<NodeId> malicious)
+                                   std::vector<NodeId> malicious,
+                                   const forensics::IncidentBuilder& incidents)
     : graph_(graph),
       malicious_(std::move(malicious)),
-      malicious_set_(malicious_.begin(), malicious_.end()) {
-  for (NodeId m : malicious_) {
-    IsolationRecord record;
-    for (NodeId neighbor : graph_.neighbors(m)) {
-      if (malicious_set_.count(neighbor) == 0) record.required.insert(neighbor);
-    }
-    isolation_.emplace(m, std::move(record));
-  }
+      incidents_(incidents) {
+  std::sort(malicious_.begin(), malicious_.end());
 }
 
 void MetricsCollector::on_event(const obs::Event& event) {
@@ -28,15 +23,6 @@ void MetricsCollector::on_event(const obs::Event& event) {
       break;
     case obs::EventKind::kRouteEstablished:
       on_route_established(event.t, event.packet->route);
-      break;
-    case obs::EventKind::kMonSuspicion:
-      on_suspicion(event.peer, event.detail);
-      break;
-    case obs::EventKind::kMonDetection:
-      on_local_detection(event.t, event.node, event.peer);
-      break;
-    case obs::EventKind::kMonIsolation:
-      on_isolation(event.t, event.node, event.peer);
       break;
     case obs::EventKind::kAtkDrop:
       drop_times.push_back(event.t);
@@ -82,66 +68,74 @@ void MetricsCollector::on_route_established(Time t,
   if (transit) ++routes_via_malicious_transit;
 }
 
-void MetricsCollector::on_suspicion(NodeId suspect, std::uint8_t detail) {
-  if (detail == obs::kSuspicionFabrication) {
-    ++suspicions_fabrication;
-  } else if (detail == obs::kSuspicionDrop) {
-    ++suspicions_drop;
-  } else {
-    ++suspicions_anomaly;
+Accusations MetricsCollector::accusations() const {
+  Accusations a;
+  for (const auto& [accused, incident] : incidents_.accused()) {
+    a.suspicions_fabrication += incident.suspicions_fabrication;
+    a.suspicions_drop += incident.suspicions_drop;
+    a.suspicions_anomaly += incident.suspicions_anomaly;
+    if (is_malicious(accused)) continue;
+    // A local detection is one guard's noise conviction: it severs one
+    // link. Only a gamma-confirmed isolation (mon.isolation) counts as the
+    // network falsely ISOLATING an honest node.
+    a.false_suspicions += incident.suspicions_fabrication +
+                          incident.suspicions_drop +
+                          incident.suspicions_anomaly;
+    a.false_local_detections += incident.detections;
+    a.false_isolations += incident.isolations;
   }
-  if (!is_malicious(suspect)) ++false_suspicions;
+  return a;
 }
 
-void MetricsCollector::on_local_detection(Time t, NodeId guard,
-                                          NodeId suspect) {
-  if (!is_malicious(suspect)) {
-    // One guard's noise conviction: it severs one link. Only a
-    // gamma-confirmed isolation (mon.isolation) counts as the network
-    // falsely ISOLATING an honest node.
-    ++false_local_detections;
-    return;
+std::vector<Isolation> MetricsCollector::isolation() const {
+  std::vector<Isolation> out;
+  for (NodeId m : malicious_) {
+    Isolation& status = out.emplace_back();
+    status.node = m;
+    std::vector<NodeId> required;
+    for (NodeId neighbor : graph_.neighbors(m)) {
+      if (!is_malicious(neighbor)) required.push_back(neighbor);
+    }
+    status.required = required.size();
+    auto found = incidents_.accused().find(m);
+    if (found == incidents_.accused().end()) continue;
+    const forensics::Incident& incident = found->second;
+    if (incident.first_detection >= 0.0) {
+      status.first_detection = incident.first_detection;
+    }
+    const auto& revoked_at = incident.revoked_at;
+    status.revoked = revoked_at.size();
+    if (revoked_at.empty()) continue;
+    // Complete isolation: the last honest neighbor's first revocation, or
+    // the first revocation when the node has no honest neighbor.
+    if (required.empty()) {
+      Time first = revoked_at.begin()->second;
+      for (const auto& [by, t] : revoked_at) first = std::min(first, t);
+      status.complete = first;
+    } else if (std::all_of(required.begin(), required.end(),
+                           [&revoked_at](NodeId n) {
+                             return revoked_at.count(n) != 0;
+                           })) {
+      Time last = 0.0;
+      for (NodeId n : required) last = std::max(last, revoked_at.at(n));
+      status.complete = last;
+    }
   }
-  IsolationRecord& record = isolation_.at(suspect);
-  if (!record.first_detection) record.first_detection = t;
-  note_revocation(t, guard, suspect);
-}
-
-void MetricsCollector::on_isolation(Time t, NodeId node, NodeId suspect) {
-  if (!is_malicious(suspect)) {
-    ++false_isolations;
-    return;
-  }
-  note_revocation(t, node, suspect);
-}
-
-void MetricsCollector::note_revocation(Time t, NodeId by, NodeId suspect) {
-  IsolationRecord& record = isolation_.at(suspect);
-  record.revoked_by.emplace(by, t);
-  if (record.complete) return;
-  const bool done = std::all_of(
-      record.required.begin(), record.required.end(),
-      [&record](NodeId n) { return record.revoked_by.count(n) != 0; });
-  if (done) record.complete = t;
-}
-
-bool MetricsCollector::all_malicious_isolated() const {
-  return malicious_isolated_count() == isolation_.size();
+  return out;
 }
 
 std::size_t MetricsCollector::malicious_isolated_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(isolation_.begin(), isolation_.end(),
-                    [](const auto& e) { return e.second.complete.has_value(); }));
+  std::size_t count = 0;
+  for (const Isolation& status : isolation()) count += status.complete ? 1 : 0;
+  return count;
 }
 
 std::optional<Duration> MetricsCollector::isolation_latency(
     Time attack_start) const {
   Duration latency = 0.0;
-  for (const auto& [node, record] : isolation_) {
-    (void)node;
-    if (!record.complete) return std::nullopt;
-    latency = std::max(latency, *record.complete - attack_start);
+  for (const Isolation& status : isolation()) {
+    if (!status.complete) return std::nullopt;
+    latency = std::max(latency, *status.complete - attack_start);
   }
   return latency;
 }

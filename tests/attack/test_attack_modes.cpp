@@ -192,6 +192,7 @@ TEST(SingleNodeModes, HighPowerReplaysAnchorTheIncident) {
   const auto incidents = net.incidents();
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_TRUE(incidents[0].true_positive());
+  EXPECT_TRUE(incidents[0].isolated());
   EXPECT_GE(incidents[0].first_malicious_act,
             net.config().attack.start_time);
 }

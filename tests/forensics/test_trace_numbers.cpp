@@ -16,8 +16,9 @@
 #include <string>
 #include <utility>
 
+#include "forensics/incident.h"
+#include "forensics/span.h"
 #include "forensics/trace_reader.h"
-#include "obs/span.h"
 #include "obs/trace_writer.h"
 #include "packet/packet.h"
 
@@ -168,15 +169,17 @@ TEST(TraceNumbers, TraceWriterLineBytes) {
 
 TEST(TraceNumbers, SpanBuilderLineBytes) {
   std::ostringstream out;
-  obs::SpanBuilder spans(&out);
-  const auto event = [&spans](Time t, obs::EventKind kind, NodeId node,
-                              NodeId peer, LineageId hint) {
+  IncidentBuilder incidents;
+  SpanBuilder spans(incidents, &out);
+  const auto event = [&](Time t, obs::EventKind kind, NodeId node,
+                         NodeId peer, LineageId hint) {
     obs::Event e;
     e.t = t;
     e.kind = kind;
     e.node = node;
     e.peer = peer;
     e.lineage_hint = hint;
+    incidents.on_event(e);
     spans.on_event(e);
   };
   const Time last = 123456.123456789;

@@ -161,7 +161,7 @@ TEST(DynamicJoin, WormholeAfterJoinStillDetected) {
   scenario::Network net(config);
   net.run();
   EXPECT_EQ(net.metrics().malicious_isolated_count(), 2u);
-  EXPECT_EQ(net.metrics().false_isolations, 0u);
+  EXPECT_EQ(net.metrics().accusations().false_isolations, 0u);
 }
 
 TEST(DynamicJoin, RelayCanForgeAdjacencyDuringJoinKnownLimitation) {

@@ -2,7 +2,6 @@
 // trace format, metrics registry, and profile totals.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -202,8 +201,7 @@ TEST(TraceWriter, LinesAreByteIdenticalAcrossRepeats) {
 // ---- Metrics registry ----
 
 TEST(Histogram, EmptySummaryIsAllZero) {
-  Histogram hist;
-  const HistogramSummary s = hist.summary();
+  const HistogramSummary s = summarize_samples({});
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.min, 0.0);
   EXPECT_DOUBLE_EQ(s.max, 0.0);
@@ -213,9 +211,7 @@ TEST(Histogram, EmptySummaryIsAllZero) {
 }
 
 TEST(Histogram, SingleSampleIsEveryStatistic) {
-  Histogram hist;
-  hist.add(3.5);
-  const HistogramSummary s = hist.summary();
+  const HistogramSummary s = summarize_samples({3.5});
   EXPECT_EQ(s.count, 1u);
   EXPECT_DOUBLE_EQ(s.min, 3.5);
   EXPECT_DOUBLE_EQ(s.max, 3.5);
@@ -225,9 +221,8 @@ TEST(Histogram, SingleSampleIsEveryStatistic) {
 }
 
 TEST(Histogram, PercentilesInterpolate) {
-  Histogram hist;
-  for (double v : {4.0, 1.0, 3.0, 2.0}) hist.add(v);
-  const HistogramSummary s = hist.summary();
+  // Unsorted input; rank = p/100 * (n - 1), linear between neighbors.
+  const HistogramSummary s = summarize_samples({4.0, 1.0, 3.0, 2.0});
   EXPECT_EQ(s.count, 4u);
   EXPECT_DOUBLE_EQ(s.min, 1.0);
   EXPECT_DOUBLE_EQ(s.max, 4.0);
@@ -236,108 +231,15 @@ TEST(Histogram, PercentilesInterpolate) {
   EXPECT_NEAR(s.p95, 3.85, 1e-12);
 }
 
-/// Deterministic sample stream for the reservoir tests (LCG, not tied to
-/// the histogram's own RNG).
-std::vector<double> synthetic_samples(std::size_t n) {
-  std::vector<double> samples;
-  samples.reserve(n);
-  std::uint64_t x = 0x2545F4914F6CDD1Dull;
-  for (std::size_t i = 0; i < n; ++i) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    samples.push_back(static_cast<double>(x >> 11) /
-                      static_cast<double>(1ull << 53));
-  }
-  return samples;
-}
-
-TEST(Histogram, PercentilesBitIdenticalToExactUpToCapacity) {
-  // While count <= capacity the reservoir holds every sample, so the
-  // percentiles must equal (to the last bit) the exact sort-and-interpolate
-  // computation over all inputs — the pre-reservoir behavior.
-  constexpr std::size_t kCapacity = 64;
-  Histogram hist(/*seed=*/123, kCapacity);
-  std::vector<double> samples = synthetic_samples(kCapacity);
-  for (double v : samples) hist.add(v);
-
-  std::sort(samples.begin(), samples.end());
-  const auto exact = [&samples](double p) {
-    const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-    const auto index = static_cast<std::size_t>(rank);
-    if (index + 1 >= samples.size()) return samples.back();
-    const double frac = rank - static_cast<double>(index);
-    return samples[index] * (1.0 - frac) + samples[index + 1] * frac;
-  };
-
-  const HistogramSummary s = hist.summary();
-  EXPECT_EQ(s.count, kCapacity);
-  EXPECT_EQ(s.min, samples.front());
-  EXPECT_EQ(s.max, samples.back());
-  EXPECT_EQ(s.p50, exact(50.0));  // bit-identical, not just near
-  EXPECT_EQ(s.p95, exact(95.0));
-}
-
-TEST(Histogram, OverCapacityKeepsExactScalarsAndBoundedMemory) {
-  constexpr std::size_t kCapacity = 32;
-  constexpr std::size_t kSamples = 10000;
-  Histogram hist(/*seed=*/7, kCapacity);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < kSamples; ++i) {
-    const double v = static_cast<double>(i) * 0.5;
-    hist.add(v);
-    sum += v;
-  }
-  const HistogramSummary s = hist.summary();
-  // count/min/max/mean track every sample exactly, reservoir or not.
-  EXPECT_EQ(s.count, kSamples);
-  EXPECT_DOUBLE_EQ(s.min, 0.0);
-  EXPECT_DOUBLE_EQ(s.max, static_cast<double>(kSamples - 1) * 0.5);
-  EXPECT_DOUBLE_EQ(s.mean, sum / static_cast<double>(kSamples));
-  // Percentiles come from the subsample: inside the data range and ordered.
-  EXPECT_GE(s.p50, s.min);
-  EXPECT_LE(s.p50, s.p95);
-  EXPECT_LE(s.p95, s.max);
-}
-
-TEST(Histogram, SameSeedSameSummaryAcrossInstances) {
-  const std::vector<double> samples = synthetic_samples(500);
-  Histogram a(/*seed=*/42, 16);
-  Histogram b(/*seed=*/42, 16);
-  for (double v : samples) {
-    a.add(v);
-    b.add(v);
-  }
-  const HistogramSummary sa = a.summary();
-  const HistogramSummary sb = b.summary();
-  EXPECT_EQ(sa.p50, sb.p50);
-  EXPECT_EQ(sa.p95, sb.p95);
-  EXPECT_EQ(sa.mean, sb.mean);
-}
-
 TEST(RegistrySink, CountersUseLayerDotEventNames) {
   Recorder rec;
-  RegistrySink sink;
-  rec.add_sink(&sink, RegistrySink::kLayers);
   rec.emit({.kind = EventKind::kPhyTx});
   rec.emit({.kind = EventKind::kPhyTx});
   rec.emit({.kind = EventKind::kMonIsolation});
-  const RegistrySnapshot snap = sink.snapshot(rec);
+  const RegistrySnapshot snap = RegistrySnapshot::from(rec);
   ASSERT_EQ(snap.counters.size(), 2u) << "zero-count kinds omitted";
   EXPECT_EQ(snap.counters.at("phy.tx"), 2u);
   EXPECT_EQ(snap.counters.at("mon.isolation"), 1u);
-}
-
-TEST(RegistrySink, ValueCarryingEventsFeedHistograms) {
-  Recorder rec;
-  RegistrySink sink;
-  rec.add_sink(&sink, RegistrySink::kLayers);
-  rec.emit({.kind = EventKind::kRouteDeliver, .value = 0.5});
-  rec.emit({.kind = EventKind::kRouteDeliver, .value = 1.5});
-  rec.emit({.kind = EventKind::kMacBackoff, .value = 0.01});
-  const RegistrySnapshot snap = sink.snapshot(rec);
-  ASSERT_EQ(snap.histograms.count("route.deliver_latency"), 1u);
-  ASSERT_EQ(snap.histograms.count("mac.backoff_delay"), 1u);
-  EXPECT_EQ(snap.histograms.at("route.deliver_latency").count, 2u);
-  EXPECT_DOUBLE_EQ(snap.histograms.at("route.deliver_latency").mean, 1.0);
 }
 
 TEST(RegistrySnapshot, AddCountersSumsByName) {

@@ -1,7 +1,6 @@
 // Telemetry series: bucket semantics on a bare simulator, end-to-end
 // determinism (repeat runs, sweep thread counts, series-on vs series-off
-// neutrality), the golden series fixture, and the Histogram::snapshot
-// non-perturbation contract.
+// neutrality) and the golden series fixture.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -10,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics_registry.h"
 #include "obs/timeseries.h"
 #include "scenario/runner.h"
 #include "scenario/sweep.h"
@@ -169,41 +167,6 @@ TEST(TimeSeries, JsonOmitsTimingUnlessRequested) {
   EXPECT_NE(plain.find("\"memory_high_water\""), std::string::npos);
 }
 
-// ---- Histogram snapshot (satellite: sampling never perturbs) ----
-
-TEST(HistogramSnapshot, ExactAggregatesWithoutTouchingReservoir) {
-  Histogram histogram(42, 8);
-  for (int i = 1; i <= 100; ++i) histogram.add(static_cast<double>(i));
-  const HistogramSnapshot snapshot = histogram.snapshot();
-  EXPECT_EQ(snapshot.count, 100u);
-  EXPECT_DOUBLE_EQ(snapshot.min, 1.0);
-  EXPECT_DOUBLE_EQ(snapshot.max, 100.0);
-  EXPECT_DOUBLE_EQ(snapshot.sum, 5050.0);
-}
-
-TEST(HistogramSnapshot, FrequentSnapshotsNeverChangeFinalPercentiles) {
-  // Two identical seeded histograms; one is snapshotted between every add
-  // (the telemetry sampler's access pattern), far past the reservoir
-  // capacity so replacement decisions are live. Percentiles must match
-  // bit for bit.
-  Histogram quiet(7, 16);
-  Histogram sampled(7, 16);
-  double checksum = 0.0;
-  for (int i = 0; i < 1000; ++i) {
-    const double value = static_cast<double>((i * 37) % 501);
-    quiet.add(value);
-    sampled.add(value);
-    checksum += sampled.snapshot().sum;
-  }
-  EXPECT_GT(checksum, 0.0);
-  const HistogramSummary a = quiet.summary();
-  const HistogramSummary b = sampled.summary();
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.p50, b.p50);
-  EXPECT_EQ(a.p95, b.p95);
-  EXPECT_EQ(a.mean, b.mean);
-}
-
 }  // namespace
 }  // namespace lw::obs
 
@@ -239,8 +202,8 @@ TEST(SeriesEndToEnd, RepeatedRunsProduceByteIdenticalSeries) {
 
 TEST(SeriesEndToEnd, SamplingNeverPerturbsTheRun) {
   // The telemetry hook only observes: with --series on, every deterministic
-  // output of the run — trace bytes, counters, histogram percentiles,
-  // events executed — must match the series-off run exactly.
+  // output of the run — trace bytes, counters, delivery latencies, events
+  // executed — must match the series-off run exactly.
   auto with_series = series_config();
   with_series.obs.trace = true;
   with_series.obs.profile = true;
@@ -254,14 +217,8 @@ TEST(SeriesEndToEnd, SamplingNeverPerturbsTheRun) {
   EXPECT_EQ(on.profile.events_executed, off.profile.events_executed);
   EXPECT_EQ(on.profile.max_queue_depth, off.profile.max_queue_depth);
   EXPECT_EQ(on.registry.counters, off.registry.counters);
-  ASSERT_EQ(on.registry.histograms.size(), off.registry.histograms.size());
-  for (const auto& [name, summary] : on.registry.histograms) {
-    const auto it = off.registry.histograms.find(name);
-    ASSERT_NE(it, off.registry.histograms.end()) << name;
-    EXPECT_EQ(summary.count, it->second.count) << name;
-    EXPECT_EQ(summary.p50, it->second.p50) << name;
-    EXPECT_EQ(summary.p95, it->second.p95) << name;
-  }
+  EXPECT_EQ(on.mean_delivery_latency, off.mean_delivery_latency);
+  EXPECT_EQ(on.p95_delivery_latency, off.p95_delivery_latency);
 }
 
 TEST(SeriesEndToEnd, ByteIdenticalAcrossSweepThreadCounts) {

@@ -231,9 +231,6 @@ TEST_P(OneStream, RunResultMatchesRegistryCounters) {
   EXPECT_EQ(r.suspicions_fabrication + r.suspicions_drop +
                 r.suspicions_anomaly,
             count("mon.suspicion"));
-  ASSERT_TRUE(r.registry.histograms.count("route.deliver_latency"));
-  EXPECT_EQ(r.registry.histograms.at("route.deliver_latency").count,
-            r.data_delivered);
 
   // Per layer: profile events == registry counters summed by layer prefix
   // == series buckets summed over the run.

@@ -1,6 +1,8 @@
 // Metrics collector: ground-truth classification and isolation tracking,
-// fed the route/mon/atk events through a recorder, as in a run; plain
-// per-kind counts are the recorder's tally.
+// fed the route/mon/atk events through a recorder, as in a run: the
+// collector classifies the route and atk events itself and reads the mon
+// events from the incident fold; plain per-kind counts are the recorder's
+// tally.
 #include <gtest/gtest.h>
 
 #include "stats/metrics.h"
@@ -15,7 +17,9 @@ class MetricsTest : public ::testing::Test {
  protected:
   // Line 0-1-2-3-4 (spacing 20, range 25): consecutive nodes adjacent.
   MetricsTest()
-      : graph_(topo::place_line(5, 20.0), 25.0), metrics_(graph_, {2}) {
+      : graph_(topo::place_line(5, 20.0), 25.0),
+        metrics_(graph_, {2}, incidents_) {
+    recorder_.add_sink(&incidents_, forensics::IncidentBuilder::kLayers);
     recorder_.add_sink(&metrics_, MetricsCollector::kLayers);
   }
 
@@ -57,6 +61,7 @@ class MetricsTest : public ::testing::Test {
   }
 
   topo::DiscGraph graph_;
+  forensics::IncidentBuilder incidents_;
   MetricsCollector metrics_;
   obs::Recorder recorder_;
 };
@@ -85,14 +90,16 @@ TEST_F(MetricsTest, MaliciousEndpointIsNotTransit) {
 
 TEST_F(MetricsTest, IsolationRequiresAllHonestNeighbors) {
   // Malicious node 2 has honest neighbors {1, 3}.
-  const auto& record = metrics_.isolation().at(2);
-  EXPECT_EQ(record.required, (std::set<NodeId>{1, 3}));
+  ASSERT_EQ(metrics_.isolation().size(), 1u);
+  EXPECT_EQ(metrics_.isolation()[0].node, 2u);
+  EXPECT_EQ(metrics_.isolation()[0].required, 2u);
 
   local_detection(1, 2);
   EXPECT_FALSE(metrics_.all_malicious_isolated());
   isolation(3, 2);
   EXPECT_TRUE(metrics_.all_malicious_isolated());
   EXPECT_EQ(metrics_.malicious_isolated_count(), 1u);
+  EXPECT_EQ(metrics_.isolation()[0].revoked, 2u);
 }
 
 TEST_F(MetricsTest, IsolationLatencyIsMaxOverMalicious) {
@@ -103,6 +110,37 @@ TEST_F(MetricsTest, IsolationLatencyIsMaxOverMalicious) {
   EXPECT_DOUBLE_EQ(*latency, 20.0);
 }
 
+TEST_F(MetricsTest, CompleteIsolationUsesEachNeighborsFirstRevocation) {
+  local_detection(1, 2, /*t=*/10.0);
+  isolation(1, 2, /*t=*/30.0);  // node 1 revoked node 2 already at t=10
+  isolation(3, 2, /*t=*/20.0);
+  ASSERT_TRUE(metrics_.isolation()[0].complete.has_value());
+  EXPECT_DOUBLE_EQ(*metrics_.isolation()[0].complete, 20.0);
+}
+
+TEST(MetricsNoHonestNeighbor, CompleteAtTheFirstRevocation) {
+  // Line 0-1-2-3-4 with 1, 2 and 3 malicious: node 2 has no honest
+  // neighbor, so its first revocation completes its isolation.
+  const topo::DiscGraph graph(topo::place_line(5, 20.0), 25.0);
+  forensics::IncidentBuilder incidents;
+  MetricsCollector metrics(graph, {3, 1, 2}, incidents);
+  obs::Recorder recorder;
+  recorder.add_sink(&incidents, forensics::IncidentBuilder::kLayers);
+  recorder.emit({.t = 7.0, .kind = EventKind::kMonIsolation, .node = 4,
+                 .peer = 2});
+  recorder.emit({.t = 9.0, .kind = EventKind::kMonDetection, .node = 0,
+                 .peer = 2});
+  const std::vector<Isolation> isolation = metrics.isolation();
+  ASSERT_EQ(isolation.size(), 3u);
+  EXPECT_EQ(isolation[1].node, 2u) << "ascending by id";
+  EXPECT_EQ(isolation[1].required, 0u);
+  EXPECT_EQ(isolation[1].revoked, 2u);
+  ASSERT_TRUE(isolation[1].complete.has_value());
+  EXPECT_DOUBLE_EQ(*isolation[1].complete, 7.0);
+  EXPECT_EQ(metrics.malicious_isolated_count(), 1u);
+  EXPECT_FALSE(metrics.isolation_latency(0.0).has_value());
+}
+
 TEST_F(MetricsTest, IncompleteIsolationHasNoLatency) {
   local_detection(1, 2);
   EXPECT_FALSE(metrics_.isolation_latency(0.0).has_value());
@@ -110,19 +148,20 @@ TEST_F(MetricsTest, IncompleteIsolationHasNoLatency) {
 
 TEST_F(MetricsTest, FalseAccusationsTracked) {
   local_detection(0, 3);  // node 3 is honest
-  EXPECT_EQ(metrics_.false_local_detections, 1u);
-  EXPECT_EQ(metrics_.false_isolations, 0u)
+  EXPECT_EQ(metrics_.accusations().false_local_detections, 1u);
+  EXPECT_EQ(metrics_.accusations().false_isolations, 0u)
       << "a lone guard's conviction is not a network isolation";
   isolation(4, 3);  // gamma-confirmed: THE false alarm
-  EXPECT_EQ(metrics_.false_isolations, 1u);
+  EXPECT_EQ(metrics_.accusations().false_isolations, 1u);
 }
 
 TEST_F(MetricsTest, SuspicionClassification) {
   suspicion(0, 2, obs::kSuspicionFabrication);
   suspicion(0, 3, obs::kSuspicionDrop);
-  EXPECT_EQ(metrics_.suspicions_fabrication, 1u);
-  EXPECT_EQ(metrics_.suspicions_drop, 1u);
-  EXPECT_EQ(metrics_.false_suspicions, 1u) << "only the one against node 3";
+  const Accusations accusations = metrics_.accusations();
+  EXPECT_EQ(accusations.suspicions_fabrication, 1u);
+  EXPECT_EQ(accusations.suspicions_drop, 1u);
+  EXPECT_EQ(accusations.false_suspicions, 1u) << "only the one against node 3";
 }
 
 TEST_F(MetricsTest, DropAccountingWithTimestamps) {
