@@ -3,9 +3,6 @@
 // — the justification record for every place this implementation deviates
 // from a literal reading.
 //
-//   ./bench_ablations [--runs=2] [--seed=700] [--threads=1] [--json]
-//                     [--nodes=100] [--duration=600]
-//
 // Standard flags (bench_common.h): --runs replicas per variant, --seed
 // base seed, --threads sweep workers (results identical for any count),
 // --json machine-readable sweep dump.
@@ -17,6 +14,10 @@
 #include "bench_common.h"
 #include "scenario/sweep.h"
 #include "util/config.h"
+
+constexpr const char* kUsage =
+    "usage: bench_ablations [--runs=2] [--seed=700] [--threads=1] [--json]\n"
+    "                       [--nodes=100] [--duration=600]";
 
 namespace {
 
@@ -33,7 +34,7 @@ static int run_bench(lw::Config& args) {
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 100));
   const double duration = args.get_double("duration", 600.0);
-  if (int status = bench::finish(args)) return status;
+  lw::cli::reject_unknown(args);
 
   const std::vector<Variant> variants = {
       {"default (calibrated)", "baseline for the rows below",
@@ -88,7 +89,7 @@ static int run_bench(lw::Config& args) {
 
   if (common.json) {
     std::puts(bench::sweep_json(common, result).c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Design-decision ablations ==");
@@ -137,9 +138,10 @@ static int run_bench(lw::Config& args) {
                 point.aggregate.wormhole_routes);
     std::printf("%-38s   -> %s\n", "", variants[v].expectation.c_str());
   }
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_ablations",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

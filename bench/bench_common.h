@@ -1,49 +1,12 @@
 // Shared bench CLI surface — the unified experiment/bench API.
 //
-// Every bench accepts the standard flags
-//   --runs=N     seed replicas per sweep point (default varies per bench)
-//   --seed=S     base seed; replica i runs seed S+i
-//   --threads=T  sweep worker threads (0 = one per hardware thread,
-//                default 1); results are bit-identical for any T
-//   --json       machine-readable output instead of the text tables
-//   --trace=F    write a JSONL event trace of every completed run to file
-//                F, streamed in spec order during the sweep (each run's
-//                trace is dropped from memory once written); byte-identical
-//                at any --threads
-//   --trace-filter=L  comma-separated layers to trace (phy,mac,nbr,route,
-//                mon,atk; default all)
-//   --profile    collect run profiles; adds per-point profiler totals and
-//                a "timing" section to the sweep JSON, and a summary on
-//                stderr
-//   --series[=B] sample a deterministic sim-time telemetry series (bucket
-//                width B simulated seconds, default 1.0): per-bucket layer
-//                event rates, queue depth/high-water, memory gauges. Adds
-//                a "series" object to every replica in the sweep JSON;
-//                byte-identical per seed at any --threads value. Wall-clock
-//                self-time per bucket appears only with --profile.
-//   --spans      fold events into protocol-transaction spans (route
-//                sessions, alibi windows, alert rounds, tunnel sessions,
-//                join handshakes): adds a "spans" object to every replica
-//                in the sweep JSON and, when combined with --trace,
-//                span.begin/span.end lines to the trace.
-//                Byte-identical per seed at any --threads value.
-//   --watch      live progress view on stderr while each run executes
-//                (sim-time, event rate, queue depth, ETA). Display only —
-//                never changes results. Most useful with --threads=1;
-//                concurrent runs interleave their lines.
-//   --run-timeout=S  per-replica wall-clock watchdog: a run still executing
-//                after S real seconds is aborted and reported as a failed
-//                replica instead of hanging the worker pool (0 = off)
-//   --defense=NAME   defense backend for the sweep's base config
-//                (liteworp, leash, zscore, none); default leaves the
-//                bench's own choice in place
-//   --defense-opt=K=V[,K=V...]  backend parameters by dotted key, e.g.
-//                --defense-opt=zscore.z_threshold=3,zscore.min_peers=4
-//                (comma-separated because lw::Config keeps one value per
-//                flag); a malformed pair, an unknown key or a value out of
-//                range exits 2 before any run
-//   --quiet      suppress the stderr progress line (on by default when
-//                stderr is a TTY)
+// Every bench's main() is one lw::cli::run call (util/cli.h: --help,
+// --version and the exit-code contract) whose usage text is the bench's
+// own followed by kStandardFlags below. parse_common() reads the standard
+// flags; a bench then reads its own and calls lw::cli::reject_unknown, so
+// a mistyped flag exits 2 before any simulation runs. Benches with no
+// stochastic runs (the closed-form analysis harnesses) accept --runs and
+// --threads for CLI uniformity but ignore them.
 //
 // Sweep benches also install SIGINT/SIGTERM handlers: the first signal
 // cancels the sweep cooperatively (jobs not yet started are skipped,
@@ -51,12 +14,6 @@
 // complete and parseable, with an "interrupted" marker in the JSON); a
 // second signal falls through to the default handler and kills the
 // process.
-// plus its own flags, all parsed through lw::Config. Mistyped flags make
-// the bench exit non-zero with a message BEFORE any simulation runs
-// (finish(), called once right after flag parsing and once at exit), and a
-// flag value that does not parse as its type exits 2 (run_main()).
-// Benches with no stochastic runs (the closed-form analysis harnesses)
-// accept --runs and --threads for CLI uniformity but ignore them.
 #pragma once
 
 #include <unistd.h>
@@ -77,28 +34,60 @@
 #include "obs/event.h"
 #include "obs/trace_writer.h"
 #include "scenario/sweep.h"
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/json.h"
 
 namespace bench {
 
-/// Every bench's main(): parses argv and runs `body` on the flags. A bad
-/// scenario (a flag value a typed getter cannot parse, --runs=abc, or a
-/// config validate() rejects, --nodes=0) throws std::invalid_argument and
-/// exits 2 with its message, the usage status of every lw-* CLI. Any other
-/// failure (--nodes=3: no connected topology) exits 1 with its message.
-inline int run_main(int argc, char** argv, int (*body)(lw::Config&)) {
-  lw::Config args = lw::Config::from_args(argc, argv);
-  try {
-    return body(args);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
-}
+/// The standard flags every bench accepts, appended to its own usage text.
+inline const std::string kStandardFlags =
+    "\n\nstandard flags:\n"
+    "  --runs=N     seed replicas per sweep point (default varies per bench)\n"
+    "  --seed=S     base seed; replica i runs seed S+i\n"
+    "  --threads=T  sweep worker threads (0 = one per hardware thread,\n"
+    "               default 1); results are bit-identical for any T\n"
+    "  --json       machine-readable output instead of the text tables\n"
+    "  --trace=F    write a JSONL event trace of every completed run to\n"
+    "               file F, streamed in spec order during the sweep (each\n"
+    "               run's trace is dropped from memory once written);\n"
+    "               byte-identical at any --threads\n"
+    "  --trace-filter=L  comma-separated layers to trace (phy,mac,nbr,\n"
+    "               route,mon,atk; default all)\n"
+    "  --profile    collect run profiles; adds per-point profiler totals\n"
+    "               and a \"timing\" section to the sweep JSON, and a\n"
+    "               summary on stderr\n"
+    "  --series[=B] sample a deterministic sim-time telemetry series\n"
+    "               (bucket width B simulated seconds, default 1.0):\n"
+    "               per-bucket layer event rates, queue depth/high-water,\n"
+    "               memory gauges. Adds a \"series\" object to every\n"
+    "               replica in the sweep JSON; byte-identical per seed at\n"
+    "               any --threads value. Wall-clock self-time per bucket\n"
+    "               appears only with --profile.\n"
+    "  --spans      fold events into protocol-transaction spans (route\n"
+    "               sessions, alibi windows, alert rounds, tunnel\n"
+    "               sessions, join handshakes): adds a \"spans\" object to\n"
+    "               every replica in the sweep JSON and, when combined\n"
+    "               with --trace, span.begin/span.end lines to the trace.\n"
+    "               Byte-identical per seed at any --threads value.\n"
+    "  --watch      live progress view on stderr while each run executes\n"
+    "               (sim-time, event rate, queue depth, ETA). Display\n"
+    "               only; never changes results. Most useful with\n"
+    "               --threads=1; concurrent runs interleave their lines.\n"
+    "  --run-timeout=S  per-replica wall-clock watchdog: a run still\n"
+    "               executing after S real seconds is aborted and reported\n"
+    "               as a failed replica instead of hanging the worker pool\n"
+    "               (0 = off)\n"
+    "  --defense=NAME   defense backend for the sweep's base config\n"
+    "               (liteworp, leash, zscore, none); default leaves the\n"
+    "               bench's own choice in place\n"
+    "  --defense-opt=K=V[,K=V...]  backend parameters by dotted key, e.g.\n"
+    "               --defense-opt=zscore.z_threshold=3,zscore.min_peers=4\n"
+    "               (comma-separated because lw::Config keeps one value\n"
+    "               per flag); a malformed pair, an unknown key or a value\n"
+    "               out of range exits 2 before any run\n"
+    "  --quiet      suppress the stderr progress line (on by default when\n"
+    "               stderr is a TTY)";
 
 struct Common {
   int runs = 1;
@@ -127,16 +116,14 @@ struct Common {
 
 /// Parses the standard flags. A bad value (--runs below 1, an unknown
 /// --defense backend, a --series width that is not a positive number, or an
-/// unknown --trace-filter layer) exits 2 with its message, the usage status
-/// of every lw-* CLI.
+/// unknown --trace-filter layer) throws lw::ConfigError with its message.
 inline Common parse_common(const lw::Config& args, int default_runs,
                            std::uint64_t default_seed) {
   Common common;
   common.runs = args.get_int("runs", default_runs);
   if (common.runs < 1) {
-    std::fprintf(stderr, "--runs: runs must be positive, got %d\n",
-                 common.runs);
-    std::exit(2);
+    throw lw::ConfigError("--runs: runs must be positive, got " +
+                          std::to_string(common.runs));
   }
   common.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<int>(default_seed)));
@@ -153,11 +140,9 @@ inline Common parse_common(const lw::Config& args, int default_runs,
       common.series_bucket = std::strtod(series.c_str(), &end);
       if (end == series.c_str() || *end != '\0' ||
           common.series_bucket <= 0.0) {
-        std::fprintf(stderr,
-                     "--series: bucket width must be a positive number of "
-                     "simulated seconds, got \"%s\"\n",
-                     series.c_str());
-        std::exit(2);
+        throw lw::ConfigError(
+            "--series: bucket width must be a positive number of simulated "
+            "seconds, got \"" + series + "\"");
       }
     }
   }
@@ -173,23 +158,21 @@ inline Common parse_common(const lw::Config& args, int default_runs,
       if (!names.empty()) names += ", ";
       names += name;
     }
-    std::fprintf(stderr, "--defense: unknown backend \"%s\" (registered: %s)\n",
-                 common.defense.c_str(), names.c_str());
-    std::exit(2);
+    throw lw::ConfigError("--defense: unknown backend \"" + common.defense +
+                          "\" (registered: " + names + ")");
   }
-  const std::string filter = args.get_string("trace-filter", "all");
   try {
-    common.trace_layers = lw::obs::parse_layer_mask(filter);
+    common.trace_layers =
+        lw::obs::parse_layer_mask(args.get_string("trace-filter", "all"));
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "--trace-filter: %s\n", e.what());
-    std::exit(2);
+    throw lw::ConfigError(std::string("--trace-filter: ") + e.what());
   }
   return common;
 }
 
 /// Applies --defense / --defense-opt to one config. Any error, a malformed
-/// pair, an unknown key or a value out of range, exits 2 with its message
-/// before any run. Every backend an option names is range-checked, not
+/// pair, an unknown key or a value out of range, throws lw::ConfigError
+/// with its message. Every backend an option names is range-checked, not
 /// only the selected one, since a sweep point may switch backends.
 inline void apply_defense(const Common& common,
                           lw::scenario::ExperimentConfig& config) {
@@ -216,8 +199,7 @@ inline void apply_defense(const Common& common,
       selected.validate();
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "--defense-opt: %s\n", e.what());
-    std::exit(2);
+    throw lw::ConfigError(std::string("--defense-opt: ") + e.what());
   }
 }
 
@@ -330,9 +312,8 @@ inline lw::scenario::SweepResult run_sweep(const Common& common,
   if (!common.trace_file.empty()) {
     trace_out.open(common.trace_file);
     if (!trace_out) {
-      std::fprintf(stderr, "cannot write trace file %s\n",
-                   common.trace_file.c_str());
-      std::exit(1);
+      throw std::invalid_argument("cannot write trace file " +
+                                  common.trace_file);
     }
     // Stream each replica's trace, introduced by a meta line naming the
     // point and seed, as soon as it is next in spec order (the drain hook
@@ -365,18 +346,6 @@ inline lw::scenario::SweepResult run_sweep(const Common& common,
 inline std::string sweep_json(const Common& common,
                               const lw::scenario::SweepResult& result) {
   return lw::scenario::to_json(result, common.profile);
-}
-
-/// Rejects mistyped flags; returns the process exit code. Call it right
-/// after the last flag read (so a typo aborts before the sweep runs, not
-/// after) and again as the bench's return value.
-inline int finish(const lw::Config& args) {
-  int status = 0;
-  for (const std::string& key : args.unread_keys()) {
-    std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-    status = 1;
-  }
-  return status;
 }
 
 /// Flat-table JSON output for benches whose result is a table rather than

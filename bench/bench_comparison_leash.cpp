@@ -6,10 +6,6 @@
 // For each attack mode, every registered backend runs on the same field
 // and seeds (common random numbers). Columns are the wormhole's footprint.
 //
-//   ./bench_comparison_leash [--runs=2] [--seed=900] [--threads=1]
-//                            [--json] [--duration=400] [--nodes=60]
-//                            [--perfect_clocks=false]
-//
 // Standard flags (bench_common.h): --runs replicas per (mode, defense)
 // cell, --seed base seed, --threads sweep workers (results identical for
 // any count), --json machine-readable sweep dump. Backend parameters are
@@ -24,6 +20,11 @@
 #include "defense/defense.h"
 #include "scenario/sweep.h"
 #include "util/config.h"
+
+constexpr const char* kUsage =
+    "usage: bench_comparison_leash [--runs=2] [--seed=900] [--threads=1]\n"
+    "                              [--json] [--duration=400] [--nodes=60]\n"
+    "                              [--perfect_clocks=false]";
 
 namespace {
 
@@ -50,7 +51,7 @@ static int run_bench(lw::Config& args) {
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 60));
   const bool perfect_clocks = args.get_bool("perfect_clocks", false);
-  if (int status = bench::finish(args)) return status;
+  lw::cli::reject_unknown(args);
 
   lw::scenario::SweepSpec spec;
   spec.base = lw::scenario::ExperimentConfig::table2_defaults();
@@ -80,7 +81,7 @@ static int run_bench(lw::Config& args) {
 
   if (common.json) {
     std::puts(bench::sweep_json(common, result).c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Defense zoo vs the attack taxonomy (Section 2 argument) ==");
@@ -131,9 +132,10 @@ static int run_bench(lw::Config& args) {
       "  - protocol deviation: no backend helps;\n"
       "  - only the accusation-based backends (LITEWORP, zscore) ever\n"
       "    remove the attacker (isolated columns).");
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_comparison_leash",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

@@ -15,9 +15,6 @@
 // Backends without an accusation channel (leash, none) trivially score
 // recall 0 — their row is the prevention column (wormhole routes).
 //
-//   ./bench_defense_roc [--runs=2] [--seed=950] [--threads=1] [--json]
-//                       [--nodes=60] [--duration=400] [--check]
-//
 // Standard flags (bench_common.h) apply. --check validates the zoo-wide
 // invariants (CI perf-smoke): every replica completes, rates stay in
 // [0, 1], the undefended baseline never isolates anyone, calibrated
@@ -46,6 +43,10 @@
 #include "obs/metrics_registry.h"
 #include "scenario/sweep.h"
 #include "util/config.h"
+
+constexpr const char* kUsage =
+    "usage: bench_defense_roc [--runs=2] [--seed=950] [--threads=1] [--json]\n"
+    "                         [--nodes=60] [--duration=400] [--check]";
 
 namespace {
 
@@ -228,7 +229,7 @@ static int run_bench(lw::Config& args) {
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 60));
   const bool check = args.get_bool("check", false);
-  if (int status = bench::finish(args)) return status;
+  lw::cli::reject_unknown(args);
 
   const std::vector<Cell> cells = ladder();
   const struct {
@@ -280,7 +281,7 @@ static int run_bench(lw::Config& args) {
       return 1;
     }
     std::puts("bench_defense_roc --check: all invariants hold");
-    return bench::finish(args);
+    return 0;
   }
 
   if (common.json) {
@@ -326,7 +327,7 @@ static int run_bench(lw::Config& args) {
       out.end_row();
     }
     std::puts(out.str().c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Defense zoo ROC: precision/recall/overhead per backend ==");
@@ -385,9 +386,10 @@ static int run_bench(lw::Config& args) {
       "price below ~1.5. The leash never accuses (recall 0) but its\n"
       "wormhole-route column shows the prevention it buys per sync-error\n"
       "budget; 'none' anchors the undefended corner.");
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_defense_roc",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

@@ -5,10 +5,6 @@
 // The paper's Section 6 claims "100% detection of the wormholes for a wide
 // range of network densities" — this bench is that claim, swept.
 //
-//   ./bench_density_sweep_sim [--runs=3] [--seed=800] [--threads=1]
-//                             [--json] [--duration=800] [--nodes=60]
-//                             [--nb_min=5] [--nb_max=14]
-//
 // Standard flags (bench_common.h): --runs replicas per density, --seed
 // base seed, --threads sweep workers (results identical for any count),
 // --json machine-readable sweep dump. The analytic column is evaluated at
@@ -22,6 +18,11 @@
 #include "scenario/sweep.h"
 #include "util/config.h"
 
+constexpr const char* kUsage =
+    "usage: bench_density_sweep_sim [--runs=3] [--seed=800] [--threads=1]\n"
+    "                               [--json] [--duration=800] [--nodes=60]\n"
+    "                               [--nb_min=5] [--nb_max=14]";
+
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 3, 800);
   const double duration = args.get_double("duration", 800.0);
@@ -29,7 +30,7 @@ static int run_bench(lw::Config& args) {
       static_cast<std::size_t>(args.get_int("nodes", 60));
   const int nb_min = args.get_int("nb_min", 5);
   const int nb_max = args.get_int("nb_max", 14);
-  if (int status = bench::finish(args)) return status;
+  lw::cli::reject_unknown(args);
 
   const int default_gamma = lw::scenario::ExperimentConfig::table2_defaults()
                                 .defense.liteworp.detection_confidence;
@@ -57,7 +58,7 @@ static int run_bench(lw::Config& args) {
 
   if (common.json) {
     std::puts(bench::sweep_json(common, result).c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Simulated detection across densities (Fig 6(a) companion, "
@@ -104,9 +105,10 @@ static int run_bench(lw::Config& args) {
             "densities (the Section 6 claim), consistent with the analytic\n"
             "probability at the measured collision rate; zero false\n"
             "isolations throughout.");
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_density_sweep_sim",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

@@ -18,9 +18,6 @@
 // crash/recovery counts and mean recovery latency (dynamic-join
 // re-entry), and the dropped-data fraction.
 //
-//   ./bench_fault_resilience [--runs=2] [--seed=900] [--threads=1]
-//                            [--nodes=49] [--duration=300] [--json]
-//
 // Standard flags (bench_common.h) apply; --run-timeout and SIGINT
 // handling come free with the harness.
 #include <algorithm>
@@ -31,6 +28,10 @@
 #include "bench_common.h"
 #include "scenario/sweep.h"
 #include "util/config.h"
+
+constexpr const char* kUsage =
+    "usage: bench_fault_resilience [--runs=2] [--seed=900] [--threads=1]\n"
+    "                              [--nodes=49] [--duration=300] [--json]";
 
 namespace {
 
@@ -87,7 +88,7 @@ static int run_bench(lw::Config& args) {
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 49));
   const double duration = args.get_double("duration", 300.0);
-  if (int status = bench::finish(args)) return status;
+  lw::cli::reject_unknown(args);
 
   lw::scenario::SweepSpec spec;
   spec.base = lw::scenario::ExperimentConfig::table2_defaults();
@@ -120,7 +121,7 @@ static int run_bench(lw::Config& args) {
 
   if (common.json) {
     std::puts(bench::sweep_json(common, result).c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Fault resilience: detection under churn, framing, and link "
@@ -158,9 +159,10 @@ static int run_bench(lw::Config& args) {
             "node that recovers re-enters through dynamic join (recovery\n"
             "latency is the time back to the first re-authenticated\n"
             "neighbor).");
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_fault_resilience",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

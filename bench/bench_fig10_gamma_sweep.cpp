@@ -11,11 +11,6 @@
 // against a deadline — default 60 s after attack start, twice the paper's
 // quoted worst-case latency — mirroring the paper's fixed-horizon runs.
 //
-//   ./bench_fig10_gamma_sweep [--runs=4] [--seed=500] [--threads=1]
-//                             [--json] [--duration=800] [--nodes=100]
-//                             [--nb=15] [--gamma_min=2] [--gamma_max=8]
-//                             [--deadline=60]
-//
 // Standard flags (bench_common.h): --runs replicas per gamma, --seed base
 // seed, --threads sweep workers (results identical for any count), --json
 // machine-readable sweep dump (per-replica isolation latencies included).
@@ -27,6 +22,12 @@
 #include "scenario/sweep.h"
 #include "util/config.h"
 
+constexpr const char* kUsage =
+    "usage: bench_fig10_gamma_sweep [--runs=4] [--seed=500] [--threads=1]\n"
+    "                               [--json] [--duration=800] [--nodes=100]\n"
+    "                               [--nb=15] [--gamma_min=2] [--gamma_max=8]\n"
+    "                               [--deadline=60]";
+
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 4, 500);
   const double duration = args.get_double("duration", 800.0);
@@ -36,7 +37,7 @@ static int run_bench(lw::Config& args) {
   const int gamma_min = args.get_int("gamma_min", 2);
   const int gamma_max = args.get_int("gamma_max", 8);
   const double deadline = args.get_double("deadline", 60.0);
-  if (int status = bench::finish(args)) return status;
+  lw::cli::reject_unknown(args);
 
   lw::scenario::SweepSpec spec;
   spec.base = lw::scenario::ExperimentConfig::table2_defaults();
@@ -66,7 +67,7 @@ static int run_bench(lw::Config& args) {
 
   if (common.json) {
     std::puts(bench::sweep_json(common, result).c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Figure 10: detection probability and isolation latency vs "
@@ -113,9 +114,10 @@ static int run_bench(lw::Config& args) {
             "tails the paper's one-shot alerts abandoned, which stretches\n"
             "the high-gamma means). Rerun without the deadline flag to see\n"
             "that, given time, every gamma eventually isolates.");
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_fig10_gamma_sweep",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

@@ -8,9 +8,6 @@
 // Expected shape (paper): rises with density (more guards), peaks near
 // certainty, then falls rapidly once collisions swamp the guards.
 //
-//   ./bench_fig6a_detection_vs_density [--nb_min=3] [--nb_max=40]
-//                                      [--step=1] [--gamma=3] [--json]
-//
 // Standard flags (bench_common.h): --json emits the curve as JSON rows;
 // --runs/--seed/--threads are accepted for CLI uniformity but unused
 // (closed-form evaluation, no stochastic runs).
@@ -20,6 +17,10 @@
 #include "bench_common.h"
 #include "util/config.h"
 
+constexpr const char* kUsage =
+    "usage: bench_fig6a_detection_vs_density [--nb_min=3] [--nb_max=40]\n"
+    "                                        [--step=1] [--gamma=3] [--json]";
+
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 0);
   lw::analysis::CoverageParams params;
@@ -27,6 +28,7 @@ static int run_bench(lw::Config& args) {
   const double nb_min = args.get_double("nb_min", 3.0);
   const double nb_max = args.get_double("nb_max", 40.0);
   const double step = args.get_double("step", 1.0);
+  lw::cli::reject_unknown(args);
 
   if (common.json) {
     auto curve =
@@ -43,7 +45,7 @@ static int run_bench(lw::Config& args) {
       rows.end_row();
     }
     std::puts(rows.str().c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Figure 6(a): P(wormhole detection) vs number of neighbors ==");
@@ -71,9 +73,10 @@ static int run_bench(lw::Config& args) {
   std::printf("\npeak: P(detection) = %.4f at N_B = %.1f "
               "(paper: rises, peaks near 1, then falls)\n",
               curve[peak].y, curve[peak].x);
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_fig6a_detection_vs_density",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

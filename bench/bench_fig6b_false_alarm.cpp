@@ -5,9 +5,6 @@
 // forward. Expected shape (paper): non-monotone and negligible everywhere
 // (the paper plots it scaled by 1e-3).
 //
-//   ./bench_fig6b_false_alarm [--nb_min=3] [--nb_max=60] [--step=1]
-//                             [--json]
-//
 // Standard flags (bench_common.h): --json emits the curve as JSON rows;
 // --runs/--seed/--threads are accepted for CLI uniformity but unused
 // (closed-form evaluation, no stochastic runs).
@@ -17,12 +14,17 @@
 #include "bench_common.h"
 #include "util/config.h"
 
+constexpr const char* kUsage =
+    "usage: bench_fig6b_false_alarm [--nb_min=3] [--nb_max=60] [--step=1]\n"
+    "                               [--json]";
+
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 0);
   lw::analysis::CoverageParams params;
   const double nb_min = args.get_double("nb_min", 3.0);
   const double nb_max = args.get_double("nb_max", 60.0);
   const double step = args.get_double("step", 1.0);
+  lw::cli::reject_unknown(args);
 
   if (common.json) {
     auto curve =
@@ -40,7 +42,7 @@ static int run_bench(lw::Config& args) {
       rows.end_row();
     }
     std::puts(rows.str().c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Figure 6(b): P(false alarm) vs number of neighbors ==");
@@ -68,9 +70,10 @@ static int run_bench(lw::Config& args) {
   std::printf("\nworst case: %.3e at N_B = %.1f "
               "(paper: negligible everywhere, non-monotone)\n",
               worst, worst_nb);
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_fig6b_false_alarm",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

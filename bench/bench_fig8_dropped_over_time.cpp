@@ -7,10 +7,6 @@
 // isolated (a short tail while stale routes drain), at a level orders of
 // magnitude below the baseline.
 //
-//   ./bench_fig8_dropped_over_time [--runs=3] [--seed=300] [--threads=1]
-//                                  [--json] [--duration=2000] [--nodes=100]
-//                                  [--dt=100]
-//
 // Standard flags (bench_common.h): --runs replicas per series, --seed base
 // seed, --threads sweep workers (results identical for any count), --json
 // emits the four averaged time series as JSON rows.
@@ -21,6 +17,12 @@
 #include "scenario/sweep.h"
 #include "stats/metrics.h"
 #include "util/config.h"
+
+constexpr const char* kUsage =
+    "usage: bench_fig8_dropped_over_time [--runs=3] [--seed=300]\n"
+    "                                    [--threads=1] [--json]\n"
+    "                                    [--duration=2000] [--nodes=100]\n"
+    "                                    [--dt=100]";
 
 namespace {
 
@@ -56,7 +58,7 @@ static int run_bench(lw::Config& args) {
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 100));
   const double dt = args.get_double("dt", 100.0);
-  if (int status = bench::finish(args)) return status;
+  lw::cli::reject_unknown(args);
 
   lw::scenario::SweepSpec spec;
   spec.base = lw::scenario::ExperimentConfig::table2_defaults();
@@ -99,7 +101,7 @@ static int run_bench(lw::Config& args) {
       rows.end_row();
     }
     std::puts(rows.str().c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Figure 8: cumulative packets dropped by the wormhole ==");
@@ -124,9 +126,10 @@ static int run_bench(lw::Config& args) {
               curves[3].back());
   std::puts("\nexpected shape: baseline climbs for the whole run; LITEWORP\n"
             "flattens shortly after isolation (short stale-route tail).");
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_fig8_dropped_over_time",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

@@ -7,10 +7,6 @@
 // LITEWORP both stay near zero. M = 0 and M = 1 do no damage in the
 // colluding tunnel modes (no wormhole can form).
 //
-//   ./bench_fig9_fractions_vs_m [--runs=2] [--seed=400] [--threads=1]
-//                               [--json] [--duration=1500] [--nodes=100]
-//                               [--m_max=4]
-//
 // Standard flags (bench_common.h): --runs replicas per point, --seed base
 // seed, --threads sweep workers (results identical for any count), --json
 // machine-readable sweep dump.
@@ -20,13 +16,18 @@
 #include "scenario/sweep.h"
 #include "util/config.h"
 
+constexpr const char* kUsage =
+    "usage: bench_fig9_fractions_vs_m [--runs=2] [--seed=400] [--threads=1]\n"
+    "                                 [--json] [--duration=1500]\n"
+    "                                 [--nodes=100] [--m_max=4]";
+
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 2, 400);
   const double duration = args.get_double("duration", 1500.0);
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 100));
   const int m_max = args.get_int("m_max", 4);
-  if (int status = bench::finish(args)) return status;
+  lw::cli::reject_unknown(args);
 
   lw::scenario::SweepSpec spec;
   spec.base = lw::scenario::ExperimentConfig::table2_defaults();
@@ -47,7 +48,7 @@ static int run_bench(lw::Config& args) {
 
   if (common.json) {
     std::puts(bench::sweep_json(common, result).c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Figure 9: damage fractions vs number of compromised nodes ==");
@@ -73,9 +74,10 @@ static int run_bench(lw::Config& args) {
   std::puts("\nexpected shape: baseline fractions grow with M (drops\n"
             "super-linearly -- wormhole routes attract traffic); LITEWORP\n"
             "columns stay near zero; M <= 1 does no damage (no colluder).");
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_fig9_fractions_vs_m",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

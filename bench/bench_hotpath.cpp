@@ -1,10 +1,6 @@
 // Hot-path macrobenchmark: whole-stack frames/sec at small, medium, and
 // large N, with and without collisions — the perf trajectory anchor.
 //
-//   ./bench_hotpath [--runs=1] [--seed=1] [--nodes=50,200,500,1000c]
-//                   [--duration=120] [--json] [--series[=B]] [--watch]
-//                   [--profile]
-//
 // A --nodes entry may carry a `c` (collisions only) or `i` (ideal only)
 // suffix; bare counts run both variants. The default ends with 1000c: a
 // large-N collisions case that exercises the dense-neighborhood fan-out
@@ -35,6 +31,11 @@
 #include "bench_common.h"
 #include "scenario/runner.h"
 #include "util/config.h"
+
+constexpr const char* kUsage =
+    "usage: bench_hotpath [--runs=1] [--seed=1] [--nodes=50,200,500,1000c]\n"
+    "                     [--duration=120] [--json] [--series[=B]] [--watch]\n"
+    "                     [--profile]";
 
 namespace {
 
@@ -140,7 +141,7 @@ static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 1);
   const double duration = args.get_double("duration", 120.0);
   const std::string nodes_csv = args.get_string("nodes", "50,200,500,1000c");
-  if (int status = bench::finish(args)) return status;
+  lw::cli::reject_unknown(args);
 
   std::vector<Case> cases;
   for (const NodesSpec& spec : parse_nodes_list(nodes_csv)) {
@@ -207,7 +208,7 @@ static int run_bench(lw::Config& args) {
       rows.end_row();
     }
     std::puts(rows.str().c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Hot-path throughput (full stack, LITEWORP + 2 colluders) ==");
@@ -227,9 +228,10 @@ static int run_bench(lw::Config& args) {
   std::puts("\ncounters (frames, delivered, events) are deterministic per\n"
             "seed; wall-clock columns are machine-dependent. Check them with\n"
             "`lw-report check` against BENCH_history.json (--series --json).");
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_hotpath",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

@@ -3,8 +3,6 @@
 // Prints the closed-form quantities next to the figures the paper quotes.
 // (The paper rounds aggressively; we report exact values.)
 //
-//   ./bench_sec51_geometry [--json]
-//
 // Standard flags (bench_common.h): --json emits the lens-area and
 // guard-count tables as JSON rows; --runs/--seed/--threads are accepted
 // for CLI uniformity but unused (closed-form evaluation).
@@ -15,8 +13,11 @@
 #include "util/config.h"
 #include "util/math_util.h"
 
+constexpr const char* kUsage = "usage: bench_sec51_geometry [--json]";
+
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 0);
+  lw::cli::reject_unknown(args);
 
   if (common.json) {
     bench::JsonRows rows;
@@ -34,7 +35,7 @@ static int run_bench(lw::Config& args) {
       rows.end_row();
     }
     std::puts(rows.str().c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Section 5.1: guard geometry ==\n");
@@ -81,9 +82,10 @@ static int run_bench(lw::Config& args) {
                   target);
     }
   }
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_sec51_geometry",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

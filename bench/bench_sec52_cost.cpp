@@ -2,9 +2,6 @@
 // the analytical model side by side with measurements of the live data
 // structures from a real simulation run.
 //
-//   ./bench_sec52_cost [--nodes=100] [--duration=400] [--seed=600]
-//                      [--json]
-//
 // Standard flags (bench_common.h): --seed seeds the single live
 // measurement run; --json emits the analytic cost table as JSON rows;
 // --runs/--threads are accepted for CLI uniformity but unused (one
@@ -16,13 +13,17 @@
 #include "scenario/network.h"
 #include "util/config.h"
 
+constexpr const char* kUsage =
+    "usage: bench_sec52_cost [--nodes=100] [--duration=400] [--seed=600]\n"
+    "                        [--json]";
+
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 600);
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 100));
   const double duration = args.get_double("duration", 400.0);
   const std::uint64_t seed = common.seed;
-  if (int status = bench::finish(args)) return status;
+  lw::cli::reject_unknown(args);
 
   if (common.json) {
     lw::analysis::CostParams params;
@@ -42,7 +43,7 @@ static int run_bench(lw::Config& args) {
       rows.end_row();
     }
     std::puts(rows.str().c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Section 5.2: cost analysis ==\n");
@@ -121,9 +122,10 @@ static int run_bench(lw::Config& args) {
   std::puts("\nexpected shape: per-node state well under 1 KB (paper: NBLS\n"
             "< 0.5 KB at N_B = 10, watch buffer ~4 entries); LITEWORP\n"
             "bandwidth only at initialization and on detection.");
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_sec52_cost",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

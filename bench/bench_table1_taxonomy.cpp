@@ -5,9 +5,6 @@
 // damage against the baseline with exactly its minimum number of
 // compromised nodes, and be neutralized by LITEWORP iff the paper says so.
 //
-//   ./bench_table1_taxonomy [--runs=1] [--seed=21] [--threads=1] [--json]
-//                           [--verify=true] [--duration=400]
-//
 // Standard flags (bench_common.h): --runs replicas per (mode, defense)
 // cell, --seed base seed (rushing runs seed+7, a topology where its
 // timing window is open), --threads sweep workers (results identical for
@@ -20,6 +17,10 @@
 #include "bench_common.h"
 #include "scenario/sweep.h"
 #include "util/config.h"
+
+constexpr const char* kUsage =
+    "usage: bench_table1_taxonomy [--runs=1] [--seed=21] [--threads=1]\n"
+    "                             [--json] [--verify=true] [--duration=400]";
 
 namespace {
 
@@ -46,7 +47,7 @@ static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 21);
   const bool verify = args.get_bool("verify", true);
   const double duration = args.get_double("duration", 400.0);
-  if (int status = bench::finish(args)) return status;
+  lw::cli::reject_unknown(args);
 
   if (!common.json) {
     std::puts("== Table 1: Summary of wormhole attack modes ==\n");
@@ -60,7 +61,7 @@ static int run_bench(lw::Config& args) {
                   std::string(row.special_requirements).c_str(),
                   row.detected_by_liteworp ? "yes" : "NO (Sec 4.2.3)");
     }
-    if (!verify) return bench::finish(args);
+    if (!verify) return 0;
   }
 
   lw::scenario::SweepSpec spec;
@@ -89,7 +90,7 @@ static int run_bench(lw::Config& args) {
 
   if (common.json) {
     std::puts(bench::sweep_json(common, result).c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("\n== Live verification (60-node field, minimum attackers) ==\n");
@@ -128,9 +129,10 @@ static int run_bench(lw::Config& args) {
       "    it legitimately sits on, which local monitoring of control\n"
       "    traffic does not claim to catch);\n"
       "  - protocol deviation: unhandled (the paper's stated limitation).");
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_table1_taxonomy",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

@@ -4,8 +4,6 @@
 // derived quantities (field side vs density, discovery windows), and
 // documents the single calibrated deviation (lambda).
 //
-//   ./bench_table2_parameters [--json]
-//
 // Standard flags (bench_common.h): --json emits the parameters as a JSON
 // row; --runs/--seed/--threads are accepted for CLI uniformity but unused
 // (this bench prints configuration, it does not simulate).
@@ -18,8 +16,11 @@
 #include "util/config.h"
 #include "util/math_util.h"
 
+constexpr const char* kUsage = "usage: bench_table2_parameters [--json]";
+
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 1);
+  lw::cli::reject_unknown(args);
   auto config = lw::scenario::ExperimentConfig::table2_defaults();
 
   if (common.json) {
@@ -40,7 +41,7 @@ static int run_bench(lw::Config& args) {
                    config.defense.liteworp.detection_confidence));
     rows.end_row();
     std::puts(rows.str().c_str());
-    return bench::finish(args);
+    return 0;
   }
 
   std::puts("== Table 2: input parameters (as configured) ==\n");
@@ -69,9 +70,10 @@ static int run_bench(lw::Config& args) {
       "  1/20 s, which lands measured collision rates at ~10% for N_B = 8\n"
       "  -- exactly the analysis' operating point. All other Table 2\n"
       "  values are used literally. See DESIGN.md for details.");
-  return bench::finish(args);
+  return 0;
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return lw::cli::run(argc, argv, "bench_table2_parameters",
+                      kUsage + bench::kStandardFlags, run_bench);
 }

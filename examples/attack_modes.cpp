@@ -1,24 +1,15 @@
 // Walks through the paper's five wormhole attack modes (Section 3) on the
 // same field, narrating what each attacker does and how LITEWORP responds.
-//
-//   ./attack_modes [--nodes=60] [--seed=21] [--duration=400]
 #include <cstdio>
 #include <string>
 
 #include "attack/modes.h"
 #include "scenario/network.h"
 #include "scenario/runner.h"
-#include "util/config.h"
+#include "util/cli.h"
 
-namespace {
-/// Warns about mistyped flags (set but never read).
-void warn_unread_flags(const lw::Config& args) {
-  for (const auto& key : args.unread_keys()) {
-    std::fprintf(stderr, "warning: unknown flag --%s (ignored)\n",
-                 key.c_str());
-  }
-}
-}  // namespace
+constexpr const char* kUsage =
+    "usage: attack_modes [--nodes=60] [--seed=21] [--duration=400]";
 
 namespace {
 
@@ -86,14 +77,13 @@ void narrate(const lw::attack::ModeInfo& info,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_example(lw::Config& args) {
   auto base = lw::scenario::ExperimentConfig::table2_defaults();
   base.node_count = static_cast<std::size_t>(args.get_int("nodes", 60));
   base.seed = static_cast<std::uint64_t>(args.get_int("seed", 21));
   base.duration = args.get_double("duration", 400.0);
+  lw::cli::reject_unknown(args);
   base.finalize();
-  warn_unread_flags(args);
 
   std::puts("LITEWORP attack-mode tour: each of the paper's five wormhole");
   std::puts("modes, first against an unprotected network, then against");
@@ -107,4 +97,8 @@ int main(int argc, char** argv) {
   std::puts("high-power and relay wormholes are prevented outright by the");
   std::puts("neighbor checks; protocol deviation evades local monitoring.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lw::cli::run(argc, argv, "attack_modes", kUsage, run_example);
 }

@@ -1,27 +1,17 @@
 // Interactive exploration of the Section 5.1 coverage model: answers the
 // design question "how dense must my network be, and how should I set the
 // detection confidence index?" for user-supplied parameters.
-//
-//   ./coverage_explorer [--kappa=7] [--k=5] [--gamma=3] [--pc=0.05]
-//                       [--pc_nb=3] [--target=0.95] [--nb=8]
 #include <cstdio>
 
 #include "analysis/cost_model.h"
 #include "analysis/coverage.h"
-#include "util/config.h"
+#include "util/cli.h"
 
-namespace {
-/// Warns about mistyped flags (set but never read).
-void warn_unread_flags(const lw::Config& args) {
-  for (const auto& key : args.unread_keys()) {
-    std::fprintf(stderr, "warning: unknown flag --%s (ignored)\n",
-                 key.c_str());
-  }
-}
-}  // namespace
+constexpr const char* kUsage =
+    "usage: coverage_explorer [--kappa=7] [--k=5] [--gamma=3] [--pc=0.05]\n"
+    "                         [--pc_nb=3] [--target=0.95] [--nb=8]";
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_example(lw::Config& args) {
   lw::analysis::CoverageParams params;
   params.window_events = args.get_int("kappa", 7);
   params.per_guard_threshold = args.get_int("k", 5);
@@ -30,7 +20,7 @@ int main(int argc, char** argv) {
   params.pc_reference_neighbors = args.get_double("pc_nb", 3.0);
   const double target = args.get_double("target", 0.95);
   const double nb = args.get_double("nb", 8.0);
-  warn_unread_flags(args);
+  lw::cli::reject_unknown(args);
 
   std::puts("== LITEWORP coverage explorer ==\n");
   std::printf("window kappa = %d packets, per-guard threshold k = %d, "
@@ -85,4 +75,8 @@ int main(int argc, char** argv) {
               lw::analysis::total_state_bytes(cost, 2.5,
                                               params.detection_confidence));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lw::cli::run(argc, argv, "coverage_explorer", kUsage, run_example);
 }

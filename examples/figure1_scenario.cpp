@@ -5,28 +5,19 @@
 // A's route request to Y, which replays it locally, so B sees an
 // apparently three-hop route A-X-Y-B and prefers it — even though X and Y
 // are far apart. With LITEWORP, the guards around Y catch the replay.
-//
-//   ./figure1_scenario [--mode=encap|oob] [--liteworp=true]
 #include <cstdio>
 #include <string>
 
 #include "scenario/network.h"
-#include "util/config.h"
+#include "util/cli.h"
 
-namespace {
-/// Warns about mistyped flags (set but never read).
-void warn_unread_flags(const lw::Config& args) {
-  for (const auto& key : args.unread_keys()) {
-    std::fprintf(stderr, "warning: unknown flag --%s (ignored)\n",
-                 key.c_str());
-  }
-}
-}  // namespace
+constexpr const char* kUsage =
+    "usage: figure1_scenario [--mode=encap|oob] [--liteworp=true]";
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_example(lw::Config& args) {
   const bool liteworp = args.get_bool("liteworp", true);
   const std::string mode_name = args.get_string("mode", "oob");
+  lw::cli::reject_unknown(args);
 
   auto config = lw::scenario::ExperimentConfig::table2_defaults();
   // Hand-built geometry (range 30 m). The honest chain runs along y = 0;
@@ -63,7 +54,6 @@ int main(int argc, char** argv) {
   config.defense.liteworp.detection_confidence = 2;  // tiny field, few guards
   config.duration = 300.0;
   config.finalize();
-  warn_unread_flags(args);
 
   lw::scenario::Network net(config);
   std::printf("Figure 1 field: A=0 ... B=4 honest chain; X=5, Y=6 %s "
@@ -144,4 +134,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lw::cli::run(argc, argv, "figure1_scenario", kUsage, run_example);
 }

@@ -1,39 +1,30 @@
 // Incremental deployment: a live LITEWORP network absorbs late-deployed
 // nodes through the dynamic challenge-response join (Sections 4.1 / 7),
 // then survives a wormhole opened after the network has grown.
-//
-//   ./incremental_deployment [--nodes=40] [--joiners=3] [--join_time=80]
-//                            [--seed=51] [--duration=500]
 #include <cstdio>
 
 #include "scenario/network.h"
-#include "util/config.h"
+#include "util/cli.h"
 
-namespace {
-/// Warns about mistyped flags (set but never read).
-void warn_unread_flags(const lw::Config& args) {
-  for (const auto& key : args.unread_keys()) {
-    std::fprintf(stderr, "warning: unknown flag --%s (ignored)\n",
-                 key.c_str());
-  }
-}
-}  // namespace
+constexpr const char* kUsage =
+    "usage: incremental_deployment [--nodes=40] [--joiners=3]\n"
+    "                              [--join_time=80] [--seed=51]\n"
+    "                              [--duration=500]";
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_example(lw::Config& args) {
   auto config = lw::scenario::ExperimentConfig::table2_defaults();
   config.node_count = static_cast<std::size_t>(args.get_int("nodes", 40));
   config.late_joiners = static_cast<std::size_t>(args.get_int("joiners", 3));
   config.late_join_time = args.get_double("join_time", 80.0);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 51));
   config.duration = args.get_double("duration", 500.0);
+  lw::cli::reject_unknown(args);
   config.malicious_count = 2;
   config.attack.start_time =
       config.late_join_time +
       static_cast<double>(config.late_joiners) * config.late_join_stagger +
       40.0;
   config.finalize();
-  warn_unread_flags(args);
 
   lw::scenario::Network net(config);
   std::printf("initial deployment: %zu nodes; %zu joiners at t = %.0f s "
@@ -91,4 +82,9 @@ int main(int argc, char** argv) {
   std::puts("\nThe joiners participate as full citizens: they route, they"
             "\nguard their neighbors' links, and they receive alerts.");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lw::cli::run(argc, argv, "incremental_deployment", kUsage,
+                      run_example);
 }

@@ -1,26 +1,18 @@
 // Quickstart: a 50-node sensor field, two colluders opening an out-of-band
 // wormhole at t = 50 s, and LITEWORP detecting and isolating them.
-//
-//   ./quickstart [--nodes=50] [--seed=3] [--duration=600]
-//                [--defense=liteworp|leash|zscore|none]
-//                [--mode=oob|encap|highpower|relay|rushing] [--malicious=2]
 #include <cstdio>
 #include <iostream>
 #include <string>
 
 #include "scenario/runner.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/logging.h"
 
-namespace {
-/// Warns about mistyped flags (set but never read).
-void warn_unread_flags(const lw::Config& args) {
-  for (const auto& key : args.unread_keys()) {
-    std::fprintf(stderr, "warning: unknown flag --%s (ignored)\n",
-                 key.c_str());
-  }
-}
-}  // namespace
+constexpr const char* kUsage =
+    "usage: quickstart [--nodes=50] [--seed=3] [--duration=600]\n"
+    "                  [--defense=liteworp|leash|zscore|none]\n"
+    "                  [--mode=oob|encap|highpower|relay|rushing]\n"
+    "                  [--malicious=2]";
 
 namespace {
 
@@ -36,9 +28,7 @@ lw::attack::WormholeMode parse_mode(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
-
+static int run_example(lw::Config& args) {
   lw::scenario::ExperimentConfig config =
       lw::scenario::ExperimentConfig::table2_defaults();
   config.node_count =
@@ -49,8 +39,8 @@ int main(int argc, char** argv) {
   config.malicious_count =
       static_cast<std::size_t>(args.get_int("malicious", 2));
   config.attack.mode = parse_mode(args.get_string("mode", "oob"));
+  lw::cli::reject_unknown(args);
   config.finalize();
-  warn_unread_flags(args);
 
   std::cout << "=== LITEWORP quickstart ===\n" << config.summary() << '\n';
 
@@ -96,3 +86,6 @@ int main(int argc, char** argv) {
   return 0;
 }
 
+int main(int argc, char** argv) {
+  return lw::cli::run(argc, argv, "quickstart", kUsage, run_example);
+}

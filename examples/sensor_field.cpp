@@ -3,9 +3,6 @@
 // statistics, watch-buffer occupancy, and per-malicious-node isolation
 // timelines. The diagnostic companion to `quickstart`.
 //
-//   ./sensor_field [--nodes=100] [--seed=1] [--duration=2000]
-//                  [--malicious=2] [--liteworp=true] [--trace=F]
-//
 // --trace=F streams every PHY event to F as a JSONL trace (the schema of
 // docs/TRACE_FORMAT.md, readable by `lw-trace stats` / `follow`).
 #include <cstdio>
@@ -17,20 +14,13 @@
 #include "packet/packet.h"
 #include "scenario/network.h"
 #include "scenario/runner.h"
-#include "util/config.h"
+#include "util/cli.h"
 
-namespace {
-/// Warns about mistyped flags (set but never read).
-void warn_unread_flags(const lw::Config& args) {
-  for (const auto& key : args.unread_keys()) {
-    std::fprintf(stderr, "warning: unknown flag --%s (ignored)\n",
-                 key.c_str());
-  }
-}
-}  // namespace
+constexpr const char* kUsage =
+    "usage: sensor_field [--nodes=100] [--seed=1] [--duration=2000]\n"
+    "                    [--malicious=2] [--liteworp=true] [--trace=F]";
 
-int main(int argc, char** argv) {
-  lw::Config args = lw::Config::from_args(argc, argv);
+static int run_example(lw::Config& args) {
   const std::string trace_path = args.get_string("trace", "");
 
   lw::scenario::ExperimentConfig config =
@@ -41,8 +31,8 @@ int main(int argc, char** argv) {
   config.malicious_count =
       static_cast<std::size_t>(args.get_int("malicious", 2));
   config.defense.name = args.get_bool("liteworp", true) ? "liteworp" : "none";
+  lw::cli::reject_unknown(args);
   config.finalize();
-  warn_unread_flags(args);
 
   lw::scenario::Network net(config);
   std::ofstream trace_file;
@@ -178,4 +168,8 @@ int main(int argc, char** argv) {
     std::printf("  table %zu bytes\n", node.table().storage_bytes());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lw::cli::run(argc, argv, "sensor_field", kUsage, run_example);
 }

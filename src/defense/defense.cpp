@@ -160,16 +160,38 @@ void validate_alerts(const std::string& backend, const lite::AlertParams& a) {
   if (a.detection_confidence < 1) {
     reject(backend + ".detection_confidence (gamma) must be at least 1");
   }
-  if (a.repeats < 1) reject(backend + ".alert_repeats must be at least 1");
-  if (!(a.repeat_gap >= 0.0)) {
+  if (a.alert_repeats < 1) {
+    reject(backend + ".alert_repeats must be at least 1");
+  }
+  if (!(a.alert_repeat_gap >= 0.0)) {
     reject(backend + ".alert_repeat_gap must be non-negative");
   }
-  if (a.ttl < 0 || a.ttl > 255) {
+  if (a.alert_ttl < 0 || a.alert_ttl > 255) {
     reject(backend + ".alert_ttl must be within [0, 255]");
   }
   if (!(a.realert_interval >= 0.0)) {
     reject(backend + ".realert_interval must be non-negative");
   }
+}
+
+/// Sets one of the five shared alert values from `param`, the key past its
+/// "<backend>." prefix; false when `param` names none of them.
+bool set_alert_option(lite::AlertParams& a, const std::string& key,
+                      const std::string& param, const std::string& value) {
+  if (param == "detection_confidence") {
+    a.detection_confidence = parse_int(key, value);
+  } else if (param == "alert_repeats") {
+    a.alert_repeats = parse_int(key, value);
+  } else if (param == "alert_repeat_gap") {
+    a.alert_repeat_gap = parse_double(key, value);
+  } else if (param == "alert_ttl") {
+    a.alert_ttl = parse_int(key, value);
+  } else if (param == "realert_interval") {
+    a.realert_interval = parse_double(key, value);
+  } else {
+    return false;
+  }
+  return true;
 }
 
 bool parse_bool(const std::string& key, const std::string& value) {
@@ -206,7 +228,7 @@ void DefenseConfig::validate() const {
            registry_list() + ")");
   }
   if (name == "liteworp") {
-    validate_alerts(name, lite::AlertParams::of(liteworp));
+    validate_alerts(name, liteworp);
     if (liteworp.malc_threshold <= 0.0) {
       reject("liteworp.malc_threshold (C_t) must be positive");
     }
@@ -214,7 +236,7 @@ void DefenseConfig::validate() const {
       reject("liteworp.watch_timeout (delta) must be positive");
     }
   } else if (name == "zscore") {
-    validate_alerts(name, lite::AlertParams::of(zscore));
+    validate_alerts(name, zscore);
     if (zscore.z_threshold <= 0.0) {
       reject("zscore.z_threshold must be positive");
     }
@@ -250,6 +272,12 @@ void set_option(DefenseConfig& config, const std::string& key,
   lite::LiteworpParams& lw = config.liteworp;
   leash::LeashParams& ls = config.leash;
   ZScoreParams& zs = config.zscore;
+  // The five alert keys read the same under either accusing backend.
+  const std::string param = key.substr(key.find('.') + 1);
+  lite::AlertParams* alerts = nullptr;
+  if (key == "liteworp." + param) alerts = &lw;
+  if (key == "zscore." + param) alerts = &zs;
+  if (alerts != nullptr && set_alert_option(*alerts, key, param, value)) return;
   if (key == "liteworp.watch_timeout") {
     lw.watch_timeout = parse_double(key, value);
   } else if (key == "liteworp.transmit_record_ttl") {
@@ -262,16 +290,6 @@ void set_option(DefenseConfig& config, const std::string& key,
     lw.malc_threshold = parse_double(key, value);
   } else if (key == "liteworp.corroborated_threshold") {
     lw.corroborated_threshold = parse_double(key, value);
-  } else if (key == "liteworp.detection_confidence") {
-    lw.detection_confidence = parse_int(key, value);
-  } else if (key == "liteworp.alert_repeats") {
-    lw.alert_repeats = parse_int(key, value);
-  } else if (key == "liteworp.alert_repeat_gap") {
-    lw.alert_repeat_gap = parse_double(key, value);
-  } else if (key == "liteworp.alert_ttl") {
-    lw.alert_ttl = parse_int(key, value);
-  } else if (key == "liteworp.realert_interval") {
-    lw.realert_interval = parse_double(key, value);
   } else if (key == "liteworp.window_packets") {
     lw.window_packets = parse_int(key, value);
   } else if (key == "liteworp.strict_link_check") {
@@ -303,16 +321,6 @@ void set_option(DefenseConfig& config, const std::string& key,
     zs.std_floor = parse_double(key, value);
   } else if (key == "zscore.transmit_record_ttl") {
     zs.transmit_record_ttl = parse_double(key, value);
-  } else if (key == "zscore.detection_confidence") {
-    zs.detection_confidence = parse_int(key, value);
-  } else if (key == "zscore.alert_repeats") {
-    zs.alert_repeats = parse_int(key, value);
-  } else if (key == "zscore.alert_repeat_gap") {
-    zs.alert_repeat_gap = parse_double(key, value);
-  } else if (key == "zscore.alert_ttl") {
-    zs.alert_ttl = parse_int(key, value);
-  } else if (key == "zscore.realert_interval") {
-    zs.realert_interval = parse_double(key, value);
   } else {
     reject("unknown option \"" + key +
            "\" (use <backend>.<param>, e.g. liteworp.detection_confidence, "

@@ -45,8 +45,9 @@ namespace lw::defense {
 /// rare collision losses. The per-neighbor anomaly RATE is then scored
 /// against the other neighbors' rates (leave-one-out z-score): conviction
 /// needs the neighbor to be a statistical outlier among its peers, not just
-/// noisy in absolute terms.
-struct ZScoreParams {
+/// noisy in absolute terms. Convictions go out through the shared alert
+/// protocol, whose values (gamma included) come from lite::AlertParams.
+struct ZScoreParams : lite::AlertParams {
   /// Convict when (rate - mean_others) / std_others reaches this.
   double z_threshold = 2.5;
   /// Judged forwards a neighbor needs before its rate is trusted (both as
@@ -64,14 +65,6 @@ struct ZScoreParams {
   double std_floor = 0.05;
   /// TTL of transmit records backing the "never heard this flow" test.
   Duration transmit_record_ttl = 10.0;
-  /// gamma: alerts from distinct accusers required to isolate. This and
-  /// the next four are the lite::AlertChannel values, with the same
-  /// meaning and defaults as in LiteworpParams.
-  int detection_confidence = 3;
-  int alert_repeats = 3;
-  Duration alert_repeat_gap = 4.0;
-  int alert_ttl = 2;
-  Duration realert_interval = 30.0;
 };
 
 /// Uniform per-node overhead snapshot, summed network-wide into RunResult.

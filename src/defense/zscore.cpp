@@ -9,8 +9,7 @@ ZScoreDefense::ZScoreDefense(const DefenseConfig& config, const Wiring& wiring)
     : env_(wiring.env),
       table_(wiring.table),
       params_(config.zscore),
-      alerts_(wiring.env, wiring.table, wiring.routing,
-              lite::AlertParams::of(config.zscore),
+      alerts_(wiring.env, wiring.table, wiring.routing, config.zscore,
               static_cast<std::uint8_t>(obs::DefenseTag::kZScore)) {}
 
 void ZScoreDefense::reset() {

@@ -41,12 +41,6 @@ void IncidentBuilder::on_event(const obs::Event& event) {
   incident.accused = accused;
   incident.defense = static_cast<obs::DefenseTag>(event.def);
 
-  ++incident.timeline_total;
-  if (incident.timeline.size() < Incident::kTimelineCap) {
-    incident.timeline.push_back(
-        {event.t, event.kind, event.node, event.value});
-  }
-
   switch (event.kind) {
     case obs::EventKind::kMonSuspicion:
       if (incident.first_suspicion < 0.0) incident.first_suspicion = event.t;

@@ -5,10 +5,11 @@
 // frame in its watch buffer, accused a neighbor, and gamma distinct
 // accusations produced an isolation. An Incident reconstructs that
 // evidence chain for one accused node: the accusing guards, the suspicion
-// kinds (fabrication vs drop), the MalC/alert timeline, and the detection
-// latency from the node's first malicious act — cross-checked against
-// attack-layer ground-truth events (atk.spawn/tunnel/replay/drop) to label
-// the incident a true or false positive.
+// kinds (fabrication vs drop), the peak MalC, the first suspicion,
+// detection and isolation times, and the detection latency from the
+// node's first malicious act — cross-checked against attack-layer
+// ground-truth events (atk.spawn/tunnel/replay/drop) to label the incident
+// a true or false positive.
 //
 // The same IncidentBuilder serves two callers: in-process as the one
 // per-accused fold of every scenario::Network run (the run metrics and the
@@ -28,17 +29,6 @@
 #include "obs/recorder.h"
 
 namespace lw::forensics {
-
-/// One monitor-layer event concerning the accused, kept in arrival order:
-/// the MalC/alert timeline of the incident.
-struct TimelinePoint {
-  Time t = 0.0;
-  obs::EventKind kind = obs::EventKind::kMonSuspicion;
-  /// The acting guard / isolating node.
-  NodeId actor = kInvalidNode;
-  /// Event value (MalC for suspicions, alert count for isolations).
-  double value = 0.0;
-};
 
 /// The reconstructed evidence chain against one accused node.
 struct Incident {
@@ -63,7 +53,7 @@ struct Incident {
   /// Distinct compromised guards that framed the accused, ascending.
   std::vector<NodeId> framers;
 
-  // ---- Evidence timeline ----
+  // ---- Evidence ----
   Time first_suspicion = -1.0;
   /// First guard whose MalC crossed C_t (mon.detection).
   Time first_detection = -1.0;
@@ -82,12 +72,6 @@ struct Incident {
   std::uint64_t alerts = 0;
   std::uint64_t isolations = 0;
   double peak_malc = 0.0;
-  /// Monitor events about the accused in arrival order, capped at
-  /// kTimelineCap entries (timeline_total counts all of them).
-  std::vector<TimelinePoint> timeline;
-  std::uint64_t timeline_total = 0;
-
-  static constexpr std::size_t kTimelineCap = 256;
 
   bool isolated() const { return isolations > 0; }
   bool true_positive() const { return ground_truth_malicious; }

@@ -28,8 +28,8 @@ void AlertChannel::convict(NodeId suspect, double evidence) {
 
   last_alert_[suspect] = env_.now();
   send(suspect);
-  for (int repeat = 1; repeat < params_.repeats; ++repeat) {
-    env_.simulator().schedule(repeat * params_.repeat_gap,
+  for (int repeat = 1; repeat < params_.alert_repeats; ++repeat) {
+    env_.simulator().schedule(repeat * params_.alert_repeat_gap,
                               [this, suspect, epoch = epoch_] {
                                 if (epoch == epoch_) send(suspect);
                               });
@@ -58,7 +58,7 @@ void AlertChannel::send(NodeId suspect) {
   alert.seq = ++seq_;
   alert.accused = suspect;
   alert.accusing_guard = env_.id();
-  alert.ttl = static_cast<std::uint8_t>(params_.ttl);
+  alert.ttl = static_cast<std::uint8_t>(params_.alert_ttl);
   alert.auth_payload_into(auth_buf_);
   if (recipients != nullptr) {
     alert.alert_auth.reserve(recipients->size());

@@ -29,25 +29,28 @@
 
 namespace lw::lite {
 
-/// The five alert values each accusing backend carries in its own
-/// parameter block (LiteworpParams, defense::ZScoreParams).
+/// The alert values every accusing backend shares: the base of its
+/// parameter block (LiteworpParams, defense::ZScoreParams), with the same
+/// names, defaults and CLI keys ("<backend>.alert_ttl") in each.
 struct AlertParams {
   /// gamma: alerts from distinct guards required to isolate.
-  int detection_confidence;
-  /// Transmissions per detection (the first plus scheduled repeats).
-  int repeats;
-  Duration repeat_gap;
-  /// Relay budget on alert frames.
-  int ttl;
-  /// Minimum spacing of re-alerts about a convicted node still talking.
-  Duration realert_interval;
-
-  /// The alert values of a backend's parameter block.
-  template <typename Params>
-  static AlertParams of(const Params& p) {
-    return {p.detection_confidence, p.alert_repeats, p.alert_repeat_gap,
-            p.alert_ttl, p.realert_interval};
-  }
+  int detection_confidence = 3;
+  /// A detecting guard transmits its alert this many times (fresh sequence
+  /// numbers, spaced below), because a single broadcast plus one relay can
+  /// die to collisions and alerts are never re-triggered; receivers count
+  /// each guard once regardless.
+  int alert_repeats = 3;
+  Duration alert_repeat_gap = 4.0;
+  /// Relay budget on alert frames. 1 covers two hops — enough when the
+  /// accused's neighborhood is well-meshed — but the shortest guard-to-
+  /// neighbor path can run THROUGH the accused (who will not relay), so
+  /// the default allows one extra ring.
+  int alert_ttl = 2;
+  /// While a convicted node keeps transmitting watched control traffic
+  /// (i.e. the threat persists because some neighbors have not isolated it
+  /// yet), the guard re-sends its alert at most once per this interval.
+  /// Converges lossy neighborhoods to complete isolation.
+  Duration realert_interval = 30.0;
 };
 
 class AlertChannel {

@@ -13,7 +13,7 @@ LocalMonitor::LocalMonitor(node::NodeEnv& env, nbr::NeighborTable& table,
     : env_(env),
       table_(table),
       params_(params),
-      alerts_(env, table, routing, AlertParams::of(params),
+      alerts_(env, table, routing, params,
               static_cast<std::uint8_t>(obs::DefenseTag::kLiteworp)) {}
 
 void LocalMonitor::start() {}

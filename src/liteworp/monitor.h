@@ -27,7 +27,7 @@
 
 namespace lw::lite {
 
-struct LiteworpParams {
+struct LiteworpParams : AlertParams {
   /// delta: how long a REP may sit at the next hop before it counts as
   /// dropped. Must cover worst-case MAC queueing plus the full
   /// ARQ-retransmission window (backoffs included) at 40 kbps — including
@@ -58,24 +58,6 @@ struct LiteworpParams {
   /// framing guard still cannot isolate anyone (gamma distinct guards,
   /// each with local evidence, remain necessary).
   double corroborated_threshold = 12.0;
-  /// gamma: alerts from distinct guards required to isolate.
-  int detection_confidence = 3;
-  /// A detecting guard transmits its alert this many times (fresh sequence
-  /// numbers, spaced below), because a single broadcast plus one relay can
-  /// die to collisions and alerts are never re-triggered; receivers count
-  /// each guard once regardless.
-  int alert_repeats = 3;
-  Duration alert_repeat_gap = 4.0;
-  /// Relay budget on alert frames. 1 covers two hops — enough when the
-  /// accused's neighborhood is well-meshed — but the shortest guard-to-
-  /// neighbor path can run THROUGH the accused (who will not relay), so
-  /// the default allows one extra ring.
-  int alert_ttl = 2;
-  /// While a locally-detected node keeps transmitting watched control
-  /// traffic (i.e. the threat persists because some neighbors have not
-  /// isolated it yet), the guard re-sends its alert at most once per this
-  /// interval. Converges lossy neighborhoods to complete isolation.
-  Duration realert_interval = 30.0;
   /// kappa: MalC is evaluated over blocks of this many watched packets per
   /// suspect (the analysis' "fabrications occur within a window of kappa
   /// packets"); the counter resets after each block that stays below C_t.

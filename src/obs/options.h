@@ -17,8 +17,8 @@ struct Options {
   bool trace = false;
   /// Layers included in the trace (the event tally always sees all).
   std::uint32_t trace_layers = kAllLayers;
-  /// Snapshot the per-kind event counts plus the delivery-latency and
-  /// backoff histograms (RunResult::registry).
+  /// Snapshot the per-kind event counts, named "<layer>.<event>"
+  /// (RunResult::registry).
   bool counters = false;
   /// Profile the run (RunResult::profile): per-layer wall time and event
   /// counts, events/second, simulator queue high-water mark.
@@ -34,9 +34,9 @@ struct Options {
   bool watch = false;
   /// Fold monitor/attack events into labeled detection incidents
   /// (RunResult::incidents / RunResult::forensics): per accused node the
-  /// accusing guards, suspicion kinds, MalC/alert timeline, detection
-  /// latency, and a true/false-positive label cross-checked against
-  /// attack-layer ground truth.
+  /// accusing guards, suspicion kinds, peak MalC, detection latency, and
+  /// a true/false-positive label cross-checked against attack-layer ground
+  /// truth.
   bool forensics = false;
   /// Fold nbr/route/mon/atk events into typed protocol-transaction spans
   /// (RunResult::spans): route-discovery sessions, alibi windows, alert

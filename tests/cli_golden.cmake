@@ -1,10 +1,11 @@
 # Runs PROGRAM with ARGS (one space-separated string) and checks what it
-# printed: stdout byte for byte against the file EXPECTED, and/or stderr
-# for the substring STDERR. A mismatch or an exit status other than
-# EXIT_CODE (default 0) fails the test. With LW_UPDATE_GOLDEN set in the
-# environment it rewrites EXPECTED instead of comparing it.
+# printed: stdout byte for byte against the file EXPECTED, and/or stdout
+# and stderr for the substrings STDOUT and STDERR. A mismatch or an exit
+# status other than EXIT_CODE (default 0) fails the test. With
+# LW_UPDATE_GOLDEN set in the environment it rewrites EXPECTED instead of
+# comparing it.
 #   cmake -DPROGRAM=... "-DARGS=..." [-DEXPECTED=...] [-DEXIT_CODE=N]
-#         ["-DSTDERR=..."] -P cli_golden.cmake
+#         ["-DSTDOUT=..."] ["-DSTDERR=..."] -P cli_golden.cmake
 if(NOT DEFINED EXIT_CODE)
   set(EXIT_CODE 0)
 endif()
@@ -17,13 +18,17 @@ if(NOT status EQUAL EXIT_CODE)
   message(FATAL_ERROR
     "${PROGRAM} ${ARGS} exited with ${status}, expected ${EXIT_CODE}")
 endif()
-if(NOT "${STDERR}" STREQUAL "")
-  string(FIND "${errors}" "${STDERR}" at)
-  if(at EQUAL -1)
-    message(FATAL_ERROR "stderr of ${PROGRAM} ${ARGS} lacks \"${STDERR}\":"
-      "\n${errors}")
+set(printed_STDOUT "${actual}")
+set(printed_STDERR "${errors}")
+foreach(stream STDOUT STDERR)
+  if(NOT "${${stream}}" STREQUAL "")
+    string(FIND "${printed_${stream}}" "${${stream}}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "${stream} of ${PROGRAM} ${ARGS} lacks"
+        " \"${${stream}}\":\n${printed_${stream}}")
+    endif()
   endif()
-endif()
+endforeach()
 if("${EXPECTED}" STREQUAL "")
   return()
 endif()

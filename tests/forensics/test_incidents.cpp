@@ -103,20 +103,6 @@ TEST(IncidentBuilder, HonestAccusedIsAFalsePositive) {
   EXPECT_DOUBLE_EQ(summary.precision(), 0.0);
 }
 
-TEST(IncidentBuilder, TimelineIsCappedButCounted) {
-  IncidentBuilder builder;
-  for (int i = 0; i < 300; ++i) {
-    builder.on_event(mon_event(obs::EventKind::kMonSuspicion,
-                               static_cast<Time>(i), 2, 9,
-                               static_cast<double>(i)));
-  }
-  builder.on_event(mon_event(obs::EventKind::kMonDetection, 301.0, 2, 9));
-  const std::vector<Incident> incidents = builder.build();
-  ASSERT_EQ(incidents.size(), 1u);
-  EXPECT_EQ(incidents.front().timeline.size(), Incident::kTimelineCap);
-  EXPECT_EQ(incidents.front().timeline_total, 301u);
-}
-
 // ---- End-to-end: labels vs ground truth on a real isolating run ----
 
 scenario::ExperimentConfig forensic_config() {

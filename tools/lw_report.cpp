@@ -2,92 +2,70 @@
 // rows or any sweep bench's --json document) into markdown perf reports,
 // diffs two runs, and maintains the BENCH_history.json regression ledger.
 //
-// Subcommands:
-//   render <file> [--title=T]       one run -> markdown report
-//   diff <file-a> <file-b> [--wall-tolerance=0.10]
-//                                   compare run B against run A: exact
-//                                   match required for deterministic
-//                                   counters, relative threshold for
-//                                   wall-clock metrics; exit 1 on any
-//                                   regression
-//   record <file> --history=H --label=L
-//                                   append the run's deterministic metrics
-//                                   as a new labeled entry of history file
-//                                   H (created if missing)
-//   check <file> --history=H        compare the run against H's newest
-//                                   entry; exit 1 on deterministic drift
-//
-// Exit codes: 0 ok, 1 findings (diff regressions, history drift), 2 usage
-// or unreadable/unparseable input — the same contract as lw-trace (see
-// tools/cli_util.h).
+// Exit codes follow the contract in util/cli.h: 0 ok, 1 findings (diff
+// regressions, history drift), 2 usage or unreadable/unparseable input.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "cli_util.h"
 #include "report/report.h"
+#include "util/cli.h"
 #include "util/json.h"
 
 namespace {
 
-void print_usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: lw-report <command> ...\n"
-      "  render <file> [--title=T]                 run JSON -> markdown\n"
-      "  diff <a> <b> [--wall-tolerance=0.10]      compare two runs\n"
-      "  record <file> --history=H --label=L       append history entry\n"
-      "  check <file> --history=H                  check vs newest entry\n"
-      "  --version | --help\n"
-      "accepts bench row arrays (bench_hotpath --json) and sweep JSON\n"
-      "(any sweep bench with --json); --series runs carry queue/memory\n"
-      "high-water metrics into the report.\n");
-}
+constexpr const char* kUsage =
+    "usage: lw-report <command> ...\n"
+    "  render <file> [--title=T]       one run -> markdown report\n"
+    "  diff <file-a> <file-b> [--wall-tolerance=0.10]\n"
+    "                                  compare run B against run A: exact\n"
+    "                                  match required for deterministic\n"
+    "                                  counters, relative threshold for\n"
+    "                                  wall-clock metrics; exit 1 on any\n"
+    "                                  regression\n"
+    "  record <file> --history=H --label=L\n"
+    "                                  append the run's deterministic metrics\n"
+    "                                  as a new labeled entry of history file\n"
+    "                                  H (created if missing)\n"
+    "  check <file> --history=H        compare the run against H's newest\n"
+    "                                  entry; exit 1 on deterministic drift\n"
+    "  --version | --help\n"
+    "accepts bench row arrays (bench_hotpath --json) and sweep JSON\n"
+    "(any sweep bench with --json); --series runs carry queue/memory\n"
+    "high-water metrics into the report.";
 
-int usage_error() {
-  print_usage(stderr);
-  return lw::cli::kExitUsage;
-}
-
-/// Reads a whole file; exits 2 when unreadable.
+/// Reads a whole file; throws std::invalid_argument when unreadable.
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "lw-report: cannot read %s\n", path.c_str());
-    std::exit(lw::cli::kExitUsage);
-  }
+  if (!in) throw std::invalid_argument("lw-report: cannot read " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
 }
 
-/// Parses a run file into cases; exits 2 on malformed input.
+/// Parses a run file into cases; throws std::invalid_argument on malformed
+/// input.
 std::vector<lw::report::CaseMetrics> load_cases(const std::string& path) {
   const std::string text = slurp(path);
   try {
     return lw::report::parse_cases(lw::util::JsonValue::parse(text));
   } catch (const lw::util::JsonParseError& e) {
-    std::fprintf(stderr, "lw-report: %s:%zu: %s\n", path.c_str(), e.offset(),
-                 e.what());
-    std::exit(lw::cli::kExitUsage);
+    throw std::invalid_argument("lw-report: " + path + ":" +
+                                std::to_string(e.offset()) + ": " + e.what());
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "lw-report: %s: %s\n", path.c_str(), e.what());
-    std::exit(lw::cli::kExitUsage);
+    throw std::invalid_argument("lw-report: " + path + ": " + e.what());
   }
 }
 
-/// --key=value lookup over the remaining args; empty when absent.
-std::string flag_value(int argc, char** argv, int from, const char* flag) {
-  const std::string prefix = std::string("--") + flag + "=";
-  for (int i = from; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return "";
+/// The history file's text; empty when it does not exist yet.
+std::string read_history(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  if (in) buffer << in.rdbuf();
+  return buffer.str();
 }
 
 int cmd_render(const std::string& path, const std::string& title) {
@@ -96,112 +74,88 @@ int cmd_render(const std::string& path, const std::string& title) {
                  cases, title.empty() ? "Perf report: " + path : title)
                  .c_str(),
              stdout);
-  return lw::cli::kExitOk;
+  return 0;
 }
 
 int cmd_diff(const std::string& path_a, const std::string& path_b,
-             const std::string& tolerance_text) {
+             double wall_tolerance) {
   lw::report::DiffOptions options;
-  if (!tolerance_text.empty()) {
-    char* end = nullptr;
-    options.wall_tolerance = std::strtod(tolerance_text.c_str(), &end);
-    if (end == tolerance_text.c_str() || *end != '\0' ||
-        options.wall_tolerance < 0.0) {
-      std::fprintf(stderr, "lw-report: bad --wall-tolerance \"%s\"\n",
-                   tolerance_text.c_str());
-      return lw::cli::kExitUsage;
-    }
-  }
+  options.wall_tolerance = wall_tolerance;
   const lw::report::DiffReport report =
       lw::report::diff_cases(load_cases(path_a), load_cases(path_b), options);
   std::fputs(report.markdown.c_str(), stdout);
-  return report.regressions == 0 ? lw::cli::kExitOk : lw::cli::kExitFindings;
+  return report.regressions == 0 ? 0 : 1;
 }
 
 int cmd_record(const std::string& path, const std::string& history_path,
                const std::string& label) {
   if (history_path.empty() || label.empty()) {
-    std::fprintf(stderr,
-                 "lw-report: record needs --history=FILE and --label=TEXT\n");
-    return lw::cli::kExitUsage;
+    throw lw::ConfigError(
+        "lw-report: record needs --history=FILE and --label=TEXT");
   }
-  std::string history;
-  {
-    std::ifstream in(history_path);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      history = buffer.str();
-    }
-  }
+  const auto cases = load_cases(path);
   std::string updated;
   try {
-    updated = lw::report::history_append(history, label, load_cases(path));
+    updated = lw::report::history_append(read_history(history_path), label,
+                                         cases);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "lw-report: %s: %s\n", history_path.c_str(),
-                 e.what());
-    return lw::cli::kExitUsage;
+    throw std::invalid_argument("lw-report: " + history_path + ": " +
+                                e.what());
   }
   std::ofstream out(history_path);
   if (!out) {
-    std::fprintf(stderr, "lw-report: cannot write %s\n",
-                 history_path.c_str());
-    return lw::cli::kExitUsage;
+    throw std::invalid_argument("lw-report: cannot write " + history_path);
   }
   out << updated << "\n";
   std::fprintf(stderr, "recorded entry \"%s\" in %s\n", label.c_str(),
                history_path.c_str());
-  return lw::cli::kExitOk;
+  return 0;
 }
 
 int cmd_check(const std::string& path, const std::string& history_path) {
   if (history_path.empty()) {
-    std::fprintf(stderr, "lw-report: check needs --history=FILE\n");
-    return lw::cli::kExitUsage;
+    throw lw::ConfigError("lw-report: check needs --history=FILE");
   }
-  std::string history;
-  {
-    std::ifstream in(history_path);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      history = buffer.str();
-    }
-  }
+  const auto cases = load_cases(path);
   lw::report::HistoryCheck check;
   try {
-    check = lw::report::history_check(history, load_cases(path));
+    check = lw::report::history_check(read_history(history_path), cases);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "lw-report: %s: %s\n", history_path.c_str(),
-                 e.what());
-    return lw::cli::kExitUsage;
+    throw std::invalid_argument("lw-report: " + history_path + ": " +
+                                e.what());
   }
   std::fputs(check.message.c_str(), stderr);
-  return check.ok ? lw::cli::kExitOk : lw::cli::kExitFindings;
+  return check.ok ? 0 : 1;
+}
+
+int run_tool(lw::Config& args) {
+  const std::string title = args.get_string("title", "");
+  const double wall_tolerance = args.get_double(
+      "wall-tolerance", lw::report::DiffOptions{}.wall_tolerance);
+  const std::string history = args.get_string("history", "");
+  const std::string label = args.get_string("label", "");
+  lw::cli::reject_unknown(args);
+  if (wall_tolerance < 0.0) {
+    throw lw::ConfigError("lw-report: bad --wall-tolerance \"" +
+                          args.get_string("wall-tolerance", "") + "\"");
+  }
+
+  const std::vector<std::string>& words = args.positionals();
+  const std::string command = words.empty() ? "" : words[0];
+  const std::size_t operands = words.size() - (words.empty() ? 0 : 1);
+  if (command == "render" && operands == 1) return cmd_render(words[1], title);
+  if (command == "diff" && operands == 2) {
+    return cmd_diff(words[1], words[2], wall_tolerance);
+  }
+  if (command == "record" && operands == 1) {
+    return cmd_record(words[1], history, label);
+  }
+  if (command == "check" && operands == 1) return cmd_check(words[1], history);
+  throw lw::ConfigError(kUsage);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (auto code = lw::cli::handle_standard_flags(argc, argv, "lw-report",
-                                                 print_usage)) {
-    return *code;
-  }
-  if (argc < 2) return usage_error();
-  const std::string command = argv[1];
-  if (command == "render" && argc >= 3) {
-    return cmd_render(argv[2], flag_value(argc, argv, 3, "title"));
-  }
-  if (command == "diff" && argc >= 4) {
-    return cmd_diff(argv[2], argv[3],
-                    flag_value(argc, argv, 4, "wall-tolerance"));
-  }
-  if (command == "record" && argc >= 3) {
-    return cmd_record(argv[2], flag_value(argc, argv, 3, "history"),
-                      flag_value(argc, argv, 3, "label"));
-  }
-  if (command == "check" && argc >= 3) {
-    return cmd_check(argv[2], flag_value(argc, argv, 3, "history"));
-  }
-  return usage_error();
+  return lw::cli::run(argc, argv, "lw-report", kUsage, run_tool);
 }

@@ -1,44 +1,24 @@
 // lw-trace: offline analyzer for JSONL event traces (bench --trace).
 //
-// Subcommands:
-//   stats <file>                 event counts per layer.event, time span,
-//                                run segments, distinct lineages
-//   follow <file> <lineage-id>   every packet event of one lineage, in
-//                                order: the packet's hop-by-hop journey
-//   incidents <file> [--json]    fold the trace into labeled detection
-//                                incidents (same IncidentBuilder the live
-//                                runs use), per run segment
-//   diff <file-a> <file-b>       first byte-level divergence plus
-//                                per-event-count deltas
-//   check <file> [--gamma=N]     lint the trace against the invariants in
-//                                forensics/check.h; exit 1 on violations
-//   export-perfetto <file> [--out=FILE]
-//                                convert to Chrome trace-event JSON for
-//                                ui.perfetto.dev / chrome://tracing (one
-//                                track per node x layer, spans as nestable
-//                                async slices, lineage flow arrows)
-//
-// Exit codes: 0 ok, 1 findings (check violations, diff mismatch, unknown
-// lineage), 2 usage or unreadable/unparseable input — the shared lw-*
-// contract (see tools/cli_util.h). --version and --help exit 0.
-#include <charconv>
+// Exit codes follow the contract in util/cli.h: 0 ok, 1 findings (check
+// violations, diff mismatch, unknown lineage), 2 usage or
+// unreadable/unparseable input. --version and --help exit 0.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "cli_util.h"
 #include "forensics/check.h"
 #include "forensics/incident.h"
 #include "forensics/perfetto.h"
 #include "forensics/trace_reader.h"
+#include "util/cli.h"
 
 namespace {
 
@@ -52,37 +32,34 @@ using lw::forensics::RunIncidents;
 using lw::forensics::TraceFormatError;
 using lw::forensics::TraceRecord;
 
-void print_usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: lw-trace <command> ...\n"
-      "  stats <file>                per-event counts and trace overview\n"
-      "  follow <file> <lineage-id>  one packet lineage, hop by hop\n"
-      "  incidents <file> [--json]   labeled detection incidents\n"
-      "  diff <file-a> <file-b>      compare two traces\n"
-      "  check <file> [--gamma=N]    lint trace invariants\n"
-      "  export-perfetto <file> [--out=FILE]\n"
-      "                              Chrome trace-event JSON (Perfetto)\n"
-      "  --version | --help\n");
-}
-
-int usage() {
-  print_usage(stderr);
-  return lw::cli::kExitUsage;
-}
+constexpr const char* kUsage =
+    "usage: lw-trace <command> ...\n"
+    "  stats <file>                 event counts per layer.event, time span,\n"
+    "                               run segments, distinct lineages\n"
+    "  follow <file> <lineage-id>   every packet event of one lineage, in\n"
+    "                               order: the packet's hop-by-hop journey\n"
+    "  incidents <file> [--json]    fold the trace into labeled detection\n"
+    "                               incidents (same IncidentBuilder the live\n"
+    "                               runs use), per run segment\n"
+    "  diff <file-a> <file-b>       first byte-level divergence plus\n"
+    "                               per-event-count deltas\n"
+    "  check <file> [--gamma=N]     lint the trace against the invariants in\n"
+    "                               forensics/check.h; exit 1 on violations\n"
+    "  export-perfetto <file> [--out=FILE]\n"
+    "                               convert to Chrome trace-event JSON for\n"
+    "                               ui.perfetto.dev / chrome://tracing (one\n"
+    "                               track per node x layer, spans as nestable\n"
+    "                               async slices, lineage flow arrows)\n"
+    "  --version | --help";
 
 std::vector<TraceRecord> load(const std::string& path) {
   std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "lw-trace: cannot read %s\n", path.c_str());
-    std::exit(2);
-  }
+  if (!in) throw std::invalid_argument("lw-trace: cannot read " + path);
   try {
     return lw::forensics::read_trace(in);
   } catch (const TraceFormatError& e) {
-    std::fprintf(stderr, "lw-trace: %s:%zu: %s\n", path.c_str(), e.line(),
-                 e.what());
-    std::exit(2);
+    throw std::invalid_argument("lw-trace: " + path + ":" +
+                                std::to_string(e.line()) + ": " + e.what());
   }
 }
 
@@ -140,8 +117,7 @@ int cmd_follow(const std::string& path, const std::string& id_text) {
   char* end = nullptr;
   const LineageId lineage = std::strtoull(id_text.c_str(), &end, 10);
   if (end == nullptr || *end != '\0') {
-    std::fprintf(stderr, "lw-trace: bad lineage id '%s'\n", id_text.c_str());
-    return 2;
+    throw lw::ConfigError("lw-trace: bad lineage id '" + id_text + "'");
   }
   const std::vector<TraceRecord> records = load(path);
   const std::vector<TraceRecord> chain =
@@ -257,9 +233,8 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
   std::ifstream a(path_a);
   std::ifstream b(path_b);
   if (!a || !b) {
-    std::fprintf(stderr, "lw-trace: cannot read %s\n",
-                 (!a ? path_a : path_b).c_str());
-    return 2;
+    throw std::invalid_argument("lw-trace: cannot read " +
+                                (!a ? path_a : path_b));
   }
   std::string line_a;
   std::string line_b;
@@ -311,10 +286,7 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
 
 int cmd_check(const std::string& path, int gamma) {
   std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "lw-trace: cannot read %s\n", path.c_str());
-    return 2;
-  }
+  if (!in) throw std::invalid_argument("lw-trace: cannot read " + path);
   // Parse line by line so a corrupted line becomes a finding (invariant 5)
   // instead of aborting the lint.
   std::vector<TraceRecord> records;
@@ -357,71 +329,42 @@ int cmd_export_perfetto(const std::string& path, const std::string& out_path) {
     return 0;
   }
   std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "lw-trace: cannot write %s\n", out_path.c_str());
-    return 2;
-  }
+  if (!out) throw std::invalid_argument("lw-trace: cannot write " + out_path);
   lw::forensics::export_perfetto(records, out);
   std::fprintf(stderr, "lw-trace: wrote %s\n", out_path.c_str());
   return 0;
 }
 
+int run_tool(lw::Config& args) {
+  const bool json = args.get_bool("json", false);
+  const int gamma = args.get_int("gamma", 3);
+  const std::string out_path = args.get_string("out", "");
+  lw::cli::reject_unknown(args);
+  if (gamma < 1) {
+    throw lw::ConfigError("lw-trace: --gamma must be an integer >= 1, got '" +
+                          std::to_string(gamma) + "'");
+  }
+
+  const std::vector<std::string>& words = args.positionals();
+  const std::string command = words.empty() ? "" : words[0];
+  const std::size_t operands = words.size() - (words.empty() ? 0 : 1);
+  if (command == "stats" && operands == 1) return cmd_stats(words[1]);
+  if (command == "follow" && operands == 2) {
+    return cmd_follow(words[1], words[2]);
+  }
+  if (command == "incidents" && operands == 1) {
+    return cmd_incidents(words[1], json);
+  }
+  if (command == "diff" && operands == 2) return cmd_diff(words[1], words[2]);
+  if (command == "check" && operands == 1) return cmd_check(words[1], gamma);
+  if (command == "export-perfetto" && operands == 1) {
+    return cmd_export_perfetto(words[1], out_path);
+  }
+  throw lw::ConfigError(kUsage);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (auto code = lw::cli::handle_standard_flags(argc, argv, "lw-trace",
-                                                 print_usage)) {
-    return *code;
-  }
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-
-  std::vector<std::string> positional;
-  bool json = false;
-  int gamma = 3;
-  std::string out_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--gamma=", 0) == 0) {
-      const std::string_view text = std::string_view(arg).substr(8);
-      const auto [end, ec] =
-          std::from_chars(text.data(), text.data() + text.size(), gamma);
-      if (ec != std::errc() || end != text.data() + text.size() ||
-          gamma < 1) {
-        std::fprintf(stderr,
-                     "lw-trace: --gamma must be an integer >= 1, got '%s'\n",
-                     arg.c_str() + 8);
-        return 2;
-      }
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "lw-trace: unknown flag %s\n", arg.c_str());
-      return 2;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-
-  if (command == "stats" && positional.size() == 1) {
-    return cmd_stats(positional[0]);
-  }
-  if (command == "follow" && positional.size() == 2) {
-    return cmd_follow(positional[0], positional[1]);
-  }
-  if (command == "incidents" && positional.size() == 1) {
-    return cmd_incidents(positional[0], json);
-  }
-  if (command == "diff" && positional.size() == 2) {
-    return cmd_diff(positional[0], positional[1]);
-  }
-  if (command == "check" && positional.size() == 1) {
-    return cmd_check(positional[0], gamma);
-  }
-  if (command == "export-perfetto" && positional.size() == 1) {
-    return cmd_export_perfetto(positional[0], out_path);
-  }
-  return usage();
+  return lw::cli::run(argc, argv, "lw-trace", kUsage, run_tool);
 }
