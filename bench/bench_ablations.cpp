@@ -31,8 +31,7 @@ struct Variant {
 
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 2, 700);
-  const std::size_t nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 100));
+  const std::size_t nodes = args.get_count("nodes", 100);
   const double duration = args.get_double("duration", 600.0);
   lw::cli::reject_unknown(args);
 

@@ -48,8 +48,7 @@ double isolated_fraction(const lw::scenario::SweepPointResult& point) {
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 2, 900);
   const double duration = args.get_double("duration", 400.0);
-  const std::size_t nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 60));
+  const std::size_t nodes = args.get_count("nodes", 60);
   const bool perfect_clocks = args.get_bool("perfect_clocks", false);
   lw::cli::reject_unknown(args);
 

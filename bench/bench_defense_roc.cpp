@@ -226,8 +226,7 @@ int check_rows(const std::vector<RocRow>& rows) {
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 2, 950);
   const double duration = args.get_double("duration", 400.0);
-  const std::size_t nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 60));
+  const std::size_t nodes = args.get_count("nodes", 60);
   const bool check = args.get_bool("check", false);
   lw::cli::reject_unknown(args);
 

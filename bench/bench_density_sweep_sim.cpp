@@ -26,8 +26,7 @@ constexpr const char* kUsage =
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 3, 800);
   const double duration = args.get_double("duration", 800.0);
-  const std::size_t nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 60));
+  const std::size_t nodes = args.get_count("nodes", 60);
   const int nb_min = args.get_int("nb_min", 5);
   const int nb_max = args.get_int("nb_max", 14);
   lw::cli::reject_unknown(args);

@@ -85,8 +85,7 @@ lw::fault::FaultPlan make_plan(std::size_t nodes, double crash_rate,
 
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 2, 900);
-  const std::size_t nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 49));
+  const std::size_t nodes = args.get_count("nodes", 49);
   const double duration = args.get_double("duration", 300.0);
   lw::cli::reject_unknown(args);
 

@@ -31,8 +31,7 @@ constexpr const char* kUsage =
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 4, 500);
   const double duration = args.get_double("duration", 800.0);
-  const std::size_t nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 100));
+  const std::size_t nodes = args.get_count("nodes", 100);
   const double nb = args.get_double("nb", 15.0);
   const int gamma_min = args.get_int("gamma_min", 2);
   const int gamma_max = args.get_int("gamma_max", 8);

@@ -55,8 +55,7 @@ double mean_latency(const lw::scenario::SweepPointResult& point) {
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 3, 300);
   const double duration = args.get_double("duration", 2000.0);
-  const std::size_t nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 100));
+  const std::size_t nodes = args.get_count("nodes", 100);
   const double dt = args.get_double("dt", 100.0);
   lw::cli::reject_unknown(args);
 

@@ -24,8 +24,7 @@ constexpr const char* kUsage =
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 2, 400);
   const double duration = args.get_double("duration", 1500.0);
-  const std::size_t nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 100));
+  const std::size_t nodes = args.get_count("nodes", 100);
   const int m_max = args.get_int("m_max", 4);
   lw::cli::reject_unknown(args);
 

@@ -89,12 +89,18 @@ std::vector<NodesSpec> parse_nodes_list(const std::string& csv) {
   std::string item;
   while (std::getline(in, item, ',')) {
     NodesSpec spec;
-    if (!item.empty() && (item.back() == 'c' || item.back() == 'i')) {
-      spec.collisions_case = item.back() == 'c';
-      spec.ideal_case = item.back() == 'i';
-      item.pop_back();
+    std::string count = item;
+    if (!count.empty() && (count.back() == 'c' || count.back() == 'i')) {
+      spec.collisions_case = count.back() == 'c';
+      spec.ideal_case = count.back() == 'i';
+      count.pop_back();
     }
-    spec.nodes = static_cast<std::size_t>(std::stoul(item));
+    // Digits only: stoul would wrap "-3" into a huge count.
+    if (count.empty() || count.find_first_not_of("0123456789") !=
+                             std::string::npos) {
+      throw lw::ConfigError("--nodes entry '" + item + "' is not a count");
+    }
+    spec.nodes = static_cast<std::size_t>(std::stoul(count));
     specs.push_back(spec);
   }
   return specs;

@@ -4,6 +4,9 @@
 // MICA-mote lookup times; these are the same operations on this
 // implementation.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+
+#include <vector>
 
 #include "crypto/hmac.h"
 #include "crypto/key_manager.h"
@@ -104,7 +107,9 @@ void BM_WatchBufferRecordAndMatch(benchmark::State& state) {
   for (auto _ : state) {
     ++seq;
     now += 0.01;
-    lw::FlowKey flow{static_cast<lw::NodeId>(seq % 64), seq, 4};
+    const lw::FlowKey flow{.origin = static_cast<lw::NodeId>(seq % 64),
+                           .type_tag = 4,
+                           .seq = seq};
     buffer.record_transmit(flow, 5, now, 2.0);
     benchmark::DoNotOptimize(buffer.has_transmit(flow, 5, now));
   }
@@ -116,12 +121,70 @@ void BM_WatchBufferDropWatchCycle(benchmark::State& state) {
   lw::SeqNo seq = 0;
   for (auto _ : state) {
     ++seq;
-    lw::FlowKey flow{1, seq, 5};
+    const lw::FlowKey flow{.origin = 1, .type_tag = 5, .seq = seq};
     buffer.add_drop_watch(flow, 2, 3, 1.0, {});
     benchmark::DoNotOptimize(buffer.clear_drop_watch(flow, 2, 3));
   }
 }
 BENCHMARK(BM_WatchBufferDropWatchCycle);
+
+/// The (flow, forwarder) pair a guard overhears for packet `i`.
+lw::lite::FlowNodeKey judged_pair(std::int64_t i) {
+  return {lw::FlowKey{.origin = static_cast<lw::NodeId>(i % 64),
+                      .type_tag = 4,
+                      .seq = static_cast<lw::SeqNo>(i)},
+          static_cast<lw::NodeId>(i % 8)};
+}
+
+void BM_JudgedForwardsFirstVerdict(benchmark::State& state) {
+  // A guard judging N forwarded packets, each overheard twice (the forward
+  // and one link-layer retransmission): N fresh pairs, N repeats. N = 8192
+  // is the bound at which the set forgets everything.
+  const std::int64_t n = state.range(0);
+  for (auto _ : state) {
+    lw::lite::JudgedForwards judged;
+    for (std::int64_t i = 0; i < n; ++i) {
+      benchmark::DoNotOptimize(judged.first_verdict(judged_pair(i)));
+      benchmark::DoNotOptimize(judged.first_verdict(judged_pair(i)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n);
+}
+BENCHMARK(BM_JudgedForwardsFirstVerdict)->Arg(64)->Arg(4096)->Arg(8192);
+
+void BM_WatchBufferFootprint1000Guards(benchmark::State& state) {
+  // dense_n1000's steady state in miniature: each of 1000 guards holds
+  // about 380 live transmit records, REQ floods heard from ~6 forwarders
+  // each, inside one 10 s record TTL. Reports the heap each guard's watch
+  // buffer holds (glibc mallinfo2) next to the time to fill them all.
+  constexpr int kGuards = 1000;
+  constexpr int kFlows = 64;
+  constexpr int kForwarders = 6;
+  double heap_per_guard = 0.0;
+  for (auto _ : state) {
+    const std::size_t before = mallinfo2().uordblks;
+    std::vector<lw::lite::WatchBuffer> guards(kGuards);
+    for (int g = 0; g < kGuards; ++g) {
+      double now = 0.0;
+      for (int f = 0; f < kFlows; ++f) {
+        const lw::FlowKey flow{.origin = static_cast<lw::NodeId>(g + f),
+                               .type_tag = 4,
+                               .seq = static_cast<lw::SeqNo>(f)};
+        for (int k = 0; k < kForwarders; ++k) {
+          now += 0.01;
+          guards[g].record_transmit(flow, static_cast<lw::NodeId>(k), now,
+                                    10.0);
+        }
+      }
+    }
+    heap_per_guard =
+        static_cast<double>(mallinfo2().uordblks - before) / kGuards;
+    benchmark::DoNotOptimize(guards.data());
+  }
+  state.counters["heap_B_per_guard"] = heap_per_guard;
+  state.counters["records_per_guard"] = kFlows * kForwarders;
+}
+BENCHMARK(BM_WatchBufferFootprint1000Guards)->Unit(benchmark::kMillisecond);
 
 void BM_PacketForwardCopy(benchmark::State& state) {
   // The per-hop relay copy on the forwarding hot path: route, neighbor

@@ -19,8 +19,7 @@ constexpr const char* kUsage =
 
 static int run_bench(lw::Config& args) {
   const bench::Common common = bench::parse_common(args, 1, 600);
-  const std::size_t nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 100));
+  const std::size_t nodes = args.get_count("nodes", 100);
   const double duration = args.get_double("duration", 400.0);
   const std::uint64_t seed = common.seed;
   lw::cli::reject_unknown(args);

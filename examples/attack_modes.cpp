@@ -79,7 +79,7 @@ void narrate(const lw::attack::ModeInfo& info,
 
 static int run_example(lw::Config& args) {
   auto base = lw::scenario::ExperimentConfig::table2_defaults();
-  base.node_count = static_cast<std::size_t>(args.get_int("nodes", 60));
+  base.node_count = args.get_count("nodes", 60);
   base.seed = static_cast<std::uint64_t>(args.get_int("seed", 21));
   base.duration = args.get_double("duration", 400.0);
   lw::cli::reject_unknown(args);

@@ -13,7 +13,7 @@ constexpr const char* kUsage =
 
 static int run_example(lw::Config& args) {
   auto config = lw::scenario::ExperimentConfig::table2_defaults();
-  config.node_count = static_cast<std::size_t>(args.get_int("nodes", 40));
+  config.node_count = args.get_count("nodes", 40);
   config.late_joiners = static_cast<std::size_t>(args.get_int("joiners", 3));
   config.late_join_time = args.get_double("join_time", 80.0);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 51));

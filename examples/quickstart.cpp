@@ -31,8 +31,7 @@ lw::attack::WormholeMode parse_mode(const std::string& name) {
 static int run_example(lw::Config& args) {
   lw::scenario::ExperimentConfig config =
       lw::scenario::ExperimentConfig::table2_defaults();
-  config.node_count =
-      static_cast<std::size_t>(args.get_int("nodes", 50));
+  config.node_count = args.get_count("nodes", 50);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
   config.duration = args.get_double("duration", 600.0);
   config.defense.name = args.get_string("defense", "liteworp");

@@ -25,7 +25,7 @@ static int run_example(lw::Config& args) {
 
   lw::scenario::ExperimentConfig config =
       lw::scenario::ExperimentConfig::table2_defaults();
-  config.node_count = static_cast<std::size_t>(args.get_int("nodes", 100));
+  config.node_count = args.get_count("nodes", 100);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   config.duration = args.get_double("duration", 2000.0);
   config.malicious_count =

@@ -50,6 +50,7 @@ bool AlertChannel::realert_if_convicted(NodeId sender) {
 }
 
 void AlertChannel::send(NodeId suspect) {
+  // Nothing here adds or expires a neighbor, so `recipients` stays valid.
   const std::vector<NodeId>* recipients = table_.list_of(suspect);
   pkt::Packet alert = env_.packet_factory().make(pkt::PacketType::kAlert);
   alert.origin = env_.id();

@@ -153,6 +153,9 @@ void LocalMonitor::observe(NodeId suspect, bool suspicious,
     alerts_.emit(obs::EventKind::kMonSuspicion, suspect, malc(suspect), kind);
   }
   if (alerts_.convicted(suspect)) return;
+  // Nothing below inserts into malc_ before `state`'s last use; convict()
+  // may reach back into this monitor (its ALERT goes through Node::send),
+  // so `state` is not read after it.
   SuspectState& state = malc_[suspect];
   ++state.observed;
   if (suspicious) {
@@ -190,10 +193,10 @@ void LocalMonitor::handle_alert(const pkt::Packet& packet) {
   // Corroboration: the circulating accusation lowers our own bar; our
   // partial evidence may now suffice for a detection of our own.
   const NodeId accused = packet.accused;
-  auto state = malc_.find(accused);
-  if (!alerts_.convicted(accused) && state != malc_.end() &&
-      state->second.malc >= params_.corroborated_threshold) {
-    alerts_.convict(accused, state->second.malc);
+  const SuspectState* state = malc_.find(accused);
+  if (!alerts_.convicted(accused) && state != nullptr &&
+      state->malc >= params_.corroborated_threshold) {
+    alerts_.convict(accused, state->malc);
   }
 }
 
@@ -203,8 +206,8 @@ double LocalMonitor::local_threshold(NodeId suspect) const {
 }
 
 double LocalMonitor::malc(NodeId suspect) const {
-  auto it = malc_.find(suspect);
-  return it == malc_.end() ? 0.0 : it->second.malc;
+  const SuspectState* state = malc_.find(suspect);
+  return state == nullptr ? 0.0 : state->malc;
 }
 
 std::size_t LocalMonitor::storage_bytes() const {

@@ -17,13 +17,13 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "liteworp/alert_channel.h"
 #include "liteworp/watch_buffer.h"
 #include "neighbor/neighbor_table.h"
 #include "node/node_env.h"
 #include "routing/routing.h"
+#include "util/flat_map.h"
 
 namespace lw::lite {
 
@@ -139,7 +139,7 @@ class LocalMonitor {
   };
 
   WatchBuffer watch_;
-  std::unordered_map<NodeId, SuspectState> malc_;
+  util::FlatMap<NodeId, SuspectState> malc_;
   /// (flow, forwarder) pairs already counted as fabrications this window.
   JudgedForwards suspected_;
   AlertChannel alerts_;

@@ -6,17 +6,13 @@ namespace lw::lite {
 
 bool JudgedForwards::first_verdict(const FlowNodeKey& key) {
   if (keys_.size() > 8192) keys_.clear();
-  // A guard that judges a few dozen forwards goes on to judge thousands
-  // (about 3,700 each over a 2000 s paper run): size the table once there
-  // instead of rehashing a dozen times on the way, a visible share of such
-  // a run's time. The guards of short runs stay small and never pay for it.
-  if (keys_.size() == 64) keys_.reserve(4096);
-  return keys_.insert(key).second;
+  return keys_.try_emplace(key).second;
 }
 
 void WatchBuffer::record_transmit(const FlowKey& flow, NodeId node, Time now,
                                   Duration ttl) {
   purge_transmits(now);
+  // No insert or erase on transmits_ below, so `rec` stays put.
   FlowRecord& rec = transmits_[flow];
   const Time expiry = now + ttl;
   bool found = false;
@@ -36,15 +32,14 @@ void WatchBuffer::record_transmit(const FlowKey& flow, NodeId node, Time now,
 }
 
 bool WatchBuffer::has_any_transmit(const FlowKey& flow, Time now) {
-  auto it = transmits_.find(flow);
-  if (it == transmits_.end()) return false;
-  return it->second.flow_expiry > now;
+  const FlowRecord* rec = transmits_.find(flow);
+  return rec != nullptr && rec->flow_expiry > now;
 }
 
 bool WatchBuffer::has_transmit(const FlowKey& flow, NodeId node, Time now) {
-  auto it = transmits_.find(flow);
-  if (it == transmits_.end()) return false;
-  auto& nodes = it->second.nodes;
+  FlowRecord* rec = transmits_.find(flow);
+  if (rec == nullptr) return false;
+  auto& nodes = rec->nodes;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i].node != node) continue;
     if (nodes[i].expiry <= now) {
@@ -114,8 +109,8 @@ void WatchBuffer::purge_transmits(Time now) {
   // The cadence only bounds stale-entry memory (records are expiry-checked
   // on every lookup), so it trades a few seconds of garbage for sweep cost.
   if (++purge_tick_ % 256 != 0 || transmit_pairs_ < 128) return;
-  for (auto it = transmits_.begin(); it != transmits_.end();) {
-    auto& nodes = it->second.nodes;
+  transmits_.erase_if([&](const FlowKey&, FlowRecord& rec) {
+    auto& nodes = rec.nodes;
     for (std::size_t i = 0; i < nodes.size();) {
       if (nodes[i].expiry <= now) {
         nodes[i] = nodes.back();
@@ -128,12 +123,8 @@ void WatchBuffer::purge_transmits(Time now) {
     // flow_expiry is the max per-node expiry, so an expired flow has no
     // surviving nodes; dropping the record then matches the old per-map
     // erase exactly.
-    if (it->second.flow_expiry <= now && nodes.empty()) {
-      it = transmits_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+    return rec.flow_expiry <= now && nodes.empty();
+  });
 }
 
 void WatchBuffer::note_size() {

@@ -21,10 +21,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/simulator.h"
+#include "util/flat_map.h"
 #include "util/ids.h"
 #include "util/sim_time.h"
 
@@ -46,6 +46,7 @@ struct FlowNodeKeyHash {
 /// The (flow, forwarder) pairs a guard has judged, so one packet yields one
 /// verdict however many link-layer retransmissions of its forward the guard
 /// overhears. Bounded: past 8192 pairs it forgets them all (stale flows).
+/// Each pair is one 24-byte slot of a flat table (at most 16384 slots).
 class JudgedForwards {
  public:
   /// True the first time `key` is offered since the last forgetting.
@@ -53,7 +54,7 @@ class JudgedForwards {
   void clear() { keys_.clear(); }
 
  private:
-  std::unordered_set<FlowNodeKey, FlowNodeKeyHash> keys_;
+  util::FlatSet<FlowNodeKey, FlowNodeKeyHash> keys_;
 };
 
 /// (packet flow, from, to) composite key for drop watches.
@@ -134,6 +135,13 @@ class WatchBuffer {
   /// one hash probe instead of one per (flow, node) composite. The node
   /// list is tiny (the handful of neighbors that forwarded this flood), so
   /// a linear scan beats a second hash table.
+  ///
+  /// Sizing: a flow is one 48-byte slot of transmits_ (key, flow_expiry,
+  /// vector header) plus 16 bytes per record on the heap. A flooded REQ
+  /// usually leaves 3 to 8 records at a guard, so a slot per record
+  /// ((flow, node) key and expiry: 32 bytes, plus a per-flow expiry table)
+  /// would hold more memory, and inline storage would have to reserve 8
+  /// records in every slot.
   struct FlowRecord {
     /// max over all recorded expiries — backs has_any_transmit.
     Time flow_expiry = 0.0;
@@ -143,7 +151,7 @@ class WatchBuffer {
   void purge_transmits(Time now);
   void note_size();
 
-  std::unordered_map<FlowKey, FlowRecord> transmits_;
+  util::FlatMap<FlowKey, FlowRecord> transmits_;
   std::unordered_map<LinkWatchKey, DropWatch, LinkWatchKeyHash> watches_;
   /// Live (flow, node) pair count — the paper's per-entry storage unit.
   std::size_t transmit_pairs_ = 0;

@@ -8,21 +8,23 @@ void NeighborTable::add_neighbor(NodeId id) {
   // kInvalidNode is a sentinel, never a table member.
   if (id == kInvalidNode || knows_neighbor(id)) return;
   order_.push_back(id);
+  lists_.emplace_back();
 }
 
 void NeighborTable::set_neighbor_list(NodeId owner,
                                       std::span<const NodeId> list) {
-  if (!knows_neighbor(owner)) return;
-  lists_[owner].assign(list.begin(), list.end());
+  const std::size_t i = index_of(owner);
+  if (i == order_.size()) return;
+  lists_[i].emplace(list.begin(), list.end());
 }
 
 bool NeighborTable::has_list_of(NodeId owner) const {
-  return lists_.count(owner) != 0;
+  return list_of(owner) != nullptr;
 }
 
 const std::vector<NodeId>* NeighborTable::list_of(NodeId owner) const {
-  auto it = lists_.find(owner);
-  return it == lists_.end() ? nullptr : &it->second;
+  const std::size_t i = index_of(owner);
+  return i == order_.size() || !lists_[i] ? nullptr : &*lists_[i];
 }
 
 void NeighborTable::revoke(NodeId id) {
@@ -31,9 +33,10 @@ void NeighborTable::revoke(NodeId id) {
 }
 
 void NeighborTable::expire_neighbor(NodeId id) {
-  if (!knows_neighbor(id)) return;
-  order_.erase(std::remove(order_.begin(), order_.end(), id), order_.end());
-  lists_.erase(id);
+  const std::size_t i = index_of(id);
+  if (i == order_.size()) return;
+  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(i));
+  lists_.erase(lists_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 void NeighborTable::clear() {
@@ -53,9 +56,8 @@ std::vector<NodeId> NeighborTable::active_neighbors() const {
 
 std::size_t NeighborTable::storage_bytes() const {
   std::size_t bytes = 5 * order_.size();
-  for (const auto& [owner, list] : lists_) {
-    (void)owner;
-    bytes += 4 * list.size();
+  for (const auto& list : lists_) {
+    if (list) bytes += 4 * list->size();
   }
   return bytes;
 }

@@ -7,15 +7,17 @@
 // about it still verify) but fails every admission check.
 //
 // Every structure is sized by the neighborhood, never by the network: the
-// first-hop list and the revoked ids are short vectors (about N_B entries)
-// that membership questions scan directly, as they do a second-hop list.
+// first-hop list, the second-hop lists beside it and the revoked ids are
+// short vectors (about N_B entries each) that membership questions scan
+// directly. Per the paper's cost model (Section 5.2) that is under 0.5 KB
+// per node at N_B = 10.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <initializer_list>
+#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "util/ids.h"
@@ -45,7 +47,8 @@ class NeighborTable {
 
   bool has_list_of(NodeId owner) const;
 
-  /// R_owner, or nullptr if not stored.
+  /// R_owner, or nullptr if not stored. Valid until the next
+  /// add_neighbor, expire_neighbor or clear.
   const std::vector<NodeId>* list_of(NodeId owner) const;
 
   /// True if `candidate` appears in the stored list R_owner — i.e. the
@@ -87,13 +90,18 @@ class NeighborTable {
   static bool contains(const std::vector<NodeId>& ids, NodeId id) {
     return std::find(ids.begin(), ids.end(), id) != ids.end();
   }
+  /// Position of `id` in order_ (and lists_), or order_.size().
+  std::size_t index_of(NodeId id) const {
+    return static_cast<std::size_t>(
+        std::find(order_.begin(), order_.end(), id) - order_.begin());
+  }
 
   std::vector<NodeId> order_;
   /// Revoked ids; kept across expire_neighbor, emptied only by clear().
   std::vector<NodeId> revoked_;
-  /// R_owner per first-hop neighbor, in received order (alert recipients
-  /// are signed in this order).
-  std::unordered_map<NodeId, std::vector<NodeId>> lists_;
+  /// R_owner of order_[i] at lists_[i], in received order (alert recipients
+  /// are signed in this order); empty until the owner's list arrives.
+  std::vector<std::optional<std::vector<NodeId>>> lists_;
 };
 
 }  // namespace lw::nbr

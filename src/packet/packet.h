@@ -151,7 +151,9 @@ struct Packet {
 
   /// Watch-buffer / duplicate-filter key.
   FlowKey flow_key() const {
-    return FlowKey{origin, seq, static_cast<std::uint8_t>(type)};
+    return FlowKey{.origin = origin,
+                   .type_tag = static_cast<std::uint8_t>(type),
+                   .seq = seq};
   }
 
   /// Serialized size in bytes used for transmission-delay computation.

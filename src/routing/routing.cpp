@@ -147,10 +147,8 @@ void OnDemandRouting::flush_pending(NodeId destination) {
 
 bool OnDemandRouting::seen_before(const FlowKey& key) {
   purge_seen();
-  auto [it, inserted] =
-      seen_requests_.try_emplace(key, env_.now() + params_.seen_request_ttl);
-  if (!inserted) return true;
-  return false;
+  const Time expiry = env_.now() + params_.seen_request_ttl;
+  return !seen_requests_.try_emplace(key, expiry).second;
 }
 
 void OnDemandRouting::purge_seen() {
@@ -159,8 +157,8 @@ void OnDemandRouting::purge_seen() {
     return;
   }
   const Time now = env_.now();
-  std::erase_if(seen_requests_,
-                [now](const auto& entry) { return entry.second <= now; });
+  seen_requests_.erase_if(
+      [now](const FlowKey&, Time expiry) { return expiry <= now; });
 }
 
 void OnDemandRouting::handle(const pkt::Packet& packet) {

@@ -17,6 +17,7 @@
 #include "neighbor/neighbor_table.h"
 #include "node/node_env.h"
 #include "routing/route_cache.h"
+#include "util/flat_map.h"
 
 namespace lw::routing {
 
@@ -143,7 +144,7 @@ class OnDemandRouting {
 
   SeqNo next_seq_ = 0;
   /// Flood bookkeeping: one entry per REQ copy.
-  std::unordered_map<FlowKey, Time> seen_requests_;
+  util::FlatMap<FlowKey, Time> seen_requests_;
   std::unordered_map<FlowKey, PendingForward> pending_forwards_;
   /// Destination-side reply policy: shortest hop count already answered
   /// per REQ flow (answer again only for strictly shorter copies).

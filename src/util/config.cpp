@@ -70,6 +70,15 @@ int Config::get_int(const std::string& key, int def) const {
   }
 }
 
+std::size_t Config::get_count(const std::string& key, std::size_t def) const {
+  const int parsed = get_int(key, static_cast<int>(def));
+  if (parsed < 0) {
+    throw ConfigError("config key '" + key +
+                      "' must not be negative: " + std::to_string(parsed));
+  }
+  return static_cast<std::size_t>(parsed);
+}
+
 bool Config::get_bool(const std::string& key, bool def) const {
   auto v = raw(key);
   if (!v) return def;

@@ -5,6 +5,7 @@
 // typos explicitly.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -36,6 +37,8 @@ class Config {
   std::string get_string(const std::string& key, std::string def) const;
   double get_double(const std::string& key, double def) const;
   int get_int(const std::string& key, int def) const;
+  /// A count: get_int that also throws ConfigError on a negative value.
+  std::size_t get_count(const std::string& key, std::size_t def) const;
   bool get_bool(const std::string& key, bool def) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }

@@ -29,14 +29,18 @@ using PacketUid = std::uint64_t;
 using LineageId = std::uint64_t;
 
 /// Key that identifies one end-to-end control packet for watch-buffer
-/// matching: (origin, sequence number, packet type tag).
+/// matching: (origin, sequence number, packet type tag). The tag sits in
+/// the padding after origin, so the key is 16 bytes; build it with
+/// designated initializers, since a positional {origin, seq, tag} would
+/// put the sequence number into the tag.
 struct FlowKey {
   NodeId origin = kInvalidNode;
-  SeqNo seq = 0;
   std::uint8_t type_tag = 0;
+  SeqNo seq = 0;
 
   friend bool operator==(const FlowKey&, const FlowKey&) = default;
 };
+static_assert(sizeof(FlowKey) == 16);
 
 }  // namespace lw
 

@@ -7,7 +7,7 @@ namespace lw::lite {
 namespace {
 
 FlowKey flow(NodeId origin, SeqNo seq) {
-  return FlowKey{origin, seq, static_cast<std::uint8_t>(4)};
+  return FlowKey{.origin = origin, .type_tag = 4, .seq = seq};
 }
 
 TEST(WatchBuffer, TransmitRecordLifecycle) {
@@ -112,7 +112,7 @@ TEST(WatchBuffer, ExpiredTransmitsPurgedAmortized) {
 
 TEST(JudgedForwards, OneVerdictPerPairUntilTheBoundForgetsAll) {
   JudgedForwards judged;
-  // Past 64 pairs the table is resized once; membership must not notice.
+  // The table grows many times on the way; membership must not notice.
   for (SeqNo s = 0; s < 8192; ++s) {
     ASSERT_TRUE(judged.first_verdict({flow(1, s), 5}));
   }
@@ -124,6 +124,27 @@ TEST(JudgedForwards, OneVerdictPerPairUntilTheBoundForgetsAll) {
   EXPECT_FALSE(judged.first_verdict({flow(1, 1), 5}));
   judged.clear();
   EXPECT_TRUE(judged.first_verdict({flow(1, 1), 5}));
+}
+
+TEST(JudgedForwards, ForgettingAtTheBoundLeavesAUsableTable) {
+  JudgedForwards judged;
+  for (SeqNo s = 0; s <= 8192; ++s) {
+    ASSERT_TRUE(judged.first_verdict({flow(2, s), 7}));
+  }
+  // 8193 pairs: this offer forgets them all, then records itself.
+  EXPECT_TRUE(judged.first_verdict({flow(3, 0), 7}));
+  // Refill up to the bound: every old pair is new once more, and each is
+  // judged once.
+  for (SeqNo s = 0; s < 8191; ++s) {
+    ASSERT_TRUE(judged.first_verdict({flow(2, s), 7})) << s;
+    ASSERT_FALSE(judged.first_verdict({flow(2, s), 7})) << s;
+  }
+  EXPECT_FALSE(judged.first_verdict({flow(3, 0), 7})) << "8192 pairs kept";
+  EXPECT_FALSE(judged.first_verdict({flow(2, 8190), 7}));
+  EXPECT_TRUE(judged.first_verdict({flow(2, 9000), 7}));
+  // 8193 pairs again: the next offer forgets the lot a second time.
+  EXPECT_TRUE(judged.first_verdict({flow(3, 0), 7}));
+  EXPECT_TRUE(judged.first_verdict({flow(2, 5), 7}));
 }
 
 }  // namespace

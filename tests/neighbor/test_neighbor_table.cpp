@@ -167,6 +167,37 @@ TEST(NeighborTable, InvalidNodeIsNeverAdded) {
   EXPECT_EQ(table.revoked_count(), 0u);
 }
 
+TEST(NeighborTable, ExpiringAMiddleNeighborKeepsTheOthersLists) {
+  NeighborTable table;
+  table.add_neighbor(3);
+  table.add_neighbor(4);
+  table.add_neighbor(5);
+  table.add_neighbor(6);
+  table.set_neighbor_list(3, {7, 8});
+  table.set_neighbor_list(4, {9, 10, 11});
+  table.set_neighbor_list(6, {12});
+  EXPECT_EQ(table.storage_bytes(), 5u * 4 + 4u * (2 + 3 + 1));
+
+  table.expire_neighbor(4);
+  EXPECT_EQ(table.neighbors(), (std::vector<NodeId>{3, 5, 6}));
+  EXPECT_FALSE(table.has_list_of(4));
+  ASSERT_NE(table.list_of(3), nullptr);
+  EXPECT_EQ(*table.list_of(3), (std::vector<NodeId>{7, 8}));
+  EXPECT_FALSE(table.has_list_of(5)) << "5 never sent its list";
+  ASSERT_NE(table.list_of(6), nullptr);
+  EXPECT_EQ(*table.list_of(6), (std::vector<NodeId>{12}));
+  EXPECT_EQ(table.storage_bytes(), 5u * 3 + 4u * (2 + 1))
+      << "only 4's entry and list are gone";
+
+  // A re-admitted 4 starts without a list, behind the others.
+  table.add_neighbor(4);
+  EXPECT_EQ(table.neighbors(), (std::vector<NodeId>{3, 5, 6, 4}));
+  EXPECT_FALSE(table.has_list_of(4));
+  table.set_neighbor_list(5, {});
+  EXPECT_TRUE(table.has_list_of(5)) << "an empty list is still a list";
+  EXPECT_EQ(*table.list_of(6), (std::vector<NodeId>{12}));
+}
+
 TEST(NeighborTable, ListReplacementOverwrites) {
   NeighborTable table;
   table.add_neighbor(3);

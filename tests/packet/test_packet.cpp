@@ -86,7 +86,8 @@ TEST(Packet, FlowKeyHashSpreads) {
   std::hash<FlowKey> hasher;
   for (NodeId origin = 0; origin < 20; ++origin) {
     for (SeqNo seq = 0; seq < 20; ++seq) {
-      hashes.insert(hasher(FlowKey{origin, seq, 4}));
+      hashes.insert(
+          hasher(FlowKey{.origin = origin, .type_tag = 4, .seq = seq}));
     }
   }
   EXPECT_GT(hashes.size(), 395u);  // essentially no collisions on 400 keys

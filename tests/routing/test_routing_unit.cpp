@@ -78,6 +78,39 @@ TEST_F(RoutingUnitTest, DuplicateCopiesSuppressThePendingForward) {
       << "two extra copies = the neighborhood is covered; forward cancelled";
 }
 
+TEST_F(RoutingUnitTest, ExpiredRequestStaysSuppressedUntilTheFilterPurges) {
+  auto forwards_of = [&](SeqNo seq) {
+    std::size_t n = 0;
+    for (const auto& req : env_.sent_of(pkt::PacketType::kRouteRequest)) {
+      if (req.origin == 9 && req.seq == seq) ++n;
+    }
+    return n;
+  };
+  routing_.handle(req_copy({9, 1}, 1, 9, 1, /*dst=*/42));
+  env_.simulator().run_all();
+  ASSERT_EQ(forwards_of(1), 1u);
+
+  // Past seen_request_ttl: lookups never check expiry, so the copy is
+  // still a duplicate while the filter (1 flow) is below its purge size.
+  env_.simulator().schedule(RoutingParams{}.seen_request_ttl + 1.0, [] {});
+  env_.simulator().run_all();
+  routing_.handle(req_copy({9, 1}, 1, 9, 1, 42));
+  // Fill the filter to 255 flows with fresh REQs (origin 8).
+  for (SeqNo s = 1; s <= 254; ++s) {
+    routing_.handle(req_copy({8, 2}, 2, 8, s, 42));
+  }
+  routing_.handle(req_copy({9, 1}, 1, 9, 1, 42));
+  env_.simulator().run_all();
+  EXPECT_EQ(forwards_of(1), 1u) << "255 flows: no purge yet";
+
+  // The 256th flow brings the size to a multiple of 64 that is >= 256: the
+  // next lookup purges the expired flow, and the copy is new again.
+  routing_.handle(req_copy({8, 2}, 2, 8, 255, 42));
+  routing_.handle(req_copy({9, 1}, 1, 9, 1, 42));
+  env_.simulator().run_all();
+  EXPECT_EQ(forwards_of(1), 2u);
+}
+
 TEST_F(RoutingUnitTest, CongestedNodeDoesNotForwardFloods) {
   env_.queue_depth = 64;  // deep MAC backlog
   routing_.handle(req_copy({9, 1}, 1, 9, 4, 42));

@@ -3,15 +3,16 @@
 // Exit codes follow the contract in util/cli.h: 0 ok, 1 findings (check
 // violations, diff mismatch, unknown lineage), 2 usage or
 // unreadable/unparseable input. --version and --help exit 0.
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "forensics/check.h"
@@ -114,9 +115,12 @@ int cmd_stats(const std::string& path) {
 // ---- follow ----
 
 int cmd_follow(const std::string& path, const std::string& id_text) {
-  char* end = nullptr;
-  const LineageId lineage = std::strtoull(id_text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  // Digits only: from_chars takes no sign or whitespace for an unsigned
+  // type (strtoull would wrap "-5") and reports an out-of-range id.
+  LineageId lineage = 0;
+  const char* last = id_text.data() + id_text.size();
+  const auto [end, error] = std::from_chars(id_text.data(), last, lineage);
+  if (error != std::errc{} || end != last) {
     throw lw::ConfigError("lw-trace: bad lineage id '" + id_text + "'");
   }
   const std::vector<TraceRecord> records = load(path);
