@@ -10,26 +10,31 @@
 // fields (queue_high_water, mem_*): feed two such runs to `lw-report diff`
 // for a per-case perf comparison.
 //
-// --profile times every layer's handlers and prints per-layer self seconds
-// on stderr; it adds that instrumentation to the measured wall time, so
-// throughput comparisons run without it.
+// The cases run as the points of one bench::run_sweep, so every standard
+// flag applies: --defense picks the backend, --threads spreads the
+// replicas, --trace streams every case's runs into one file, --profile
+// prints the per-layer summary on stderr (and adds that instrumentation to
+// the measured wall time, so throughput comparisons run without it), and
+// a replica that --run-timeout stops fails the bench with exit 1.
 //
-// Each case runs the full simulator (discovery, routing, LITEWORP monitor,
-// two colluding attackers) and reports wall-clock throughput next to the
-// deterministic work counters (frames transmitted/delivered, simulator
-// events executed, queue high-water mark). The deterministic counters are
-// recorded in BENCH_history.json at the repo root: `lw-report check` on a
+// Each case runs the full simulator (discovery, routing, the defense
+// backend — LITEWORP by default — and two colluding attackers) and
+// reports wall-clock throughput next to the deterministic work counters
+// (frames transmitted/delivered, simulator events executed, queue
+// high-water mark). The deterministic counters are recorded in
+// BENCH_history.json at the repo root: `lw-report check` on a
 // --series --json run fails if any of them drifts — a correctness guard
 // for hot-path rewrites, not a wall-clock gate (wall-clock fields are
 // informational and machine-dependent).
-#include <chrono>
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "scenario/runner.h"
 #include "util/config.h"
 
 constexpr const char* kUsage =
@@ -47,19 +52,16 @@ struct Case {
 
 struct CaseResult {
   Case spec;
-  int runs = 0;
   // Deterministic per (seed, runs): must match the BENCH_history.json ledger.
   std::uint64_t frames_transmitted = 0;
   std::uint64_t frames_delivered = 0;
   std::uint64_t events_executed = 0;
   std::size_t max_queue_depth = 0;
   // Deterministic telemetry high-water rollup (--series; zero otherwise).
-  bool series = false;
   std::size_t queue_high_water = 0;
   lw::obs::MemoryGauges memory_high_water;
-  // Wall-clock (machine-dependent, informational).
+  // Summed replica run times (machine-dependent, informational).
   double wall_seconds = 0.0;
-  lw::obs::ProfileTotals profile;
 
   double frames_per_second() const {
     return wall_seconds > 0.0
@@ -95,39 +97,34 @@ std::vector<NodesSpec> parse_nodes_list(const std::string& csv) {
       spec.ideal_case = count.back() == 'i';
       count.pop_back();
     }
-    // Digits only: stoul would wrap "-3" into a huge count.
-    if (count.empty() || count.find_first_not_of("0123456789") !=
-                             std::string::npos) {
+    // Digits only: from_chars takes no sign, so "-3" is not wrapped into a
+    // huge count, and a count past size_t is out of range.
+    const char* last = count.data() + count.size();
+    const auto [end, error] = std::from_chars(count.data(), last, spec.nodes);
+    if (error == std::errc::result_out_of_range) {
+      throw lw::ConfigError("--nodes entry '" + item + "' is out of range");
+    }
+    if (count.empty() || error != std::errc() || end != last) {
       throw lw::ConfigError("--nodes entry '" + item + "' is not a count");
     }
-    spec.nodes = static_cast<std::size_t>(std::stoul(count));
     specs.push_back(spec);
   }
   return specs;
 }
 
-CaseResult run_case(const Case& spec, const bench::Common& common,
-                    double duration) {
+/// One case's row from its sweep point. A replica the watchdog stopped (or
+/// a cancelled one) has no counters, so it fails the bench (exit 1).
+CaseResult summarize(const Case& spec,
+                     const lw::scenario::SweepPointResult& point) {
   CaseResult result;
   result.spec = spec;
-  result.runs = common.runs;
-  result.series = common.series;
-  for (int r = 0; r < common.runs; ++r) {
-    auto config = lw::scenario::ExperimentConfig::table2_defaults();
-    config.node_count = spec.nodes;
-    config.duration = duration;
-    config.malicious_count = 2;
-    config.seed = common.seed + static_cast<std::uint64_t>(r);
-    config.phy.collisions_enabled = spec.collisions;
-    config.obs.profile = common.profile;
-    config.obs.series = common.series;
-    config.obs.series_bucket = common.series_bucket;
-    config.obs.watch = common.watch;
-    const auto start = std::chrono::steady_clock::now();
-    const lw::scenario::RunResult run = lw::scenario::run_experiment(config);
-    result.wall_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+  result.wall_seconds = point.cpu_seconds;
+  for (const lw::scenario::RunResult& run : point.replicas) {
+    if (run.failed) {
+      throw std::runtime_error(spec.name + ": replica seed " +
+                               std::to_string(run.seed) + " failed: " +
+                               run.fail_reason);
+    }
     result.frames_transmitted += run.frames_transmitted;
     result.frames_delivered += run.frames_delivered;
     result.events_executed += run.profile.events_executed;
@@ -136,7 +133,6 @@ CaseResult run_case(const Case& spec, const bench::Common& common,
     result.queue_high_water =
         std::max(result.queue_high_water, run.series.queue_high_water);
     result.memory_high_water.max_with(run.series.memory_high_water);
-    result.profile.accumulate(run.profile);
   }
   return result;
 }
@@ -161,22 +157,22 @@ static int run_bench(lw::Config& args) {
     }
   }
 
-  std::vector<CaseResult> results;
+  lw::scenario::SweepSpec spec;
+  spec.base = lw::scenario::ExperimentConfig::table2_defaults();
+  spec.base.duration = duration;
+  spec.base.malicious_count = 2;
   for (const Case& c : cases) {
-    if (!common.quiet) {
-      std::fprintf(stderr, "running %s...\n", c.name.c_str());
-    }
-    results.push_back(run_case(c, common, duration));
-    if (common.profile) {
-      const CaseResult& r = results.back();
-      std::fprintf(stderr, "%s per layer:", c.name.c_str());
-      for (std::size_t i = 0; i < lw::obs::kLayerCount; ++i) {
-        std::fprintf(stderr, " %s=%.2fs",
-                     lw::obs::to_string(static_cast<lw::obs::Layer>(i)),
-                     r.profile.layers[i].self_seconds);
-      }
-      std::fprintf(stderr, "\n");
-    }
+    spec.points.push_back(
+        {c.name, [c](lw::scenario::ExperimentConfig& config) {
+           config.node_count = c.nodes;
+           config.phy.collisions_enabled = c.collisions;
+         }});
+  }
+  const lw::scenario::SweepResult sweep =
+      bench::run_sweep(common, std::move(spec));
+  std::vector<CaseResult> results;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    results.push_back(summarize(cases[i], sweep.points[i]));
   }
 
   if (common.json) {
@@ -185,7 +181,7 @@ static int run_bench(lw::Config& args) {
       rows.field("case", r.spec.name)
           .field("nodes", static_cast<double>(r.spec.nodes))
           .field("collisions", r.spec.collisions ? 1.0 : 0.0)
-          .field("runs", static_cast<double>(r.runs))
+          .field("runs", static_cast<double>(common.runs))
           .field("duration", duration)
           .field("seed", static_cast<double>(common.seed))
           .field("frames_transmitted",
@@ -193,7 +189,7 @@ static int run_bench(lw::Config& args) {
           .field("frames_delivered", static_cast<double>(r.frames_delivered))
           .field("events_executed", static_cast<double>(r.events_executed))
           .field("max_queue_depth", static_cast<double>(r.max_queue_depth));
-      if (r.series) {
+      if (common.series) {
         // Telemetry high-water rollup: deterministic per seed, so two
         // --series runs diff cleanly through lw-report.
         rows.field("queue_high_water",

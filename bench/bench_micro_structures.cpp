@@ -122,7 +122,7 @@ void BM_WatchBufferDropWatchCycle(benchmark::State& state) {
   for (auto _ : state) {
     ++seq;
     const lw::FlowKey flow{.origin = 1, .type_tag = 5, .seq = seq};
-    buffer.add_drop_watch(flow, 2, 3, 1.0, {});
+    buffer.add_drop_watch(flow, 2, 3, {});
     benchmark::DoNotOptimize(buffer.clear_drop_watch(flow, 2, 3));
   }
 }

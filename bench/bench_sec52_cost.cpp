@@ -3,9 +3,10 @@
 // structures from a real simulation run.
 //
 // Standard flags (bench_common.h): --seed seeds the single live
-// measurement run; --json emits the analytic cost table as JSON rows;
-// --runs/--threads are accepted for CLI uniformity but unused (one
-// diagnostic run, not a sweep).
+// measurement run and --defense/--defense-opt pick its backend (the live
+// figures read each node's Defense::cost()); --json emits the analytic
+// cost table as JSON rows; --runs/--threads are accepted for CLI
+// uniformity but unused (one diagnostic run, not a sweep).
 #include <cstdio>
 
 #include "analysis/cost_model.h"
@@ -23,6 +24,14 @@ static int run_bench(lw::Config& args) {
   const double duration = args.get_double("duration", 400.0);
   const std::uint64_t seed = common.seed;
   lw::cli::reject_unknown(args);
+  // The live run's config, with --defense applied before any output so a
+  // bad --defense-opt exits 2 under --json too.
+  auto config = lw::scenario::ExperimentConfig::table2_defaults();
+  config.node_count = nodes;
+  config.duration = duration;
+  config.seed = seed;
+  bench::apply_defense(common, config);
+  config.finalize();
 
   if (common.json) {
     lw::analysis::CostParams params;
@@ -68,11 +77,6 @@ static int run_bench(lw::Config& args) {
               lw::analysis::detection_bandwidth_bytes(8.0));
 
   std::puts("\n-- Live measurement (simulation run with 2 colluders) --");
-  auto config = lw::scenario::ExperimentConfig::table2_defaults();
-  config.node_count = nodes;
-  config.duration = duration;
-  config.seed = seed;
-  config.finalize();
   lw::scenario::Network net(config);
   net.run();
 
@@ -84,14 +88,13 @@ static int run_bench(lw::Config& args) {
   for (lw::NodeId id = 0; id < net.size(); ++id) {
     const auto& node = net.node(id);
     table_bytes += node.table().storage_bytes();
-    if (node.monitor() != nullptr) {
+    if (const lw::defense::Defense* defense = node.defense()) {
       ++monitors;
-      const std::size_t s =
-          node.monitor()->storage_bytes() + node.table().storage_bytes();
+      const lw::defense::CostSnapshot cost = defense->cost();
+      const std::size_t s = cost.storage_bytes + node.table().storage_bytes();
       state_bytes += s;
       max_state = std::max(max_state, s);
-      watch_peak = std::max(watch_peak,
-                            node.monitor()->watch_buffer().peak_entries());
+      watch_peak = std::max<std::size_t>(watch_peak, cost.peak_watch_entries);
     }
   }
   std::printf("average degree            : %.2f\n", net.average_degree());

@@ -160,10 +160,13 @@ static int run_example(lw::Config& args) {
     std::printf("  node %3u: neighbors %zu (revoked %zu)",
                 id, node.table().neighbor_count(),
                 node.table().revoked_count());
-    if (node.monitor() != nullptr) {
-      std::printf("  watch peak %zu entries, state %zu bytes",
-                  node.monitor()->watch_buffer().peak_entries(),
-                  node.monitor()->storage_bytes());
+    // The undefended baseline keeps no detection state to show.
+    const lw::defense::Defense* defense = node.defense();
+    if (defense != nullptr && defense->tag() != lw::obs::DefenseTag::kNone) {
+      const lw::defense::CostSnapshot cost = defense->cost();
+      std::printf("  watch peak %llu entries, state %llu bytes",
+                  static_cast<unsigned long long>(cost.peak_watch_entries),
+                  static_cast<unsigned long long>(cost.storage_bytes));
     }
     std::printf("  table %zu bytes\n", node.table().storage_bytes());
   }

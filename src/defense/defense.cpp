@@ -3,85 +3,10 @@
 #include <stdexcept>
 
 #include "defense/zscore.h"
-#include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "util/logging.h"
 
 namespace lw::defense {
 
 namespace {
-
-// ---- LITEWORP backend: wraps the guard monitor plus the receiver-side
-// admission checks that were previously inlined in the node dispatch. ----
-class LiteworpDefense final : public Defense {
- public:
-  LiteworpDefense(const DefenseConfig& config, const Wiring& wiring)
-      : env_(wiring.env),
-        table_(wiring.table),
-        monitor_(wiring.env, wiring.table, wiring.routing, config.liteworp) {}
-
-  obs::DefenseTag tag() const override { return obs::DefenseTag::kLiteworp; }
-  void start() override { monitor_.start(); }
-  void reset() override { monitor_.reset(); }
-
-  void observe(const pkt::Packet& packet) override {
-    ++frames_observed_;
-    monitor_.on_overhear(packet);
-  }
-
-  bool admit(const pkt::Packet& packet) override {
-    obs::Recorder* recorder = env_.obs();
-    obs::ScopedTimer timer(recorder ? recorder->profiler() : nullptr,
-                           obs::Layer::kNeighbor);
-    const nbr::Admission verdict = nbr::check_frame(table_, packet);
-    admission_stats_.record(verdict);
-    const bool accepted = verdict == nbr::Admission::kAccept;
-    if (recorder && recorder->wants(obs::Layer::kNeighbor)) {
-      recorder->emit({.t = env_.now(),
-                      .kind = accepted ? obs::EventKind::kNbrAdmit
-                                       : obs::EventKind::kNbrReject,
-                      .node = env_.id(),
-                      .peer = packet.claimed_tx,
-                      .value = static_cast<double>(verdict),
-                      .packet = &packet});
-    }
-    if (!accepted) {
-      LW_DEBUG << "node " << env_.id() << ": rejected ("
-               << nbr::to_string(verdict) << ") " << packet.describe();
-      return false;
-    }
-    return true;
-  }
-
-  void handle_alert(const pkt::Packet& packet) override {
-    monitor_.handle_alert(packet);
-  }
-  void emit_false_alert(NodeId victim) override {
-    monitor_.emit_false_alert(victim);
-  }
-
-  CostSnapshot cost() const override {
-    return {.frames_observed = frames_observed_,
-            .admission_checks =
-                admission_stats_.accepted + admission_stats_.total_rejected(),
-            .admission_rejects = admission_stats_.total_rejected(),
-            .control_messages = monitor_.alerts().transmitted(),
-            .control_bytes = monitor_.alerts().bytes(),
-            .storage_bytes = monitor_.storage_bytes()};
-  }
-
-  const nbr::AdmissionStats& admission_stats() const override {
-    return admission_stats_;
-  }
-  lite::LocalMonitor* local_monitor() override { return &monitor_; }
-
- private:
-  node::NodeEnv& env_;
-  nbr::NeighborTable& table_;
-  lite::LocalMonitor monitor_;
-  nbr::AdmissionStats admission_stats_;
-  std::uint64_t frames_observed_ = 0;
-};
 
 // ---- Packet-leash backend: pure receiver-side drop filter; never
 // identifies or isolates anyone (the paper's Section 2 comparator). ----
@@ -103,8 +28,6 @@ class LeashDefense final : public Defense {
     return {.admission_checks = checker_.stats().checked,
             .admission_rejects = checker_.stats().rejected};
   }
-
-  const leash::LeashChecker& checker() const { return checker_; }
 
  private:
   node::NodeEnv& env_;
@@ -328,15 +251,12 @@ void set_option(DefenseConfig& config, const std::string& key,
   }
 }
 
-const nbr::AdmissionStats& Defense::admission_stats() const {
-  static const nbr::AdmissionStats kNoChecks;
-  return kNoChecks;
-}
-
 std::unique_ptr<Defense> make(const DefenseConfig& config,
                               const Wiring& wiring) {
   if (config.name == "liteworp") {
-    return std::make_unique<LiteworpDefense>(config, wiring);
+    return std::make_unique<lite::LocalMonitor>(wiring.env, wiring.table,
+                                                wiring.routing,
+                                                config.liteworp);
   }
   if (config.name == "leash") {
     return std::make_unique<LeashDefense>(config, wiring);

@@ -152,7 +152,9 @@ CostSnapshot ZScoreDefense::cost() const {
           // Watch buffer + 16 bytes per neighbor statistic + 4-byte alert
           // entries (the LITEWORP storage model extended with the stats).
           .storage_bytes = watch_.storage_bytes() + 16 * stats_.size() +
-                           alerts_.storage_bytes()};
+                           alerts_.storage_bytes(),
+          .watch_entries = watch_.transmit_records() + watch_.drop_watches(),
+          .peak_watch_entries = watch_.peak_entries()};
 }
 
 }  // namespace lw::defense

@@ -54,6 +54,7 @@ class ZScoreDefense final : public Defense {
   }
   int alert_count(NodeId suspect) const { return alerts_.alert_count(suspect); }
   const ZScoreParams& params() const { return params_; }
+  const lite::WatchBuffer& watch_buffer() const { return watch_; }
 
  private:
   struct NeighborStats {

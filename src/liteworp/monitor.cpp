@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/profiler.h"
 #include "obs/recorder.h"
 #include "util/logging.h"
 
@@ -16,9 +17,8 @@ LocalMonitor::LocalMonitor(node::NodeEnv& env, nbr::NeighborTable& table,
       alerts_(env, table, routing, params,
               static_cast<std::uint8_t>(obs::DefenseTag::kLiteworp)) {}
 
-void LocalMonitor::start() {}
-
-void LocalMonitor::on_overhear(const pkt::Packet& packet) {
+void LocalMonitor::observe(const pkt::Packet& packet) {
+  ++frames_observed_;
   if (pkt::is_watched_control(packet.type)) {
     observe_control(packet);
     return;
@@ -77,7 +77,7 @@ void LocalMonitor::check_fabrication(const pkt::Packet& packet) {
                  .packet = &packet});
       }
     }
-    observe(sender, /*suspicious=*/false, obs::kSuspicionFabrication);
+    tally(sender, /*suspicious=*/false, obs::kSuspicionFabrication);
     return;
   }
   if (!params_.strict_link_check &&
@@ -88,13 +88,13 @@ void LocalMonitor::check_fabrication(const pkt::Packet& packet) {
     // NOT physically reached (a tunneled REQ must win the duplicate-
     // suppression race; a tunneled REP materializes on the far side of
     // the tunnel), and there the flow is genuinely unheard.
-    observe(sender, /*suspicious=*/false, obs::kSuspicionFabrication);
+    tally(sender, /*suspicious=*/false, obs::kSuspicionFabrication);
     return;
   }
   LW_DEBUG << "guard " << env_.id() << ": " << to_string(packet.type)
            << " fabrication by " << sender << " (claimed prev " << prev
            << ")";
-  observe(sender, /*suspicious=*/true, obs::kSuspicionFabrication);
+  tally(sender, /*suspicious=*/true, obs::kSuspicionFabrication);
 }
 
 void LocalMonitor::maybe_add_drop_watch(const pkt::Packet& packet) {
@@ -120,7 +120,6 @@ void LocalMonitor::maybe_add_drop_watch(const pkt::Packet& packet) {
   // obligation is met; a handoff we are seeing again (link-layer
   // retransmission after a lost ACK) must not re-arm the timer.
   if (watch_.has_transmit(flow, to, env_.now())) return;
-  const Time deadline = env_.now() + params_.watch_timeout;
   sim::EventHandle expiry = env_.simulator().schedule_cancellable(
       params_.watch_timeout, [this, flow, from, to, lin = packet.lineage] {
         if (watch_.take_expired_drop_watch(flow, from, to)) {
@@ -133,10 +132,10 @@ void LocalMonitor::maybe_add_drop_watch(const pkt::Packet& packet) {
                      .peer = to,
                      .lineage_hint = lin});
           }
-          observe(to, /*suspicious=*/true, obs::kSuspicionDrop);
+          tally(to, /*suspicious=*/true, obs::kSuspicionDrop);
         }
       });
-  if (watch_.add_drop_watch(flow, from, to, deadline, expiry)) {
+  if (watch_.add_drop_watch(flow, from, to, expiry)) {
     if (auto* r = env_.obs(); r && r->wants(obs::Layer::kMonitor)) {
       r->emit({.t = env_.now(),
                .kind = obs::EventKind::kMonWatchAdd,
@@ -147,8 +146,8 @@ void LocalMonitor::maybe_add_drop_watch(const pkt::Packet& packet) {
   }
 }
 
-void LocalMonitor::observe(NodeId suspect, bool suspicious,
-                           std::uint8_t kind) {
+void LocalMonitor::tally(NodeId suspect, bool suspicious,
+                         std::uint8_t kind) {
   if (suspicious) {
     alerts_.emit(obs::EventKind::kMonSuspicion, suspect, malc(suspect), kind);
   }
@@ -171,6 +170,29 @@ void LocalMonitor::observe(NodeId suspect, bool suspicious,
     // Block over without crossing C_t: clean slate (the analysis' window).
     state = SuspectState{};
   }
+}
+
+bool LocalMonitor::admit(const pkt::Packet& packet) {
+  obs::Recorder* recorder = env_.obs();
+  obs::ScopedTimer timer(recorder ? recorder->profiler() : nullptr,
+                         obs::Layer::kNeighbor);
+  const nbr::Admission verdict = nbr::check_frame(table_, packet);
+  admission_stats_.record(verdict);
+  const bool accepted = verdict == nbr::Admission::kAccept;
+  if (recorder && recorder->wants(obs::Layer::kNeighbor)) {
+    recorder->emit({.t = env_.now(),
+                    .kind = accepted ? obs::EventKind::kNbrAdmit
+                                     : obs::EventKind::kNbrReject,
+                    .node = env_.id(),
+                    .peer = packet.claimed_tx,
+                    .value = static_cast<double>(verdict),
+                    .packet = &packet});
+  }
+  if (!accepted) {
+    LW_DEBUG << "node " << env_.id() << ": rejected ("
+             << nbr::to_string(verdict) << ") " << packet.describe();
+  }
+  return accepted;
 }
 
 void LocalMonitor::emit_false_alert(NodeId victim) {
@@ -212,6 +234,18 @@ double LocalMonitor::malc(NodeId suspect) const {
 
 std::size_t LocalMonitor::storage_bytes() const {
   return watch_.storage_bytes() + alerts_.storage_bytes();
+}
+
+defense::CostSnapshot LocalMonitor::cost() const {
+  return {.frames_observed = frames_observed_,
+          .admission_checks =
+              admission_stats_.accepted + admission_stats_.total_rejected(),
+          .admission_rejects = admission_stats_.total_rejected(),
+          .control_messages = alerts_.transmitted(),
+          .control_bytes = alerts_.bytes(),
+          .storage_bytes = storage_bytes(),
+          .watch_entries = watch_.transmit_records() + watch_.drop_watches(),
+          .peak_watch_entries = watch_.peak_entries()};
 }
 
 }  // namespace lw::lite

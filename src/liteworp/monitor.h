@@ -1,8 +1,11 @@
-// LITEWORP local monitor: guard logic, MalC accounting, alert/isolation.
+// LITEWORP local monitor: the LITEWORP defense backend. Guard logic, MalC
+// accounting, alert/isolation, and the receiver-side admission checks.
 //
-// Every node runs one of these (Section 4.2). The monitor taps every frame
-// the radio decodes — including frames the node itself transmits (a node is
-// a guard of its own outgoing links). It maintains:
+// Every honest node runs one of these (Section 4.2), selected as
+// defense::make("liteworp"). The monitor taps every frame the radio
+// decodes — including frames the node itself transmits (a node is a guard
+// of its own outgoing links) — and puts every routed frame through the
+// neighbor-knowledge admission rules (neighbor/admission.h). It maintains:
 //   * the watch buffer (transmit records + REP drop watches),
 //   * MalC(i, j): this guard's malicious-activity counter for neighbor j,
 //   * the alert buffer, inside its AlertChannel: which guards accused which
@@ -18,6 +21,7 @@
 
 #include <cstdint>
 
+#include "defense/backend.h"
 #include "liteworp/alert_channel.h"
 #include "liteworp/watch_buffer.h"
 #include "neighbor/neighbor_table.h"
@@ -75,32 +79,39 @@ struct LiteworpParams : AlertParams {
   bool strict_link_check = false;
 };
 
-class LocalMonitor {
+class LocalMonitor final : public defense::Defense {
  public:
   LocalMonitor(node::NodeEnv& env, nbr::NeighborTable& table,
                routing::OnDemandRouting& routing, LiteworpParams params);
 
-  /// No-op placeholder kept for wiring symmetry (the count-based MalC
-  /// window needs no timers).
-  void start();
+  obs::DefenseTag tag() const override { return obs::DefenseTag::kLiteworp; }
 
   /// Feed for every frame the radio decoded (promiscuous tap), and for
   /// every control frame this node transmits itself.
-  void on_overhear(const pkt::Packet& packet);
+  void observe(const pkt::Packet& packet) override;
+
+  /// The admission rules of neighbor/admission.h on a routed frame, with
+  /// an nbr.admit / nbr.reject event per verdict.
+  bool admit(const pkt::Packet& packet) override;
 
   /// Handles an ALERT frame (verification, counting, isolation, relay).
-  void handle_alert(const pkt::Packet& packet);
+  void handle_alert(const pkt::Packet& packet) override;
 
   /// Compromised-guard behavior (fault injection): emits one authenticated
   /// ALERT accusing `victim` with NO local evidence behind it. The tags
   /// are genuine — the guard's keys really are compromised — so receivers
   /// verify it; the gamma threshold is what must hold the line.
-  void emit_false_alert(NodeId victim);
+  void emit_false_alert(NodeId victim) override;
 
   /// Wipes all monitoring state (node crash): watch buffer, MalC, dedupe
   /// set and the alert channel (whose epoch check disarms pending repeats,
   /// so a rebooted guard never accuses from pre-crash memory).
-  void reset();
+  void reset() override;
+
+  defense::CostSnapshot cost() const override;
+  const nbr::AdmissionStats& admission_stats() const override {
+    return admission_stats_;
+  }
 
   double malc(NodeId suspect) const;
   bool locally_detected(NodeId suspect) const {
@@ -108,9 +119,6 @@ class LocalMonitor {
   }
   int alert_count(NodeId suspect) const { return alerts_.alert_count(suspect); }
   const WatchBuffer& watch_buffer() const { return watch_; }
-  const LiteworpParams& params() const { return params_; }
-  /// The accusation protocol, with its control-plane cost counters.
-  const AlertChannel& alerts() const { return alerts_; }
 
   /// Storage per the paper's cost model: watch buffer + 4-byte alert
   /// entries (MalC bytes are accounted inside the neighbor list).
@@ -125,7 +133,7 @@ class LocalMonitor {
   /// kappa-block window discipline.
   /// `kind` is LITEWORP's evidence kind (Section 4.2) as the mon.suspicion
   /// detail: obs::kSuspicionFabrication or obs::kSuspicionDrop.
-  void observe(NodeId suspect, bool suspicious, std::uint8_t kind);
+  void tally(NodeId suspect, bool suspicious, std::uint8_t kind);
   /// C_t, or the corroborated bar once alerts about `suspect` circulate.
   double local_threshold(NodeId suspect) const;
 
@@ -143,6 +151,8 @@ class LocalMonitor {
   /// (flow, forwarder) pairs already counted as fabrications this window.
   JudgedForwards suspected_;
   AlertChannel alerts_;
+  nbr::AdmissionStats admission_stats_;
+  std::uint64_t frames_observed_ = 0;
 };
 
 }  // namespace lw::lite

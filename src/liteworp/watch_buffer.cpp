@@ -54,9 +54,9 @@ bool WatchBuffer::has_transmit(const FlowKey& flow, NodeId node, Time now) {
 }
 
 bool WatchBuffer::add_drop_watch(const FlowKey& flow, NodeId from, NodeId to,
-                                 Time deadline, sim::EventHandle expiry) {
-  auto [it, inserted] = watches_.try_emplace(LinkWatchKey{flow, from, to},
-                                             DropWatch{deadline, expiry});
+                                 sim::EventHandle expiry) {
+  auto [it, inserted] =
+      watches_.try_emplace(LinkWatchKey{flow, from, to}, expiry);
   if (!inserted) {
     expiry.cancel();  // duplicate watch; keep the original timer
     return false;
@@ -69,7 +69,7 @@ bool WatchBuffer::clear_drop_watch(const FlowKey& flow, NodeId from,
                                    NodeId to) {
   auto it = watches_.find(LinkWatchKey{flow, from, to});
   if (it == watches_.end()) return false;
-  it->second.expiry.cancel();
+  it->second.cancel();
   watches_.erase(it);
   return true;
 }
@@ -83,7 +83,7 @@ std::size_t WatchBuffer::clear_drop_watches_to(NodeId to) {
   std::size_t cleared = 0;
   for (auto it = watches_.begin(); it != watches_.end();) {
     if (it->first.to == to) {
-      it->second.expiry.cancel();
+      it->second.cancel();
       it = watches_.erase(it);
       ++cleared;
     } else {
@@ -94,9 +94,9 @@ std::size_t WatchBuffer::clear_drop_watches_to(NodeId to) {
 }
 
 void WatchBuffer::clear() {
-  for (auto& [key, watch] : watches_) {
+  for (auto& [key, expiry] : watches_) {
     (void)key;
-    watch.expiry.cancel();
+    expiry.cancel();
   }
   watches_.clear();
   transmits_.clear();

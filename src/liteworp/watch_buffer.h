@@ -96,7 +96,7 @@ class WatchBuffer {
   /// Adds a drop watch; the caller schedules the expiry callback and owns
   /// the accusation logic. Returns false if an identical watch exists.
   bool add_drop_watch(const FlowKey& flow, NodeId from, NodeId to,
-                      Time deadline, sim::EventHandle expiry);
+                      sim::EventHandle expiry);
 
   /// Clears the watch (the expected forward was overheard). Cancels the
   /// expiry event. Returns true if a watch existed.
@@ -126,11 +126,6 @@ class WatchBuffer {
   void clear();
 
  private:
-  struct DropWatch {
-    Time deadline;
-    sim::EventHandle expiry;
-  };
-
   /// All transmit records of one flow, grouped so that record/lookup cost
   /// one hash probe instead of one per (flow, node) composite. The node
   /// list is tiny (the handful of neighbors that forwarded this flood), so
@@ -152,7 +147,9 @@ class WatchBuffer {
   void note_size();
 
   util::FlatMap<FlowKey, FlowRecord> transmits_;
-  std::unordered_map<LinkWatchKey, DropWatch, LinkWatchKeyHash> watches_;
+  /// Each armed drop watch with its expiry event.
+  std::unordered_map<LinkWatchKey, sim::EventHandle, LinkWatchKeyHash>
+      watches_;
   /// Live (flow, node) pair count — the paper's per-entry storage unit.
   std::size_t transmit_pairs_ = 0;
   std::size_t peak_entries_ = 0;

@@ -88,7 +88,6 @@ void DiscoveryAgent::broadcast_list() {
     list.alert_auth.push_back(
         {member, env_.keys().sign(env_.id(), member, auth_buf_)});
   }
-  list_sent_ = true;
   if (auto* r = env_.obs(); r && r->wants(obs::Layer::kNeighbor)) {
     r->emit({.t = env_.now(),
              .kind = obs::EventKind::kNbrList,
@@ -169,7 +168,6 @@ void DiscoveryAgent::bootstrap_from_oracle(const topo::DiscGraph& graph) {
     table_.set_neighbor_list(neighbor, graph.neighbors(neighbor));
   }
   hello_sent_ = true;
-  list_sent_ = true;
 }
 
 }  // namespace lw::nbr

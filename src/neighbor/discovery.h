@@ -63,7 +63,6 @@ class DiscoveryAgent {
 
   const NeighborTable& table() const { return table_; }
   bool hello_sent() const { return hello_sent_; }
-  bool list_sent() const { return list_sent_; }
 
   /// Replies failing tag verification (should stay 0 without an attacker).
   std::uint64_t rejected_replies() const { return rejected_replies_; }
@@ -89,7 +88,6 @@ class DiscoveryAgent {
   NeighborTable& table_;
   DiscoveryParams params_;
   bool hello_sent_ = false;
-  bool list_sent_ = false;
   Time hello_time_ = kTimeNever;
   SeqNo hello_seq_ = 0;
   /// HELLOs we already replied to (announcer ids) — one reply each.

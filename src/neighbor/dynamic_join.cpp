@@ -118,7 +118,6 @@ void DynamicJoinAgent::handle_challenge(const pkt::Packet& packet) {
   const std::string message =
       challenge_message(challenger, env_.id(), packet.nonce);
   if (!env_.keys().verify(challenger, env_.id(), message, packet.tag)) {
-    ++rejected_;
     LW_DEBUG << "joiner " << env_.id()
              << ": unauthentic challenge claiming " << challenger;
     return;
@@ -155,14 +154,10 @@ void DynamicJoinAgent::handle_response(const pkt::Packet& packet) {
   const NodeId joiner = packet.origin;
   auto pending = pending_nonces_.find(joiner);
   if (pending == pending_nonces_.end()) return;
-  if (pending->second != packet.nonce) {
-    ++rejected_;
-    return;
-  }
+  if (pending->second != packet.nonce) return;
   const std::string message =
       response_message(joiner, env_.id(), packet.nonce);
   if (!env_.keys().verify(joiner, env_.id(), message, packet.tag)) {
-    ++rejected_;
     LW_DEBUG << "node " << env_.id()
              << ": unauthentic join response claiming " << joiner;
     return;

@@ -72,10 +72,8 @@ class DynamicJoinAgent {
     on_neighbor_gained_ = std::move(cb);
   }
 
-  bool joining() const { return joining_; }
   std::uint64_t challenges_issued() const { return challenges_issued_; }
   std::uint64_t joins_admitted() const { return joins_admitted_; }
-  std::uint64_t rejected_handshakes() const { return rejected_; }
 
  private:
   void send_join_hello();
@@ -109,7 +107,6 @@ class DynamicJoinAgent {
   std::unordered_set<NodeId> admitted_;
   std::uint64_t challenges_issued_ = 0;
   std::uint64_t joins_admitted_ = 0;
-  std::uint64_t rejected_ = 0;
   std::function<void(NodeId)> on_neighbor_gained_;
 };
 

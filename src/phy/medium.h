@@ -93,9 +93,6 @@ class Medium {
   /// Silences / revives a node: no transmissions leave it, no receptions
   /// are registered at it, frames already in the air toward it die quietly.
   void set_node_down(NodeId node, bool down);
-  bool node_down(NodeId node) const {
-    return faults_enabled_ && node_down_[node];
-  }
 
   /// Per-link outage window: extra_loss >= 1 is a hard outage (frames are
   /// never registered); fractions are drawn per frame at delivery time.

@@ -79,11 +79,7 @@ RxOutcome Radio::finish_receive(const pkt::Packet& packet, bool random_loss) {
   RxOutcome outcome = corrupted        ? RxOutcome::kCollision
                       : random_loss    ? RxOutcome::kRandomLoss
                                        : RxOutcome::kDelivered;
-  if (outcome == RxOutcome::kDelivered) {
-    if (frame_sink_) frame_sink_(*held);
-  } else if (drop_sink_) {
-    drop_sink_(*held, outcome);
-  }
+  if (outcome == RxOutcome::kDelivered && frame_sink_) frame_sink_(*held);
   return outcome;
 }
 

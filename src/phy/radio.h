@@ -28,7 +28,6 @@ enum class RxOutcome {
 class Radio {
  public:
   using FrameSink = std::function<void(const pkt::Packet&)>;
-  using DropSink = std::function<void(const pkt::Packet&, RxOutcome)>;
   using TxDoneSink = std::function<void()>;
 
   explicit Radio(NodeId id) : id_(id) {}
@@ -37,8 +36,6 @@ class Radio {
 
   /// Upcall for successfully decoded frames (MAC/promiscuous tap).
   void set_frame_sink(FrameSink sink) { frame_sink_ = std::move(sink); }
-  /// Optional upcall for failed receptions.
-  void set_drop_sink(DropSink sink) { drop_sink_ = std::move(sink); }
   /// Upcall when a transmission this node started finishes (MAC dequeue).
   void set_tx_done_sink(TxDoneSink sink) { tx_done_sink_ = std::move(sink); }
 
@@ -124,7 +121,6 @@ class Radio {
 
   NodeId id_;
   FrameSink frame_sink_;
-  DropSink drop_sink_;
   TxDoneSink tx_done_sink_;
   Time tx_busy_until_ = kTimeZero;
   Time nav_until_ = kTimeZero;

@@ -41,7 +41,6 @@ class TrafficGenerator {
   /// start_at() restarts them cleanly.
   void stop();
 
-  NodeId current_destination() const { return destination_; }
   std::uint64_t generated() const { return generated_; }
 
  private:

@@ -68,6 +68,13 @@ void ExperimentConfig::validate() const {
       malicious_nodes.size() != malicious_count) {
     reject("malicious_nodes and malicious_count disagree");
   }
+  for (NodeId id : malicious_nodes) {
+    if (id >= node_count + late_joiners) {
+      reject("malicious_nodes id " + std::to_string(id) +
+             " is out of range (node_count + late_joiners = " +
+             std::to_string(node_count + late_joiners) + ")");
+    }
+  }
   if (positions && positions->size() != node_count + late_joiners) {
     reject("explicit positions must cover node_count + late_joiners nodes");
   }

@@ -99,13 +99,14 @@ struct ExperimentConfig {
 
   /// Recomputes derived values (field side, collision-free discovery
   /// window, traffic start) after fields are edited. Idempotent.
-  /// run_experiment and the sweep engine call it internally, so forgetting
-  /// it is no longer possible on those paths.
+  /// The Network constructor and the sweep engine call it internally, so
+  /// forgetting it is no longer possible.
   void finalize();
 
   /// Rejects contradictory setups (e.g. late joiners with oracle
   /// discovery) with std::invalid_argument instead of silent misbehavior.
-  /// Called internally by run_experiment and the sweep engine.
+  /// The one check path: the Network constructor calls it after
+  /// finalize(), and the sweep engine calls it before any job starts.
   void validate() const;
 
   /// Human-readable parameter dump (Table 2 bench).

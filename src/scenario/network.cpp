@@ -35,6 +35,7 @@ bool has_relay_victims(const topo::DiscGraph& graph, NodeId x,
 Network::Network(ExperimentConfig config)
     : config_(std::move(config)), keys_(config_.key_master_secret) {
   config_.finalize();
+  config_.validate();
   // Pair-key cache bucket hint: every id this deployment can mint.
   keys_.reserve_nodes(config_.node_count + config_.late_joiners);
   RngFactory rngs(config_.seed);
@@ -161,23 +162,11 @@ static bool initial_subgraph_connected(const topo::DiscGraph& graph,
 }
 
 topo::DiscGraph Network::build_topology(const RngFactory& rngs) {
-  if (config_.late_joiners > 0 && config_.oracle_discovery) {
-    throw std::invalid_argument(
-        "late joiners require the real discovery protocol (oracle tables "
-        "would know undeployed nodes)");
-  }
   const std::size_t total = config_.node_count + config_.late_joiners;
 
   if (config_.positions) {
-    if (config_.positions->size() != total) {
-      throw std::invalid_argument(
-          "explicit positions must cover node_count + late_joiners nodes");
-    }
     topo::DiscGraph graph(*config_.positions, config_.radio_range);
     if (!config_.malicious_nodes.empty()) {
-      for (NodeId id : config_.malicious_nodes) {
-        if (id >= total) throw std::invalid_argument("malicious id OOB");
-      }
       malicious_ids_ = config_.malicious_nodes;
     } else if (config_.malicious_count > 0) {
       Rng pick_rng = rngs.stream("malicious", 0);
@@ -205,9 +194,6 @@ topo::DiscGraph Network::build_topology(const RngFactory& rngs) {
     if (!initial_subgraph_connected(graph, config_.node_count)) continue;
 
     if (!config_.malicious_nodes.empty()) {
-      for (NodeId id : config_.malicious_nodes) {
-        if (id >= total) throw std::invalid_argument("malicious id OOB");
-      }
       malicious_ids_ = config_.malicious_nodes;
       return graph;
     }
@@ -389,13 +375,11 @@ obs::BucketSample Network::take_bucket_sample() {
   // Per-node gauges summed in id order: deterministic, and cheap enough
   // for once-per-bucket (not per-event) cadence.
   for (const auto& node : nodes_) {
-    if (const lite::LocalMonitor* monitor = node->monitor()) {
-      sample.memory.watch_entries += monitor->watch_buffer().transmit_records();
-      sample.memory.watch_entries += monitor->watch_buffer().drop_watches();
-    }
     sample.memory.neighbor_bytes += node->table().storage_bytes();
     if (const defense::Defense* defense = node->defense()) {
-      sample.memory.defense_storage_bytes += defense->cost().storage_bytes;
+      const defense::CostSnapshot cost = defense->cost();
+      sample.memory.watch_entries += cost.watch_entries;
+      sample.memory.defense_storage_bytes += cost.storage_bytes;
     }
   }
   return sample;

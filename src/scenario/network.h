@@ -33,6 +33,8 @@ namespace lw::scenario {
 /// stack coherently.
 class Network : public fault::FaultHost {
  public:
+  /// Finalizes and validates `config` (ExperimentConfig::validate throws
+  /// std::invalid_argument), then builds and starts the deployment.
   explicit Network(ExperimentConfig config);
   ~Network() override;
   Network(const Network&) = delete;

@@ -48,13 +48,11 @@ void Node::start(const topo::DiscGraph& graph) {
   } else {
     discovery_.start();
   }
-  if (defense_) defense_->start();
   traffic_.start();
 }
 
 void Node::start_late() {
   deployed_ = true;
-  if (defense_) defense_->start();
   join_.start_join();
   traffic_.start_at(simulator_.now() + config_.join.settle_time + 4.0);
 }
@@ -101,7 +99,6 @@ void Node::recover() {
   // Identical to a late deployment: the challenge-response join is how a
   // rebooted node proves itself back into its old neighborhood (peers hold
   // it as known-but-not-admitted, so their hellos get re-challenged).
-  if (defense_) defense_->start();
   join_.start_join();
   traffic_.start_at(simulator_.now() + config_.join.settle_time + 4.0);
 }

@@ -99,13 +99,6 @@ class Node final : public node::NodeEnv {
   /// leash, which is a receive-side filter every node applies).
   defense::Defense* defense() { return defense_.get(); }
   const defense::Defense* defense() const { return defense_.get(); }
-  /// The wrapped LITEWORP monitor when the active backend has one.
-  lite::LocalMonitor* monitor() {
-    return defense_ ? defense_->local_monitor() : nullptr;
-  }
-  const lite::LocalMonitor* monitor() const {
-    return defense_ ? defense_->local_monitor() : nullptr;
-  }
   attack::MaliciousAgent* malicious_agent() { return malicious_agent_.get(); }
   const nbr::AdmissionStats& admission_stats() const {
     static const nbr::AdmissionStats kNoChecks;

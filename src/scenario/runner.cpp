@@ -63,8 +63,6 @@ RunResult RunResult::from_metrics(const Network& network) {
 
 RunResult run_experiment(ExperimentConfig config,
                          double wall_timeout_seconds) {
-  config.finalize();
-  config.validate();
   Network network(std::move(config));
   network.simulator().set_wall_timeout(wall_timeout_seconds);
   network.run();

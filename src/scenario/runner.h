@@ -112,8 +112,8 @@ struct RunResult {
 };
 
 /// Builds a network from `config`, runs it to completion, extracts results.
-/// Calls config.finalize() and config.validate() internally, so callers
-/// cannot forget either. With `wall_timeout_seconds` > 0 a run still
+/// The Network constructor calls config.finalize() and config.validate(),
+/// so callers cannot forget either. With `wall_timeout_seconds` > 0 a run still
 /// executing that much real time later throws sim::WallClockTimeout (the
 /// sweep engine converts that into a failed replica).
 RunResult run_experiment(ExperimentConfig config,

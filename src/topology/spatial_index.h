@@ -38,7 +38,6 @@ class SpatialIndex {
              std::vector<NodeId>& out) const;
 
   double cell_size() const { return cell_size_; }
-  std::size_t cell_count() const { return columns_ * rows_; }
 
  private:
   std::size_t column_of(double x) const;

@@ -48,13 +48,11 @@ class AlertProtocolTest : public ::testing::TestWithParam<std::string> {
   }
 
   std::unique_ptr<Defense> build(const DefenseConfig& c) {
-    auto defense = make(c, Wiring{env_, table_, routing_});
-    defense->start();
-    return defense;
+    return make(c, Wiring{env_, table_, routing_});
   }
 
   bool locally_detected(const Defense& d, NodeId suspect) const {
-    if (const auto* monitor = d.local_monitor()) {
+    if (const auto* monitor = dynamic_cast<const lite::LocalMonitor*>(&d)) {
       return monitor->locally_detected(suspect);
     }
     return static_cast<const ZScoreDefense&>(d).locally_detected(suspect);
@@ -63,12 +61,14 @@ class AlertProtocolTest : public ::testing::TestWithParam<std::string> {
   /// The backend's own evidence against `suspect`: LITEWORP's MalC
   /// counter, the z-score detector's anomaly rate.
   double evidence(const Defense& d, NodeId suspect) const {
-    if (const auto* monitor = d.local_monitor()) return monitor->malc(suspect);
+    if (const auto* monitor = dynamic_cast<const lite::LocalMonitor*>(&d)) {
+      return monitor->malc(suspect);
+    }
     return static_cast<const ZScoreDefense&>(d).anomaly_rate(suspect);
   }
 
   int alert_count(const Defense& d, NodeId suspect) const {
-    if (const auto* monitor = d.local_monitor()) {
+    if (const auto* monitor = dynamic_cast<const lite::LocalMonitor*>(&d)) {
       return monitor->alert_count(suspect);
     }
     return static_cast<const ZScoreDefense&>(d).alert_count(suspect);

@@ -86,7 +86,8 @@ TEST_F(MakeFixture, NoneBackendIsInert) {
   EXPECT_EQ(cost.storage_bytes, 0u);
   EXPECT_EQ(backend->admission_stats().accepted, 0u);
   EXPECT_EQ(backend->admission_stats().total_rejected(), 0u);
-  EXPECT_EQ(backend->local_monitor(), nullptr);
+  EXPECT_EQ(cost.watch_entries, 0u);
+  EXPECT_EQ(cost.peak_watch_entries, 0u);
 }
 
 // ---- validate(): one test per rejection ----

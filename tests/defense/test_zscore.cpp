@@ -195,5 +195,14 @@ TEST_F(ZScoreTest, CostSnapshotCountsDeterministicWork) {
   EXPECT_GT(cost.storage_bytes, 0u) << "stats and watch records are stored";
 }
 
+TEST_F(ZScoreTest, CostCountsTheWatchBuffer) {
+  qualify_honest_baseline();
+  const lite::WatchBuffer& watch = defense_.watch_buffer();
+  const CostSnapshot cost = defense_.cost();
+  EXPECT_GT(cost.watch_entries, 0u);
+  EXPECT_EQ(cost.watch_entries, watch.transmit_records() + watch.drop_watches());
+  EXPECT_EQ(cost.peak_watch_entries, watch.peak_entries());
+}
+
 }  // namespace
 }  // namespace lw::defense

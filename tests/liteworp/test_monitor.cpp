@@ -34,7 +34,6 @@ class MonitorTest : public ::testing::Test {
     table_.set_neighbor_list(kX, {kGuard, kA, kOther});
     table_.set_neighbor_list(kA, {kGuard, kX, kOther, kFar});
     table_.set_neighbor_list(kOther, {kGuard, kX, kA});
-    monitor_.start();
   }
 
   static LiteworpParams params() {
@@ -74,8 +73,8 @@ class MonitorTest : public ::testing::Test {
 };
 
 TEST_F(MonitorTest, LegitimateForwardIsBenign) {
-  monitor_.on_overhear(req(kX, kInvalidNode, kX, 1));  // X originates
-  monitor_.on_overhear(req(kA, kX, kX, 1));            // A forwards
+  monitor_.observe(req(kX, kInvalidNode, kX, 1));  // X originates
+  monitor_.observe(req(kA, kX, kX, 1));            // A forwards
   EXPECT_DOUBLE_EQ(monitor_.malc(kA), 0.0);
   EXPECT_FALSE(monitor_.locally_detected(kA));
 }
@@ -83,14 +82,14 @@ TEST_F(MonitorTest, LegitimateForwardIsBenign) {
 TEST_F(MonitorTest, UnheardFlowForwardRaisesFabrication) {
   // A forwards a REQ the guard never heard from anyone: the wormhole
   // replay signature.
-  monitor_.on_overhear(req(kA, kX, kFar, 1));
+  monitor_.observe(req(kA, kX, kFar, 1));
   EXPECT_DOUBLE_EQ(monitor_.malc(kA), params().malc_fabrication);
 }
 
 TEST_F(MonitorTest, MissedHandoffButFlowHeardIsBenign) {
   // Guard heard the flood from kOther but missed kX's copy: benign.
-  monitor_.on_overhear(req(kOther, kInvalidNode, kOther, 5));
-  monitor_.on_overhear(req(kA, kX, kOther, 5));
+  monitor_.observe(req(kOther, kInvalidNode, kOther, 5));
+  monitor_.observe(req(kA, kX, kOther, 5));
   EXPECT_DOUBLE_EQ(monitor_.malc(kA), 0.0);
 }
 
@@ -98,11 +97,11 @@ TEST_F(MonitorTest, DetectionAfterEnoughFabrications) {
   const int needed = static_cast<int>(std::ceil(
       params().malc_threshold / params().malc_fabrication));  // 5
   for (int i = 0; i < needed - 1; ++i) {
-    monitor_.on_overhear(req(kA, kX, kFar, static_cast<SeqNo>(i)));
+    monitor_.observe(req(kA, kX, kFar, static_cast<SeqNo>(i)));
   }
   EXPECT_FALSE(monitor_.locally_detected(kA));
   EXPECT_FALSE(table_.is_revoked(kA));
-  monitor_.on_overhear(req(kA, kX, kFar, 100));
+  monitor_.observe(req(kA, kX, kFar, 100));
   EXPECT_TRUE(monitor_.locally_detected(kA));
   EXPECT_TRUE(table_.is_revoked(kA));
   EXPECT_EQ(env_.sent_of(pkt::PacketType::kAlert).size(), 1u);
@@ -110,7 +109,7 @@ TEST_F(MonitorTest, DetectionAfterEnoughFabrications) {
 
 TEST_F(MonitorTest, SamePacketCountedOncePerGuard) {
   pkt::Packet replayed = req(kA, kX, kFar, 1);
-  for (int i = 0; i < 10; ++i) monitor_.on_overhear(replayed);
+  for (int i = 0; i < 10; ++i) monitor_.observe(replayed);
   EXPECT_DOUBLE_EQ(monitor_.malc(kA), params().malc_fabrication)
       << "link-layer retransmissions must not multiply the evidence";
 }
@@ -119,29 +118,29 @@ TEST_F(MonitorTest, KappaBlockResetsBelowThreshold) {
   // 4 fabrications (16 < C_t = 24) then 3 benign observations complete the
   // kappa = 7 block and wipe the slate.
   for (int i = 0; i < 4; ++i) {
-    monitor_.on_overhear(req(kA, kX, kFar, static_cast<SeqNo>(i)));
+    monitor_.observe(req(kA, kX, kFar, static_cast<SeqNo>(i)));
   }
   EXPECT_DOUBLE_EQ(monitor_.malc(kA), 16.0);
   for (int i = 0; i < 3; ++i) {
     SeqNo seq = static_cast<SeqNo>(50 + i);
-    monitor_.on_overhear(req(kX, kInvalidNode, kX, seq));
-    monitor_.on_overhear(req(kA, kX, kX, seq));
+    monitor_.observe(req(kX, kInvalidNode, kX, seq));
+    monitor_.observe(req(kA, kX, kX, seq));
   }
   EXPECT_DOUBLE_EQ(monitor_.malc(kA), 0.0) << "block completed clean";
-  monitor_.on_overhear(req(kA, kX, kFar, 99));
+  monitor_.observe(req(kA, kX, kFar, 99));
   EXPECT_FALSE(monitor_.locally_detected(kA));
 }
 
 TEST_F(MonitorTest, RepDropAccusedAfterTimeout) {
-  monitor_.on_overhear(rep(kX, kInvalidNode, kA, kX, 1));
+  monitor_.observe(rep(kX, kInvalidNode, kA, kX, 1));
   env_.simulator().run_until(params().watch_timeout + 0.1);
   EXPECT_DOUBLE_EQ(monitor_.malc(kA), params().malc_drop);
 }
 
 TEST_F(MonitorTest, RepForwardClearsDropWatch) {
-  monitor_.on_overhear(rep(kX, kInvalidNode, kA, kX, 1));
+  monitor_.observe(rep(kX, kInvalidNode, kA, kX, 1));
   // A forwards the REP onward within the deadline.
-  monitor_.on_overhear(rep(kA, kX, kOther, kX, 1));
+  monitor_.observe(rep(kA, kX, kOther, kX, 1));
   env_.simulator().run_until(params().watch_timeout + 0.1);
   EXPECT_DOUBLE_EQ(monitor_.malc(kA), 0.0);
 }
@@ -149,7 +148,7 @@ TEST_F(MonitorTest, RepForwardClearsDropWatch) {
 TEST_F(MonitorTest, RepDroppedSevenTimesTriggersDetection) {
   // V_d = 4: seven drops cross C_t = 24 within the kappa = 7 block.
   for (SeqNo s = 0; s < 7; ++s) {
-    monitor_.on_overhear(rep(kX, kInvalidNode, kA, kX, s));
+    monitor_.observe(rep(kX, kInvalidNode, kA, kX, s));
   }
   env_.simulator().run_until(params().watch_timeout + 0.1);
   EXPECT_TRUE(monitor_.locally_detected(kA));
@@ -159,7 +158,7 @@ TEST_F(MonitorTest, NoDropWatchWhenRecipientIsRepTarget) {
   // The REP's final recipient (route.front()) has nothing to forward.
   pkt::Packet p = rep(kX, kInvalidNode, kA, kX, 1);
   p.route = {kA, kX, 7};  // kA IS the REP's final destination
-  monitor_.on_overhear(p);
+  monitor_.observe(p);
   env_.simulator().run_until(params().watch_timeout + 0.1);
   EXPECT_DOUBLE_EQ(monitor_.malc(kA), 0.0);
 }
@@ -168,7 +167,7 @@ TEST_F(MonitorTest, AlertCarriesPerRecipientTags) {
   const int needed = static_cast<int>(std::ceil(
       params().malc_threshold / params().malc_fabrication));
   for (int i = 0; i < needed; ++i) {
-    monitor_.on_overhear(req(kA, kX, kFar, static_cast<SeqNo>(i)));
+    monitor_.observe(req(kA, kX, kFar, static_cast<SeqNo>(i)));
   }
   auto alerts = env_.sent_of(pkt::PacketType::kAlert);
   ASSERT_EQ(alerts.size(), 1u);
@@ -195,12 +194,33 @@ TEST_F(MonitorTest, DisabledMonitorDoesNothing) {
   for (int i = 0; i < 10; ++i) {
     disabled->observe(req(kA, kX, kFar, static_cast<SeqNo>(i)));
   }
-  EXPECT_EQ(disabled->local_monitor(), nullptr);
+  EXPECT_EQ(disabled->tag(), obs::DefenseTag::kNone);
+  EXPECT_EQ(disabled->cost().watch_entries, 0u) << "no guard, no watch state";
   EXPECT_FALSE(table_.is_revoked(kA));
 }
 
+TEST_F(MonitorTest, CostCountsTheWatchBuffer) {
+  monitor_.observe(req(kX, kInvalidNode, kX, 1));
+  monitor_.observe(req(kA, kX, kX, 1));
+  monitor_.observe(rep(kX, kInvalidNode, kA, kX, 2));  // arms a drop watch
+  const WatchBuffer& watch = monitor_.watch_buffer();
+  ASSERT_EQ(watch.drop_watches(), 1u);
+  defense::CostSnapshot cost = monitor_.cost();
+  EXPECT_EQ(cost.watch_entries, watch.transmit_records() + watch.drop_watches());
+  EXPECT_EQ(cost.watch_entries, 4u) << "three transmit records, one watch";
+  EXPECT_EQ(cost.peak_watch_entries, watch.peak_entries());
+
+  // The watch expires (a drop): the live count falls, the peak stays.
+  env_.simulator().run_until(params().watch_timeout + 0.1);
+  cost = monitor_.cost();
+  EXPECT_EQ(watch.drop_watches(), 0u);
+  EXPECT_EQ(cost.watch_entries, watch.transmit_records());
+  EXPECT_EQ(cost.peak_watch_entries, watch.peak_entries());
+  EXPECT_EQ(cost.peak_watch_entries, 4u);
+}
+
 TEST_F(MonitorTest, StorageBytesTracksState) {
-  monitor_.on_overhear(rep(kX, kInvalidNode, kA, kX, 1));
+  monitor_.observe(rep(kX, kInvalidNode, kA, kX, 1));
   EXPECT_GE(monitor_.storage_bytes(), 20u);
 }
 

@@ -57,33 +57,33 @@ class MonitorExtensions : public ::testing::Test {
 };
 
 TEST_F(MonitorExtensions, RefusalBeaconClearsDropWatches) {
-  monitor_.on_overhear(rep(kX, kA, 1));
-  monitor_.on_overhear(rep(kX, kA, 2));
+  monitor_.observe(rep(kX, kA, 1));
+  monitor_.observe(rep(kX, kA, 2));
   EXPECT_EQ(monitor_.watch_buffer().drop_watches(), 2u);
   // kA audibly refuses a broken route instead of forwarding.
-  monitor_.on_overhear(refusal_beacon(kA));
+  monitor_.observe(refusal_beacon(kA));
   EXPECT_EQ(monitor_.watch_buffer().drop_watches(), 0u);
   env_.simulator().run_until(LiteworpParams{}.watch_timeout + 0.1);
   EXPECT_DOUBLE_EQ(monitor_.malc(kA), 0.0) << "no accusation after beacon";
 }
 
 TEST_F(MonitorExtensions, RefusalBeaconOnlyExcusesItsSender) {
-  monitor_.on_overhear(rep(kX, kA, 1));
-  monitor_.on_overhear(refusal_beacon(kOther));  // someone else refused
+  monitor_.observe(rep(kX, kA, 1));
+  monitor_.observe(refusal_beacon(kOther));  // someone else refused
   env_.simulator().run_until(LiteworpParams{}.watch_timeout + 0.1);
   EXPECT_DOUBLE_EQ(monitor_.malc(kA), LiteworpParams{}.malc_drop);
 }
 
 TEST_F(MonitorExtensions, OwnBeaconIgnored) {
-  monitor_.on_overhear(rep(kX, kA, 1));
-  monitor_.on_overhear(refusal_beacon(kGuard));
+  monitor_.observe(rep(kX, kA, 1));
+  monitor_.observe(refusal_beacon(kGuard));
   EXPECT_EQ(monitor_.watch_buffer().drop_watches(), 1u);
 }
 
 TEST_F(MonitorExtensions, GuardSkipsWatchWhenOnwardHopRevokedHere) {
   table_.add_neighbor(8);
   table_.revoke(8);  // we isolated node 8; route says kA must forward to 8
-  monitor_.on_overhear(rep(kX, kA, 1));
+  monitor_.observe(rep(kX, kA, 1));
   EXPECT_EQ(monitor_.watch_buffer().drop_watches(), 0u)
       << "kA is expected to refuse; timing it would punish compliance";
 }
@@ -98,7 +98,7 @@ TEST_F(MonitorExtensions, AlertsAreRepeatedWithFreshFlows) {
     p.announced_prev_hop = kX;
     p.origin = kFar;
     p.seq = static_cast<SeqNo>(i);
-    monitor_.on_overhear(p);
+    monitor_.observe(p);
   }
   ASSERT_TRUE(monitor_.locally_detected(kA));
   env_.simulator().run_until(params.alert_repeats * params.alert_repeat_gap +
@@ -142,7 +142,7 @@ TEST_F(MonitorExtensions, StrictLinkCheckAblationConvictsOnMissedHandoff) {
   origin_copy.claimed_tx = kOther;
   origin_copy.origin = kOther;
   origin_copy.seq = 5;
-  monitor.on_overhear(origin_copy);
+  monitor.observe(origin_copy);
 
   pkt::Packet forward =
       env_.packet_factory().make(pkt::PacketType::kRouteRequest);
@@ -150,7 +150,7 @@ TEST_F(MonitorExtensions, StrictLinkCheckAblationConvictsOnMissedHandoff) {
   forward.announced_prev_hop = kX;
   forward.origin = kOther;
   forward.seq = 5;
-  monitor.on_overhear(forward);
+  monitor.observe(forward);
   EXPECT_DOUBLE_EQ(monitor.malc(kA), strict.malc_fabrication);
 }
 
@@ -165,7 +165,7 @@ TEST_F(MonitorExtensions, DisabledWindowNeverResets) {
     p.announced_prev_hop = kX;
     p.origin = kFar;
     p.seq = static_cast<SeqNo>(i);
-    monitor.on_overhear(p);
+    monitor.observe(p);
   }
   for (int i = 0; i < 20; ++i) {
     SeqNo seq = static_cast<SeqNo>(100 + i);
@@ -173,13 +173,13 @@ TEST_F(MonitorExtensions, DisabledWindowNeverResets) {
     tx.claimed_tx = kX;
     tx.origin = kX;
     tx.seq = seq;
-    monitor.on_overhear(tx);
+    monitor.observe(tx);
     pkt::Packet fwd = env_.packet_factory().make(pkt::PacketType::kRouteRequest);
     fwd.claimed_tx = kA;
     fwd.announced_prev_hop = kX;
     fwd.origin = kX;
     fwd.seq = seq;
-    monitor.on_overhear(fwd);
+    monitor.observe(fwd);
   }
   EXPECT_DOUBLE_EQ(monitor.malc(kA), 3 * params.malc_fabrication)
       << "no reset ever happens with window_packets = 0";
@@ -194,7 +194,7 @@ TEST_F(MonitorExtensions, CorroborationLowersTheBar) {
     p.announced_prev_hop = kX;
     p.origin = kFar;
     p.seq = seq;
-    monitor_.on_overhear(p);
+    monitor_.observe(p);
   }
   EXPECT_FALSE(monitor_.locally_detected(kA));
 
@@ -216,7 +216,7 @@ TEST_F(MonitorExtensions, CorroborationLowersTheBar) {
   third.announced_prev_hop = kX;
   third.origin = kFar;
   third.seq = 3;
-  monitor_.on_overhear(third);
+  monitor_.observe(third);
   EXPECT_TRUE(monitor_.locally_detected(kA))
       << "8 + 4 = 12 >= corroborated threshold";
 }
@@ -229,7 +229,7 @@ TEST_F(MonitorExtensions, CorroborationTriggersOnAlertArrival) {
     p.announced_prev_hop = kX;
     p.origin = kFar;
     p.seq = seq;
-    monitor_.on_overhear(p);
+    monitor_.observe(p);
   }
   EXPECT_FALSE(monitor_.locally_detected(kA));
   pkt::Packet alert = env_.packet_factory().make(pkt::PacketType::kAlert);
@@ -273,7 +273,7 @@ TEST_F(MonitorExtensions, AlertTtlFollowsParams) {
     p.announced_prev_hop = kX;
     p.origin = kFar;
     p.seq = static_cast<SeqNo>(i);
-    monitor_.on_overhear(p);
+    monitor_.observe(p);
   }
   auto alerts = env_.sent_of(pkt::PacketType::kAlert);
   ASSERT_FALSE(alerts.empty());

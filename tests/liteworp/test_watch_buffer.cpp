@@ -44,7 +44,7 @@ TEST(WatchBuffer, FlowWideTransmitQuery) {
 
 TEST(WatchBuffer, DropWatchAddAndClear) {
   WatchBuffer buffer;
-  EXPECT_TRUE(buffer.add_drop_watch(flow(1, 1), 5, 6, 11.0, {}));
+  EXPECT_TRUE(buffer.add_drop_watch(flow(1, 1), 5, 6, {}));
   EXPECT_EQ(buffer.drop_watches(), 1u);
   EXPECT_TRUE(buffer.clear_drop_watch(flow(1, 1), 5, 6));
   EXPECT_EQ(buffer.drop_watches(), 0u);
@@ -53,30 +53,30 @@ TEST(WatchBuffer, DropWatchAddAndClear) {
 
 TEST(WatchBuffer, DuplicateDropWatchRejected) {
   WatchBuffer buffer;
-  EXPECT_TRUE(buffer.add_drop_watch(flow(1, 1), 5, 6, 11.0, {}));
-  EXPECT_FALSE(buffer.add_drop_watch(flow(1, 1), 5, 6, 12.0, {}))
+  EXPECT_TRUE(buffer.add_drop_watch(flow(1, 1), 5, 6, {}));
+  EXPECT_FALSE(buffer.add_drop_watch(flow(1, 1), 5, 6, {}))
       << "link-layer retransmissions must not re-arm the timer";
   EXPECT_EQ(buffer.drop_watches(), 1u);
 }
 
 TEST(WatchBuffer, TakeExpiredOnlyOnce) {
   WatchBuffer buffer;
-  buffer.add_drop_watch(flow(1, 1), 5, 6, 11.0, {});
+  buffer.add_drop_watch(flow(1, 1), 5, 6, {});
   EXPECT_TRUE(buffer.take_expired_drop_watch(flow(1, 1), 5, 6));
   EXPECT_FALSE(buffer.take_expired_drop_watch(flow(1, 1), 5, 6));
 }
 
 TEST(WatchBuffer, ClearedWatchNotTakenAsExpired) {
   WatchBuffer buffer;
-  buffer.add_drop_watch(flow(1, 1), 5, 6, 11.0, {});
+  buffer.add_drop_watch(flow(1, 1), 5, 6, {});
   buffer.clear_drop_watch(flow(1, 1), 5, 6);
   EXPECT_FALSE(buffer.take_expired_drop_watch(flow(1, 1), 5, 6));
 }
 
 TEST(WatchBuffer, DistinctLinksIndependent) {
   WatchBuffer buffer;
-  buffer.add_drop_watch(flow(1, 1), 5, 6, 11.0, {});
-  buffer.add_drop_watch(flow(1, 1), 6, 7, 11.0, {});
+  buffer.add_drop_watch(flow(1, 1), 5, 6, {});
+  buffer.add_drop_watch(flow(1, 1), 6, 7, {});
   EXPECT_TRUE(buffer.clear_drop_watch(flow(1, 1), 5, 6));
   EXPECT_TRUE(buffer.take_expired_drop_watch(flow(1, 1), 6, 7));
 }
@@ -84,14 +84,14 @@ TEST(WatchBuffer, DistinctLinksIndependent) {
 TEST(WatchBuffer, StorageBytesPerPaperModel) {
   WatchBuffer buffer;
   buffer.record_transmit(flow(1, 1), 5, 10.0, 2.0);
-  buffer.add_drop_watch(flow(1, 2), 5, 6, 11.0, {});
+  buffer.add_drop_watch(flow(1, 2), 5, 6, {});
   EXPECT_EQ(buffer.storage_bytes(), 2u * 20u) << "20 bytes per entry";
 }
 
 TEST(WatchBuffer, PeakTracksHighWater) {
   WatchBuffer buffer;
   for (SeqNo s = 0; s < 10; ++s) {
-    buffer.add_drop_watch(flow(1, s), 5, 6, 11.0, {});
+    buffer.add_drop_watch(flow(1, s), 5, 6, {});
   }
   for (SeqNo s = 0; s < 10; ++s) {
     buffer.clear_drop_watch(flow(1, s), 5, 6);

@@ -244,6 +244,22 @@ TEST(SeriesEndToEnd, ByteIdenticalAcrossSweepThreadCounts) {
   EXPECT_EQ(to_json(serial), to_json(parallel));
 }
 
+// The watch_entries gauge reads every backend's Defense::cost(): both
+// accusing backends keep a watch buffer, the packet leash keeps none.
+TEST(SeriesEndToEnd, WatchEntriesGaugeCoversEveryAccusingBackend) {
+  for (const char* name : {"liteworp", "zscore", "leash"}) {
+    auto config = series_config();
+    config.defense.name = name;
+    const RunResult run = run_experiment(config);
+    const std::uint64_t peak = run.series.memory_high_water.watch_entries;
+    if (std::string(name) == "leash") {
+      EXPECT_EQ(peak, 0u) << name;
+    } else {
+      EXPECT_GT(peak, 0u) << name;
+    }
+  }
+}
+
 TEST(SeriesEndToEnd, GoldenSeriesFixtureMatchesCheckedIn) {
   // Byte-exact fixture for the series JSON of a fixed-seed run. CI runs
   // this test in both the Release and the ASan build, which together with

@@ -224,6 +224,27 @@ TEST(Config, ValidateRejectsContradictions) {
   EXPECT_THROW(bad_gamma.validate(), std::invalid_argument);
 }
 
+TEST(Config, ValidateRejectsOutOfRangeMaliciousId) {
+  auto config = ExperimentConfig::table2_defaults();
+  config.node_count = 4;
+  config.late_joiners = 1;
+  config.malicious_count = 1;
+  config.malicious_nodes = {4};  // the late joiner: still in range
+  EXPECT_NO_THROW(config.validate());
+  config.malicious_nodes = {5};
+  try {
+    config.validate();
+    FAIL() << "an id past node_count + late_joiners must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "ExperimentConfig: malicious_nodes id 5 is out of range"),
+              std::string::npos)
+        << e.what();
+  }
+  // The Network constructor reaches the same check, before any placement.
+  EXPECT_THROW(Network net(config), std::invalid_argument);
+}
+
 TEST(Config, RunExperimentFinalizesAndValidatesInternally) {
   // Deliberately skip finalize(): the silly phase ordering must be fixed
   // internally, and the run must succeed.
