@@ -161,6 +161,9 @@ static int run_bench(lw::Config& args) {
   spec.base = lw::scenario::ExperimentConfig::table2_defaults();
   spec.base.duration = duration;
   spec.base.malicious_count = 2;
+  // The backend every case runs: --defense, or the base config's default.
+  const std::string defense =
+      common.defense.empty() ? spec.base.defense.name : common.defense;
   for (const Case& c : cases) {
     spec.points.push_back(
         {c.name, [c](lw::scenario::ExperimentConfig& config) {
@@ -179,6 +182,7 @@ static int run_bench(lw::Config& args) {
     bench::JsonRows rows;
     for (const CaseResult& r : results) {
       rows.field("case", r.spec.name)
+          .field("defense", defense)
           .field("nodes", static_cast<double>(r.spec.nodes))
           .field("collisions", r.spec.collisions ? 1.0 : 0.0)
           .field("runs", static_cast<double>(common.runs))
@@ -213,7 +217,8 @@ static int run_bench(lw::Config& args) {
     return 0;
   }
 
-  std::puts("== Hot-path throughput (full stack, LITEWORP + 2 colluders) ==");
+  std::printf("== Hot-path throughput (full stack, %s + 2 colluders) ==\n",
+              defense.c_str());
   std::printf("%d run(s) per case, %.0f simulated seconds, base seed %llu\n\n",
               common.runs, duration,
               static_cast<unsigned long long>(common.seed));

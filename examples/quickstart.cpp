@@ -6,7 +6,6 @@
 
 #include "scenario/runner.h"
 #include "util/cli.h"
-#include "util/logging.h"
 
 constexpr const char* kUsage =
     "usage: quickstart [--nodes=50] [--seed=3] [--duration=600]\n"

@@ -54,7 +54,6 @@ void WormholeCoordinator::tunnel_to(NodeId from, NodeId to,
                          [to](const MaliciousAgent* a) { return a->id() == to; });
   if (it == agents_.end()) return;
   MaliciousAgent* target = *it;
-  ++tunneled_;
   pkt::Packet copy = packet;
   copy.crossed_tunnel = true;
   simulator_.schedule(tunnel_delay(from, to),

@@ -64,8 +64,6 @@ class WormholeCoordinator {
 
   bool is_colluder(NodeId id) const;
   const AttackParams& params() const { return params_; }
-  std::uint64_t tunneled_packets() const { return tunneled_; }
-  const std::vector<MaliciousAgent*>& agents() const { return agents_; }
 
  private:
   Duration tunnel_delay(NodeId a, NodeId b) const;
@@ -74,7 +72,6 @@ class WormholeCoordinator {
   AttackParams params_;
   std::vector<MaliciousAgent*> agents_;
   std::unordered_map<std::uint64_t, std::size_t> hop_distance_;
-  std::uint64_t tunneled_ = 0;
 };
 
 }  // namespace lw::attack

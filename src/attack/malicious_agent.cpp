@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/recorder.h"
-#include "util/logging.h"
 
 namespace lw::attack {
 namespace {
@@ -67,7 +66,6 @@ bool MaliciousAgent::maybe_drop_data(const pkt::Packet& packet) {
   if (packet.link_dst != env_.id()) return false;
   if (packet.final_dst == env_.id()) return false;  // our own traffic
   if (!coordinator_.params().drop_data) return false;
-  ++data_dropped_;
   if (auto* r = env_.obs(); r && r->wants(obs::Layer::kAttack)) {
     r->emit({.t = env_.now(),
              .kind = obs::EventKind::kAtkDrop,

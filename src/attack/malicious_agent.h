@@ -34,7 +34,6 @@ class MaliciousAgent {
 
   bool active() const;
   NodeId id() const { return env_.id(); }
-  std::uint64_t data_dropped() const { return data_dropped_; }
 
  private:
   bool intercept_tunnel_modes(const pkt::Packet& packet);
@@ -69,7 +68,6 @@ class MaliciousAgent {
   NodeId relay_victim_b_ = kInvalidNode;
   /// Sticky lie for AttackParams::fixed_fake_prev.
   mutable NodeId fixed_prev_ = kInvalidNode;
-  std::uint64_t data_dropped_ = 0;
 };
 
 }  // namespace lw::attack

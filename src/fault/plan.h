@@ -2,10 +2,10 @@
 // a run injects (Section V-VI robustness analysis territory).
 //
 // A FaultPlan is part of ExperimentConfig, so faults are seeded and
-// reproducible like everything else: the injector schedules each fault as
-// an ordinary simulator event, traces stay byte-identical per seed at any
-// thread count, and an empty plan is indistinguishable from no fault
-// subsystem at all (zero extra events, zero extra RNG draws).
+// reproducible like everything else: scenario::Network schedules each
+// fault as an ordinary simulator event, traces stay byte-identical per
+// seed at any thread count, and an empty plan is indistinguishable from no
+// fault subsystem at all (zero extra events, zero extra RNG draws).
 #pragma once
 
 #include <cstddef>

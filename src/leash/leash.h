@@ -76,7 +76,6 @@ class LeashChecker {
   double implied_distance(const pkt::Packet& packet, Time now) const;
 
   const LeashStats& stats() const { return stats_; }
-  const LeashParams& params() const { return params_; }
 
  private:
   bool check_temporal(const pkt::Packet& packet, Time now) const;

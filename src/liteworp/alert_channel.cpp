@@ -1,9 +1,9 @@
 #include "liteworp/alert_channel.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "obs/recorder.h"
-#include "util/logging.h"
 
 namespace lw::lite {
 
@@ -22,9 +22,6 @@ void AlertChannel::convict(NodeId suspect, double evidence) {
   table_.revoke(suspect);
   routing_.on_revoked(suspect);
   emit(obs::EventKind::kMonDetection, suspect, evidence);
-  LW_INFO << obs::to_string(static_cast<obs::DefenseTag>(def_)) << " guard "
-          << env_.id() << " detected node " << suspect
-          << " at t=" << env_.now();
 
   last_alert_[suspect] = env_.now();
   send(suspect);
@@ -95,8 +92,9 @@ bool AlertChannel::receive(const pkt::Packet& packet) {
   if (entry == packet.alert_auth.end()) return false;
   packet.auth_payload_into(auth_buf_);
   if (!env_.keys().verify(guard, env_.id(), auth_buf_, entry->tag)) {
-    LW_WARN << "node " << env_.id() << ": unauthentic alert claiming guard "
-            << guard;
+    std::fprintf(stderr,
+                 "[WARN] node %u: unauthentic alert claiming guard %u\n",
+                 env_.id(), guard);
     return false;
   }
 
@@ -115,8 +113,6 @@ void AlertChannel::isolate(NodeId suspect, int alerts) {
   table_.revoke(suspect);
   routing_.on_revoked(suspect);
   emit(obs::EventKind::kMonIsolation, suspect, static_cast<double>(alerts));
-  LW_INFO << "node " << env_.id() << " isolated " << suspect << " after "
-          << alerts << " alerts at t=" << env_.now();
 }
 
 void AlertChannel::relay(const pkt::Packet& packet) {

@@ -4,7 +4,6 @@
 
 #include "obs/profiler.h"
 #include "obs/recorder.h"
-#include "util/logging.h"
 
 namespace lw::lite {
 
@@ -91,9 +90,6 @@ void LocalMonitor::check_fabrication(const pkt::Packet& packet) {
     tally(sender, /*suspicious=*/false, obs::kSuspicionFabrication);
     return;
   }
-  LW_DEBUG << "guard " << env_.id() << ": " << to_string(packet.type)
-           << " fabrication by " << sender << " (claimed prev " << prev
-           << ")";
   tally(sender, /*suspicious=*/true, obs::kSuspicionFabrication);
 }
 
@@ -123,8 +119,6 @@ void LocalMonitor::maybe_add_drop_watch(const pkt::Packet& packet) {
   sim::EventHandle expiry = env_.simulator().schedule_cancellable(
       params_.watch_timeout, [this, flow, from, to, lin = packet.lineage] {
         if (watch_.take_expired_drop_watch(flow, from, to)) {
-          LW_DEBUG << "guard " << env_.id() << ": REP drop by " << to
-                   << " (handed over by " << from << ")";
           if (auto* r = env_.obs(); r && r->wants(obs::Layer::kMonitor)) {
             r->emit({.t = env_.now(),
                      .kind = obs::EventKind::kMonWatchExpire,
@@ -187,10 +181,6 @@ bool LocalMonitor::admit(const pkt::Packet& packet) {
                     .peer = packet.claimed_tx,
                     .value = static_cast<double>(verdict),
                     .packet = &packet});
-  }
-  if (!accepted) {
-    LW_DEBUG << "node " << env_.id() << ": rejected ("
-             << nbr::to_string(verdict) << ") " << packet.describe();
   }
   return accepted;
 }

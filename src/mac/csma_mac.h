@@ -120,7 +120,6 @@ class CsmaMac {
 
   std::size_t queue_depth() const { return queue_.size(); }
   const MacStats& stats() const { return stats_; }
-  const MacParams& params() const { return params_; }
 
  private:
   struct Outgoing {

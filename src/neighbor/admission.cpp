@@ -2,22 +2,6 @@
 
 namespace lw::nbr {
 
-const char* to_string(Admission verdict) {
-  switch (verdict) {
-    case Admission::kAccept:
-      return "accept";
-    case Admission::kUnknownSender:
-      return "unknown-sender";
-    case Admission::kRevokedSender:
-      return "revoked-sender";
-    case Admission::kBogusPrevHop:
-      return "bogus-prev-hop";
-    case Admission::kRevokedPrevHop:
-      return "revoked-prev-hop";
-  }
-  return "?";
-}
-
 void AdmissionStats::record(Admission verdict) {
   switch (verdict) {
     case Admission::kAccept:

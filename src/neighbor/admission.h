@@ -28,8 +28,6 @@ enum class Admission {
   kRevokedPrevHop,  // announced prev hop revoked
 };
 
-const char* to_string(Admission verdict);
-
 struct AdmissionStats {
   std::uint64_t accepted = 0;
   std::uint64_t unknown_sender = 0;

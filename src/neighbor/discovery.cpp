@@ -1,9 +1,6 @@
 #include "neighbor/discovery.h"
 
-#include <sstream>
-
 #include "obs/recorder.h"
-#include "util/logging.h"
 
 namespace lw::nbr {
 
@@ -129,8 +126,6 @@ void DiscoveryAgent::handle_reply(const pkt::Packet& packet) {
       reply_auth_message(packet.origin, env_.id(), packet.seq);
   if (!env_.keys().verify(packet.origin, env_.id(), message, packet.tag)) {
     ++rejected_replies_;
-    LW_DEBUG << "node " << env_.id() << ": rejected unauthentic HELLO reply"
-             << " claiming origin " << packet.origin;
     return;
   }
   table_.add_neighbor(packet.origin);
@@ -151,9 +146,6 @@ void DiscoveryAgent::handle_list(const pkt::Packet& packet) {
       table_.set_neighbor_list(packet.origin, packet.neighbor_list);
     } else {
       ++rejected_lists_;
-      LW_DEBUG << "node " << env_.id()
-               << ": rejected unauthentic neighbor list from "
-               << packet.origin;
     }
     return;
   }

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "obs/recorder.h"
-#include "util/logging.h"
 
 namespace lw::nbr {
 
@@ -118,8 +117,6 @@ void DynamicJoinAgent::handle_challenge(const pkt::Packet& packet) {
   const std::string message =
       challenge_message(challenger, env_.id(), packet.nonce);
   if (!env_.keys().verify(challenger, env_.id(), message, packet.tag)) {
-    LW_DEBUG << "joiner " << env_.id()
-             << ": unauthentic challenge claiming " << challenger;
     return;
   }
   // The authenticated challenge proves the challenger holds the pairwise
@@ -158,16 +155,12 @@ void DynamicJoinAgent::handle_response(const pkt::Packet& packet) {
   const std::string message =
       response_message(joiner, env_.id(), packet.nonce);
   if (!env_.keys().verify(joiner, env_.id(), message, packet.tag)) {
-    LW_DEBUG << "node " << env_.id()
-             << ": unauthentic join response claiming " << joiner;
     return;
   }
   pending_nonces_.erase(pending);
   admitted_.insert(joiner);
   table_.add_neighbor(joiner);
   ++joins_admitted_;
-  LW_INFO << "node " << env_.id() << " admitted joiner " << joiner
-          << " at t=" << env_.now();
 
   // Give the joiner our list reliably, and refresh the neighborhood's
   // second-hop knowledge (our list now contains the joiner).

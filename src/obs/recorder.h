@@ -14,10 +14,11 @@
 // Emit sites guard with
 //   if (rec != nullptr && rec->wants(Layer::kX)) rec->emit({...});
 // Every scenario::Network run subscribes its stats::MetricsCollector to the
-// route, mon and atk layers, so those always emit; a profiled, sampled or
-// counted run listen()s to every layer. Otherwise, for the phy, mac, nbr
-// and flt layers the guard is the zero-cost-when-disabled contract: a run
-// that does not observe them pays one mask test per site.
+// route, mon and atk layers and its forensics::IncidentBuilder to mon, atk
+// and flt, so those always emit; a profiled, sampled or counted run
+// listen()s to every layer. Otherwise, for the phy, mac and nbr layers the
+// guard is the zero-cost-when-disabled contract: a run that does not
+// observe them pays one mask test per site.
 #pragma once
 
 #include <array>

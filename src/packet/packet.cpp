@@ -1,7 +1,6 @@
 #include "packet/packet.h"
 
 #include <charconv>
-#include <sstream>
 
 namespace lw::pkt {
 
@@ -114,26 +113,6 @@ void Packet::auth_payload_into(std::string& out) const {
     default:
       break;
   }
-}
-
-std::string Packet::describe() const {
-  std::ostringstream out;
-  out << to_string(type) << " uid=" << uid << " origin=" << origin
-      << " seq=" << seq << " dst=" << final_dst << " tx=" << tx_node
-      << " claimed_tx=" << claimed_tx << " prev=" << announced_prev_hop;
-  if (link_dst != kInvalidNode) out << " link_dst=" << link_dst;
-  if (!route.empty()) {
-    out << " route=[";
-    for (std::size_t i = 0; i < route.size(); ++i) {
-      if (i) out << ' ';
-      out << route[i];
-    }
-    out << "]@" << route_index;
-  }
-  if (type == PacketType::kAlert) {
-    out << " accused=" << accused << " by=" << accusing_guard;
-  }
-  return out.str();
 }
 
 }  // namespace lw::pkt

@@ -168,9 +168,6 @@ struct Packet {
   /// sign or verify per packet keep one buffer and reuse its capacity
   /// instead of building a fresh string each time.
   void auth_payload_into(std::string& out) const;
-
-  /// Human-readable one-liner for traces.
-  std::string describe() const;
 };
 
 /// Assigns globally unique packet uids. One per simulation run.

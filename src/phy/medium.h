@@ -77,10 +77,9 @@ class Medium {
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
   const MediumStats& stats() const { return stats_; }
-  const PhyParams& params() const { return params_; }
   const topo::DiscGraph& graph() const { return graph_; }
 
-  // --- Fault-injection interface (scenario::Network as fault::FaultHost) ---
+  // --- Fault-injection interface (driven by scenario::Network) ---
   //
   // Every check below hides behind faults_enabled_: a run without a
   // FaultPlan takes the exact same branches and draws the exact same RNG

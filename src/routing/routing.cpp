@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/recorder.h"
-#include "util/logging.h"
 
 namespace lw::routing {
 namespace {
@@ -318,8 +317,6 @@ void OnDemandRouting::handle_data(const pkt::Packet& packet) {
   const std::size_t my_index = index_in(packet.route, env_.id());
   if (my_index == static_cast<std::size_t>(-1) ||
       my_index + 1 >= packet.route.size()) {
-    LW_DEBUG << "node " << env_.id() << ": DATA with inconsistent route, "
-             << packet.describe();
     return;
   }
   pkt::Packet fwd = env_.packet_factory().forward_copy(packet);

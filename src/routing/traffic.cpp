@@ -42,7 +42,6 @@ NodeId TrafficGenerator::pick_destination() {
 }
 
 void TrafficGenerator::schedule_next_packet() {
-  ++generated_;
   routing_.send_data(destination_, params_.payload_bytes);
   env_.simulator().schedule(env_.rng().exponential(params_.data_rate),
                             [this, epoch = epoch_] {

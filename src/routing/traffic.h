@@ -41,8 +41,6 @@ class TrafficGenerator {
   /// start_at() restarts them cleanly.
   void stop();
 
-  std::uint64_t generated() const { return generated_; }
-
  private:
   void schedule_next_packet();
   void schedule_next_destination_change();
@@ -53,7 +51,6 @@ class TrafficGenerator {
   std::size_t node_count_;
   TrafficParams params_;
   NodeId destination_ = kInvalidNode;
-  std::uint64_t generated_ = 0;
   /// Bumped by stop(); pending loop events from an earlier epoch no-op.
   int epoch_ = 0;
 };

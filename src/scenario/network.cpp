@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "topology/field.h"
-#include "util/logging.h"
 
 namespace lw::scenario {
 namespace {
@@ -132,9 +131,7 @@ Network::Network(ExperimentConfig config)
       hardened->enable_hardening(config_.fault.neighbor_age_timeout,
                                  config_.fault.neighbor_age_sweep_interval);
     }
-    injector_ = std::make_unique<fault::Injector>(simulator_, recorder_.get(),
-                                                  config_.fault, *this);
-    injector_->arm();
+    arm_faults();
   }
 }
 
@@ -286,8 +283,6 @@ void Network::configure_attack() {
       }
       if (best_a != kInvalidNode) {
         nodes_[x]->malicious_agent()->set_relay_victims(best_a, best_b);
-        LW_INFO << "relay attacker " << x << " victims " << best_a << " / "
-                << best_b;
       }
     }
   }
@@ -304,18 +299,6 @@ void Network::configure_attack() {
   }
 }
 
-void Network::crash_node(NodeId node) {
-  nodes_.at(node)->crash();
-  medium_->set_node_down(node, true);
-  ++fault_crashes_;
-}
-
-void Network::recover_node(NodeId node) {
-  medium_->set_node_down(node, false);
-  nodes_.at(node)->recover();
-  ++fault_recoveries_;
-}
-
 std::vector<Duration> Network::recovery_latencies() const {
   std::vector<Duration> latencies;
   for (const auto& node : nodes_) {
@@ -323,22 +306,6 @@ std::vector<Duration> Network::recovery_latencies() const {
     latencies.insert(latencies.end(), samples.begin(), samples.end());
   }
   return latencies;
-}
-
-void Network::set_link_fault(NodeId a, NodeId b, double extra_loss) {
-  medium_->set_link_fault(a, b, extra_loss);
-}
-
-void Network::clear_link_fault(NodeId a, NodeId b) {
-  medium_->clear_link_fault(a, b);
-}
-
-void Network::set_corruption(NodeId node, double probability) {
-  medium_->set_corruption(node, probability);
-}
-
-void Network::clear_corruption(NodeId node) {
-  medium_->clear_corruption(node);
 }
 
 std::vector<NodeId> Network::framing_guards(NodeId victim,
@@ -356,10 +323,82 @@ std::vector<NodeId> Network::framing_guards(NodeId victim,
   return guards;
 }
 
-void Network::emit_false_alert(NodeId guard, NodeId victim) {
-  Node& framer = *nodes_.at(guard);
-  if (!framer.alive() || framer.defense() == nullptr) return;
-  framer.defense()->emit_false_alert(victim);
+void Network::arm_faults() {
+  const fault::FaultPlan& plan = config_.fault;
+  // The flt layer is always live (the incident builder subscribes to it).
+  auto emit = [this](obs::EventKind kind, NodeId node, NodeId peer,
+                     double value) {
+    recorder_->emit({.t = simulator_.now(),
+                     .kind = kind,
+                     .node = node,
+                     .peer = peer,
+                     .value = value});
+  };
+
+  for (const fault::CrashFault& crash : plan.crashes) {
+    simulator_.schedule_at(crash.at, [this, emit, crash] {
+      nodes_.at(crash.node)->crash();
+      medium_->set_node_down(crash.node, true);
+      emit(obs::EventKind::kFltCrash, crash.node, kInvalidNode,
+           crash.recover_at);
+    });
+    if (crash.recover_at >= 0.0) {
+      simulator_.schedule_at(crash.recover_at, [this, emit, crash] {
+        medium_->set_node_down(crash.node, false);
+        nodes_.at(crash.node)->recover();
+        emit(obs::EventKind::kFltRecover, crash.node, kInvalidNode,
+             simulator_.now() - crash.at);
+      });
+    }
+  }
+
+  for (const fault::LinkFault& link : plan.links) {
+    simulator_.schedule_at(link.from, [this, emit, link] {
+      medium_->set_link_fault(link.a, link.b, link.extra_loss);
+      emit(obs::EventKind::kFltLinkDown, link.a, link.b, link.extra_loss);
+    });
+    simulator_.schedule_at(link.until, [this, emit, link] {
+      medium_->clear_link_fault(link.a, link.b);
+      emit(obs::EventKind::kFltLinkUp, link.a, link.b, 0.0);
+    });
+  }
+
+  for (const fault::FramingFault& framing : plan.framings) {
+    simulator_.schedule_at(framing.start, [this, emit, framing] {
+      // Guard selection is deferred to compromise time so a crashed
+      // neighbor is never conscripted.
+      const std::vector<NodeId> guards =
+          framing_guards(framing.victim, framing.guards);
+      if (guards.size() < framing.guards) {
+        std::fprintf(stderr,
+                     "[WARN] fault: framing of node %u wanted %zu guards, "
+                     "found only %zu\n",
+                     framing.victim, framing.guards, guards.size());
+      }
+      for (NodeId guard : guards) {
+        for (int shot = 0; shot < framing.alerts_per_guard; ++shot) {
+          const Duration delay = static_cast<double>(shot) * framing.gap;
+          simulator_.schedule(delay, [this, emit, guard,
+                                      victim = framing.victim] {
+            Node& framer = *nodes_.at(guard);
+            if (framer.alive() && framer.defense() != nullptr) {
+              framer.defense()->emit_false_alert(victim);
+            }
+            emit(obs::EventKind::kFltFrame, guard, victim, 0.0);
+          });
+        }
+      }
+    });
+  }
+
+  for (const fault::CorruptionFault& corruption : plan.corruptions) {
+    simulator_.schedule_at(corruption.from, [this, corruption] {
+      medium_->set_corruption(corruption.node, corruption.probability);
+    });
+    simulator_.schedule_at(corruption.until, [this, corruption] {
+      medium_->clear_corruption(corruption.node);
+    });
+  }
 }
 
 obs::BucketSample Network::take_bucket_sample() {

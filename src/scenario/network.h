@@ -3,7 +3,7 @@
 // Responsible for everything a node cannot do for itself: placing the
 // field (with retries until it is connected and the malicious nodes are
 // far enough apart), wiring medium/keys/metrics, selecting the attackers,
-// and driving the clock.
+// scheduling the fault plan, and driving the clock.
 #pragma once
 
 #include <memory>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "attack/coordinator.h"
-#include "fault/injector.h"
 #include "forensics/incident.h"
 #include "forensics/span.h"
 #include "obs/metrics_registry.h"
@@ -28,15 +27,12 @@
 
 namespace lw::scenario {
 
-/// The Network doubles as the fault injector's host: it is the only layer
-/// that can both silence a radio in the medium and wipe a node's protocol
-/// stack coherently.
-class Network : public fault::FaultHost {
+class Network {
  public:
   /// Finalizes and validates `config` (ExperimentConfig::validate throws
   /// std::invalid_argument), then builds and starts the deployment.
   explicit Network(ExperimentConfig config);
-  ~Network() override;
+  ~Network();
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -115,28 +111,15 @@ class Network : public fault::FaultHost {
   /// node-id order (deterministic).
   defense::CostSnapshot defense_cost() const;
 
-  // ---- Robustness outputs (all zero/empty on fault-free runs) ----
-
-  /// Number of crash / recovery faults actually executed.
-  std::uint64_t fault_crashes() const { return fault_crashes_; }
-  std::uint64_t fault_recoveries() const { return fault_recoveries_; }
+  // ---- Robustness outputs (empty on fault-free runs) ----
 
   /// Every completed crash-recovery latency sample across all nodes
   /// (recover() -> first re-authenticated neighbor), in node-id order.
   std::vector<Duration> recovery_latencies() const;
 
-  // ---- fault::FaultHost (driven by the injector; public for tests) ----
-  void crash_node(NodeId node) override;
-  void recover_node(NodeId node) override;
-  void set_link_fault(NodeId a, NodeId b, double extra_loss) override;
-  void clear_link_fault(NodeId a, NodeId b) override;
-  void set_corruption(NodeId node, double probability) override;
-  void clear_corruption(NodeId node) override;
   /// Up to `count` honest, alive, monitoring neighbors of `victim`,
-  /// ascending by id — the injector's deterministic guard pick.
-  std::vector<NodeId> framing_guards(NodeId victim,
-                                     std::size_t count) const override;
-  void emit_false_alert(NodeId guard, NodeId victim) override;
+  /// ascending by id — the framing fault's deterministic guard pick.
+  std::vector<NodeId> framing_guards(NodeId victim, std::size_t count) const;
 
  private:
   topo::DiscGraph build_topology(const RngFactory& rngs);
@@ -150,6 +133,11 @@ class Network : public fault::FaultHost {
   std::vector<NodeId> pick_malicious(const topo::DiscGraph& graph, Rng& rng,
                                      std::size_t count) const;
   void configure_attack();
+  /// Schedules every fault of config_.fault as ordinary simulator events,
+  /// each announced on the flt layer (flt.crash / flt.recover /
+  /// flt.link_down / flt.link_up / flt.frame), the ground truth the
+  /// forensic tooling classifies faults against.
+  void arm_faults();
 
   ExperimentConfig config_;
   sim::Simulator simulator_;
@@ -176,10 +164,6 @@ class Network : public fault::FaultHost {
   std::unique_ptr<stats::MetricsCollector> metrics_;
   std::unique_ptr<attack::WormholeCoordinator> coordinator_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  /// Present only when config_.fault is non-empty (zero-cost otherwise).
-  std::unique_ptr<fault::Injector> injector_;
-  std::uint64_t fault_crashes_ = 0;
-  std::uint64_t fault_recoveries_ = 0;
 };
 
 }  // namespace lw::scenario

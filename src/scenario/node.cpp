@@ -1,7 +1,6 @@
 #include "scenario/node.h"
 
 #include "obs/profiler.h"
-#include "util/logging.h"
 
 namespace lw::scenario {
 
@@ -119,8 +118,6 @@ void Node::age_out_neighbors() {
         peer < last_heard_.size() ? last_heard_[peer] : -1.0;
     const Time baseline = heard < 0.0 ? harden_start_ : heard;
     if (now - baseline < age_timeout_) continue;
-    LW_INFO << "node " << id_ << " aged out silent neighbor " << peer
-            << " at t=" << now;
     table_.expire_neighbor(peer);
     join_.forget(peer);  // its next JOIN_HELLO gets a fresh challenge
     routing_.cache().evict_containing(peer);

@@ -48,7 +48,7 @@ class Node final : public node::NodeEnv {
 
   bool deployed() const { return deployed_; }
 
-  // ---- Fault-plan support (driven by Network as fault::FaultHost) ----
+  // ---- Fault-plan support (driven by scenario::Network) ----
 
   /// Turns on the crash-resilience behaviors that a clean run must not pay
   /// for: neighbor aging (crashed peers fall out of the table and become

@@ -46,8 +46,8 @@ RunResult RunResult::from_metrics(const Network& network) {
   r.defense_name = network.config().defense.name;
   r.defense_cost = network.defense_cost();
   r.fault_active = !network.config().fault.empty();
-  r.nodes_crashed = network.fault_crashes();
-  r.nodes_recovered = network.fault_recoveries();
+  r.nodes_crashed = events.count(obs::EventKind::kFltCrash);
+  r.nodes_recovered = events.count(obs::EventKind::kFltRecover);
   r.recovery_latencies = network.recovery_latencies();
   r.drop_times = m.drop_times;
   r.wormhole_route_times = m.wormhole_route_times;

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "forensics/check.h"
 #include "forensics/trace_reader.h"
@@ -57,8 +60,8 @@ TEST(FaultRecovery, RecoveredNodeRegainsTwoHopNeighbors) {
   ASSERT_EQ(rebooted.recovery_latencies().size(), 1u);
   EXPECT_GT(rebooted.recovery_latencies()[0], 0.0);
   EXPECT_LT(rebooted.recovery_latencies()[0], 100.0);
-  EXPECT_EQ(network.fault_crashes(), 1u);
-  EXPECT_EQ(network.fault_recoveries(), 1u);
+  EXPECT_EQ(network.recorder().count(obs::EventKind::kFltCrash), 1u);
+  EXPECT_EQ(network.recorder().count(obs::EventKind::kFltRecover), 1u);
 }
 
 TEST(FaultRecovery, RecoveredNodeIsGuardableAgain) {
@@ -70,7 +73,7 @@ TEST(FaultRecovery, RecoveredNodeIsGuardableAgain) {
   network.run();
 
   // Some live graph neighbor re-admitted node 3 (so it can watch node 3's
-  // links again), and the fault host would pick guards for it once more.
+  // links again), and the framing fault would pick guards for it once more.
   bool readmitted = false;
   for (NodeId peer : network.graph().neighbors(3)) {
     if (network.node(peer).table().is_active_neighbor(3)) readmitted = true;
@@ -229,6 +232,59 @@ TEST(FaultCorruption, CorruptedFramesDieAtHmacNotInParsers) {
   EXPECT_EQ(result.false_isolations, 0u);
   EXPECT_GT(result.data_originated, 0u);
   EXPECT_GT(result.data_delivered, 0u);
+}
+
+// Pins the fault path byte for byte: one plan with every fault kind (a
+// crash and its recovery, a link outage, a 2-guard framing and a
+// corruption window), its flt and mon trace lines against a checked-in
+// fixture, and the run's fault outputs. Regenerate after an intentional
+// change with
+//   LW_UPDATE_GOLDEN=1 ./build/tests/test_fault_recovery
+// and commit tests/fault/golden_fault_trace.jsonl with the code change.
+TEST(FaultPlanGolden, TraceAndCountsMatchFixture) {
+  auto config = base_config(208);
+  config.duration = 130.0;
+  // Sparse traffic keeps the fixture small (the mon layer's watch lines
+  // scale with route discoveries).
+  config.traffic.data_rate = 1.0 / 100.0;
+  config.fault.crashes.push_back({.node = 3, .at = 40.0, .recover_at = 70.0});
+  config.fault.neighbor_age_timeout = 20.0;
+  config.fault.neighbor_age_sweep_interval = 5.0;
+  // Node 3, back from its crash, is one of the two framers.
+  const NodeId victim = pick_victim(config, 2);
+  ASSERT_EQ(victim, 0u);
+  config.fault.links.push_back(
+      {.a = 10, .b = 15, .from = 50.0, .until = 80.0, .extra_loss = 1.0});
+  config.fault.framings.push_back(
+      {.victim = victim, .guards = 2, .start = 85.0});
+  config.fault.corruptions.push_back(
+      {.node = 6, .from = 95.0, .until = 125.0, .probability = 0.5});
+  config.obs.trace = true;
+  config.obs.trace_layers = obs::parse_layer_mask("flt,mon");
+  config.obs.forensics = true;
+
+  const auto result = scenario::run_experiment(config);
+  EXPECT_EQ(result.nodes_crashed, 1u);
+  EXPECT_EQ(result.nodes_recovered, 1u);
+  EXPECT_EQ(result.forensics.framed_accusations, 1u);
+  EXPECT_EQ(result.forensics.framed_isolations, 0u);
+
+  const std::string path =
+      std::string(LW_GOLDEN_DIR) + "/golden_fault_trace.jsonl";
+  if (std::getenv("LW_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << result.trace_jsonl;
+    GTEST_SKIP() << "fixture regenerated at " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  ASSERT_FALSE(expected.str().empty())
+      << "missing fixture " << path << " — regenerate with LW_UPDATE_GOLDEN=1";
+  EXPECT_EQ(result.trace_jsonl, expected.str())
+      << "fault trace changed; if intentional, regenerate with "
+         "LW_UPDATE_GOLDEN=1";
 }
 
 }  // namespace

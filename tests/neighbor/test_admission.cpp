@@ -90,11 +90,5 @@ TEST_F(AdmissionTest, StatsRecordEveryVerdict) {
   EXPECT_EQ(stats.total_rejected(), 5u);
 }
 
-TEST_F(AdmissionTest, VerdictNames) {
-  EXPECT_STREQ(to_string(Admission::kAccept), "accept");
-  EXPECT_STREQ(to_string(Admission::kUnknownSender), "unknown-sender");
-  EXPECT_STREQ(to_string(Admission::kBogusPrevHop), "bogus-prev-hop");
-}
-
 }  // namespace
 }  // namespace lw::nbr

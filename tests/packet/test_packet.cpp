@@ -159,17 +159,5 @@ TEST(Packet, IsWatchedControl) {
   EXPECT_FALSE(is_watched_control(PacketType::kRouteError));
 }
 
-TEST(Packet, DescribeMentionsKeyFields) {
-  Packet p;
-  p.type = PacketType::kRouteReply;
-  p.origin = 12;
-  p.seq = 34;
-  p.route = {1, 2, 12};
-  std::string text = p.describe();
-  EXPECT_NE(text.find("REP"), std::string::npos);
-  EXPECT_NE(text.find("origin=12"), std::string::npos);
-  EXPECT_NE(text.find("seq=34"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace lw::pkt
