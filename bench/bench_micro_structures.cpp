@@ -246,16 +246,19 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueThroughput);
 
+// One placement attempt's graph at N = state.range(0), the paper's N_B = 8.
 void BM_DiscGraphConstruction(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
   lw::Rng rng(1);
-  const double side = lw::topo::field_side_for_density(100, 30.0, 8.0);
-  auto positions = lw::topo::place_uniform({side, side}, 100, rng);
+  const double side = lw::topo::field_side_for_density(n, 30.0, 8.0);
+  auto positions = lw::topo::place_uniform({side, side}, n, rng);
   for (auto _ : state) {
     lw::topo::DiscGraph graph(positions, 30.0);
     benchmark::DoNotOptimize(graph.average_degree());
   }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_DiscGraphConstruction);
+BENCHMARK(BM_DiscGraphConstruction)->Arg(100)->Arg(2000);
 
 void BM_GuardsOfLink(benchmark::State& state) {
   lw::Rng rng(1);
@@ -265,7 +268,7 @@ void BM_GuardsOfLink(benchmark::State& state) {
   lw::NodeId from = 0;
   for (auto _ : state) {
     from = (from + 1) % 100;
-    const auto& nbrs = graph.neighbors(from);
+    const auto nbrs = graph.neighbors(from);
     if (nbrs.empty()) continue;
     benchmark::DoNotOptimize(graph.guards_of_link(from, nbrs.front()));
   }

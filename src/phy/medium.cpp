@@ -122,35 +122,28 @@ void Medium::transmit(NodeId sender, pkt::Packet packet,
     stats_.airtime_by_type[type_index] += duration;
   }
 
-  // Candidate receivers from the spatial index: only nodes inside the
-  // widest disc any (tx, rx) multiplier pair could produce. The query
-  // returns ascending NodeIds, preserving the schedule order (and hence
-  // RNG draw order and trace bytes) of the old 0..N scan.
-  const double query_radius =
-      graph_.range() * std::max(range_multiplier, max_rx_multiplier_);
-  graph_.spatial_index().query(graph_.position(sender), query_radius,
-                               rx_candidates_);
   // The k delivery events of this broadcast become ONE fused fan-out
   // batch: each fanout_add reserves the same sequence number a plain
   // schedule_at would have, so reception registration, tie-breaking and
   // trace bytes are unchanged — only the k-fold heap churn goes away.
+  // Receivers are visited in ascending NodeId order on both paths below,
+  // preserving the schedule order (and hence RNG draw order and trace
+  // bytes) of the old 0..N scan.
   simulator_.fanout_begin();
-  for (NodeId receiver : rx_candidates_) {
-    if (receiver == sender) continue;
+  auto deliver = [&](NodeId receiver, double dist) {
     // A frame is decodable when the transmitter shouts far enough or the
     // receiver listens hard enough, whichever is stronger.
-    const double dist = graph_.distance(sender, receiver);
     const double reach =
         graph_.range() *
         std::max(range_multiplier, rx_range_multiplier_[receiver]);
-    if (dist > reach) continue;
+    if (dist > reach) return;
     Radio* rx_radio = radios_[receiver];
-    if (rx_radio == nullptr) continue;
+    if (rx_radio == nullptr) return;
     if (faults_enabled_) {
-      if (node_down_[receiver]) continue;  // dead radios hear nothing
+      if (node_down_[receiver]) return;  // dead radios hear nothing
       if (link_fault_loss(sender, receiver) >= 1.0) {
         ++stats_.frames_fault_lost;  // hard link outage
-        continue;
+        return;
       }
     }
 
@@ -238,6 +231,26 @@ void Medium::transmit(NodeId sender, pkt::Packet packet,
                          .packet = shared.get()});
       }
     });
+  };
+  const double widest = std::max(range_multiplier, max_rx_multiplier_);
+  if (widest <= 1.0) {
+    // Every possible receiver is a disc neighbor: read the links and their
+    // lengths, fixed since deployment.
+    const auto receivers = graph_.neighbors(sender);
+    const auto distances = graph_.link_distances(sender);
+    for (std::size_t i = 0; i < receivers.size(); ++i) {
+      deliver(receivers[i], distances[i]);
+    }
+  } else {
+    // A wider disc (high-power attacker): candidates from the spatial
+    // index, in ascending NodeId order.
+    graph_.spatial_index().query(graph_.position(sender),
+                                 graph_.range() * widest, rx_candidates_);
+    for (NodeId receiver : rx_candidates_) {
+      if (receiver != sender) {
+        deliver(receiver, graph_.distance(sender, receiver));
+      }
+    }
   }
   simulator_.fanout_commit();
 }

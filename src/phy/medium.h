@@ -122,11 +122,12 @@ class Medium {
   Rng loss_rng_;
   std::vector<Radio*> radios_;
   std::vector<double> rx_range_multiplier_;
-  /// max over rx_range_multiplier_ — bounds the spatial-index query disc
-  /// so transmit() only visits plausible receivers, never all N nodes.
+  /// max(1, max over rx_range_multiplier_). While it and the frame's own
+  /// multiplier are at most 1, transmit() visits the sender's disc
+  /// neighbors; above that it bounds the spatial-index query disc.
   double max_rx_multiplier_ = 1.0;
-  /// Reusable candidate buffer for the spatial-index query (transmit is
-  /// the hot path; no per-frame allocation).
+  /// Reusable candidate buffer for the spatial-index query (no per-frame
+  /// allocation on the widened-disc path).
   std::vector<NodeId> rx_candidates_;
   obs::Recorder* recorder_ = nullptr;
   MediumStats stats_;

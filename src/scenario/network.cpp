@@ -137,27 +137,6 @@ Network::Network(ExperimentConfig config)
 
 Network::~Network() = default;
 
-/// True if the subgraph induced by nodes [0, count) is connected.
-static bool initial_subgraph_connected(const topo::DiscGraph& graph,
-                                       std::size_t count) {
-  if (count == 0) return true;
-  std::vector<bool> seen(graph.size(), false);
-  std::vector<NodeId> stack{0};
-  seen[0] = true;
-  std::size_t visited = 1;
-  while (!stack.empty()) {
-    NodeId current = stack.back();
-    stack.pop_back();
-    for (NodeId next : graph.neighbors(current)) {
-      if (next >= count || seen[next]) continue;
-      seen[next] = true;
-      ++visited;
-      stack.push_back(next);
-    }
-  }
-  return visited == count;
-}
-
 topo::DiscGraph Network::build_topology(const RngFactory& rngs) {
   const std::size_t total = config_.node_count + config_.late_joiners;
 
@@ -186,9 +165,8 @@ topo::DiscGraph Network::build_topology(const RngFactory& rngs) {
     Rng place_rng = rngs.stream("topology", static_cast<std::uint64_t>(attempt));
     topo::DiscGraph graph(topo::place_uniform(field, total, place_rng),
                           config_.radio_range);
-    if (!graph.connected()) continue;
     // The network must also function before the joiners arrive.
-    if (!initial_subgraph_connected(graph, config_.node_count)) continue;
+    if (!graph.connected() || !graph.connected(config_.node_count)) continue;
 
     if (!config_.malicious_nodes.empty()) {
       malicious_ids_ = config_.malicious_nodes;
@@ -203,9 +181,15 @@ topo::DiscGraph Network::build_topology(const RngFactory& rngs) {
     malicious_ids_ = std::move(malicious);
     return graph;
   }
-  throw std::runtime_error(
-      "could not build a connected topology satisfying the malicious-node "
-      "constraints; relax the configuration");
+  char message[320];
+  std::snprintf(message, sizeof message,
+                "could not build a connected topology satisfying the "
+                "malicious-node constraints: N=%zu, %d placement attempts, "
+                "%.1f m square field; relax the configuration (node_count, "
+                "target_neighbors, the malicious-node constraints or "
+                "max_topology_retries)",
+                total, config_.max_topology_retries, side);
+  throw std::runtime_error(message);
 }
 
 std::vector<NodeId> Network::pick_malicious(const topo::DiscGraph& graph,

@@ -47,35 +47,14 @@ SpatialIndex::SpatialIndex(const std::vector<Position>& positions,
   }
 }
 
-std::size_t SpatialIndex::column_of(double x) const {
-  const double offset = (x - min_x_) * inv_cell_;
-  if (offset <= 0.0) return 0;
-  return std::min(static_cast<std::size_t>(offset), columns_ - 1);
-}
-
-std::size_t SpatialIndex::row_of(double y) const {
-  const double offset = (y - min_y_) * inv_cell_;
-  if (offset <= 0.0) return 0;
-  return std::min(static_cast<std::size_t>(offset), rows_ - 1);
-}
-
 void SpatialIndex::query(const Position& center, double radius,
                          std::vector<NodeId>& out) const {
   out.clear();
-  if (ids_.empty()) return;
-  const std::size_t col_lo = column_of(center.x - radius);
-  const std::size_t col_hi = column_of(center.x + radius);
-  const std::size_t row_lo = row_of(center.y - radius);
-  const std::size_t row_hi = row_of(center.y + radius);
-  for (std::size_t row = row_lo; row <= row_hi; ++row) {
-    for (std::size_t col = col_lo; col <= col_hi; ++col) {
-      const std::size_t cell = row * columns_ + col;
-      out.insert(out.end(), ids_.begin() + cell_start_[cell],
-                 ids_.begin() + cell_start_[cell + 1]);
-    }
-  }
-  // Cells are visited row-major but ascending within each; one sort
-  // restores the global ascending-id contract.
+  for_each_row_span(center, radius, [&out](std::span<const NodeId> row) {
+    out.insert(out.end(), row.begin(), row.end());
+  });
+  // Rows are visited in order but ascending only within each cell; one
+  // sort restores the global ascending-id contract.
   std::sort(out.begin(), out.end());
 }
 

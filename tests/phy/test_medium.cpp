@@ -171,6 +171,37 @@ TEST_F(MediumTest, HighGainReceiverHearsFar) {
   EXPECT_EQ(received_[4].size(), 0u);
 }
 
+TEST_F(MediumTest, ShrunkenReceiverMissesLowPowerFrame) {
+  // Both multipliers at most 1: the sender's disc neighbors are the only
+  // candidates, and each still needs dist <= range * max(tx, rx).
+  build(PhyParams{});
+  medium_->set_rx_range_multiplier(2, 0.5);
+  medium_->transmit(1, make_packet(), /*range_multiplier=*/0.5);
+  sim_.run_all();
+  EXPECT_EQ(received_[2].size(), 0u)
+      << "20 m = 0.8x range, but tx and rx both reach only 0.5x";
+  EXPECT_EQ(received_[0].size(), 1u) << "node 0 listens at the full range";
+}
+
+TEST_F(MediumTest, RestoredReceiverHearsExactlyDiscNeighbors) {
+  build(PhyParams{});
+  medium_->set_rx_range_multiplier(3, 2.0);
+  medium_->transmit(1, make_packet());
+  sim_.run_all();
+  EXPECT_EQ(received_[3].size(), 1u) << "40 m, node 3 listens at 2x range";
+
+  medium_->set_rx_range_multiplier(3, 1.0);
+  for (auto& frames : received_) frames.clear();
+  medium_->transmit(1, make_packet());
+  sim_.run_all();
+  std::vector<NodeId> heard;
+  for (NodeId id = 0; id < graph_.size(); ++id) {
+    if (!received_[id].empty()) heard.push_back(id);
+  }
+  const auto neighbors = graph_.neighbors(1);
+  EXPECT_EQ(heard, std::vector<NodeId>(neighbors.begin(), neighbors.end()));
+}
+
 TEST_F(MediumTest, CarrierSenseSeesOngoingTraffic) {
   build(PhyParams{});
   EXPECT_FALSE(medium_->channel_busy(0));

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <stdexcept>
 #include <string>
 
 #include "scenario/runner.h"
@@ -53,6 +54,30 @@ TEST(Network, TopologyIsConnectedWithSeparatedAttackers) {
                                        net.malicious_ids()[1]);
   ASSERT_TRUE(hops.has_value());
   EXPECT_GE(*hops, 3u) << "paper: colluders more than 2 hops apart";
+}
+
+TEST(Network, PlacementFailureNamesSizeAttemptsAndField) {
+  // Two colluders more than 2 hops apart cannot fit in a connected 3-node
+  // field: the message says what was tried, so the caller knows what to
+  // relax.
+  auto config = ExperimentConfig::table2_defaults();
+  config.node_count = 3;
+  config.malicious_count = 2;
+  config.max_topology_retries = 5;
+  config.field_side = 50.0;
+  config.duration = 1.0;
+  config.finalize();
+  try {
+    Network net(config);
+    FAIL() << "placement should have failed";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(message.rfind("could not build a connected topology", 0), 0u)
+        << message;
+    EXPECT_NE(message.find("N=3, 5 placement attempts, 50.0 m square field"),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST(Network, DensityNearTarget) {

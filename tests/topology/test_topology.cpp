@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "topology/disc_graph.h"
 #include "topology/field.h"
@@ -201,35 +205,101 @@ TEST(DiscGraph, InvalidRangeThrows) {
   EXPECT_THROW(DiscGraph({{0, 0}}, 0.0), std::invalid_argument);
 }
 
+/// Checks the graph against the all-pairs O(N^2) answer of the repo's own
+/// link predicate, dist2d(a, b) <= range: ascending neighbor ids, and each
+/// stored link distance bit-equal to dist2d.
+void expect_matches_predicate(const std::vector<Position>& positions,
+                              double range, const std::string& label) {
+  const DiscGraph graph(positions, range);
+  std::size_t links = 0;
+  for (NodeId a = 0; a < positions.size(); ++a) {
+    std::vector<NodeId> expected;
+    std::vector<double> expected_dist;
+    for (NodeId b = 0; b < positions.size(); ++b) {
+      if (b == a) continue;
+      const double dist = dist2d(positions[a].x, positions[a].y,
+                                 positions[b].x, positions[b].y);
+      if (dist <= range) {
+        expected.push_back(b);
+        expected_dist.push_back(dist);
+      }
+    }
+    const auto ids = graph.neighbors(a);
+    const auto dists = graph.link_distances(a);
+    EXPECT_EQ(std::vector<NodeId>(ids.begin(), ids.end()), expected)
+        << label << " node " << a;
+    ASSERT_EQ(dists.size(), expected_dist.size()) << label << " node " << a;
+    for (std::size_t i = 0; i < dists.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(dists[i]),
+                std::bit_cast<std::uint64_t>(expected_dist[i]))
+          << label << " link " << a << "->" << ids[i];
+    }
+    links += expected.size();
+  }
+  EXPECT_DOUBLE_EQ(graph.average_degree() *
+                       static_cast<double>(positions.size()),
+                   static_cast<double>(links))
+      << label;
+}
+
 TEST(SpatialIndex, GridAdjacencyMatchesBruteForceOnRandomFields) {
   // The spatial index is a pure accelerator: across many random
   // deployments (varying size, density, and aspect ratio) the grid-built
-  // adjacency must equal the all-pairs O(N^2) answer exactly, and every
-  // candidate list must come back in ascending id order (the property the
-  // byte-identical delivery schedule rests on).
+  // adjacency must equal the all-pairs answer exactly, in ascending id
+  // order (the property the byte-identical delivery schedule rests on).
   Rng rng(20240806);
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t n =
         static_cast<std::size_t>(rng.uniform_int(2, 60));
     const double range = rng.uniform(5.0, 40.0);
     const Field field{rng.uniform(20.0, 300.0), rng.uniform(20.0, 300.0)};
-    auto positions = place_uniform(field, n, rng);
-    DiscGraph graph(positions, range);
-
-    for (NodeId a = 0; a < n; ++a) {
-      // Brute-force reference adjacency for node a.
-      std::vector<NodeId> expected;
-      for (NodeId b = 0; b < n; ++b) {
-        if (b == a) continue;
-        const double dx = positions[a].x - positions[b].x;
-        const double dy = positions[a].y - positions[b].y;
-        if (std::sqrt(dx * dx + dy * dy) <= range) expected.push_back(b);
-      }
-      EXPECT_EQ(graph.neighbors(a), expected)
-          << "trial " << trial << " node " << a << " (n=" << n
-          << ", range=" << range << ")";
-    }
+    expect_matches_predicate(place_uniform(field, n, rng), range,
+                             "trial " + std::to_string(trial) + " (n=" +
+                                 std::to_string(n) + ", range=" +
+                                 std::to_string(range) + ")");
   }
+}
+
+TEST(DiscGraph, AdversarialLayoutMatchesPredicate) {
+  // Links exactly at the range and one ulp either side, points on cell
+  // boundaries (the grid's origin is the minimum coordinate, 0 here), and
+  // coincident points: every pair is decided by dist2d <= range alone.
+  const double range = 30.0;
+  std::vector<Position> positions;
+  for (double base : {0.0, 200.0, 400.0}) {
+    positions.push_back({base, 0.0});
+    positions.push_back({base + range, 0.0});
+    positions.push_back({std::nextafter(base + range, 1e9), 0.0});
+    positions.push_back({std::nextafter(base + range, 0.0), 0.0});
+    positions.push_back({base, range});
+    positions.push_back({base, std::nextafter(range, 1e9)});
+    positions.push_back({base + 18.0, 24.0});  // hypot(18, 24) == 30
+  }
+  for (double x : {60.0, 90.0, 120.0}) positions.push_back({x, 90.0});
+  positions.push_back({90.0, 60.0});
+  positions.push_back({90.0, 120.0});
+  for (int i = 0; i < 3; ++i) positions.push_back({300.0, 300.0});
+  expect_matches_predicate(positions, range, "layout");
+
+  // A range that binary floating point cannot hold: lattice neighbors sit
+  // within rounding of it, on the cell boundaries.
+  std::vector<Position> lattice;
+  for (int i = 0; i < 10; ++i) {
+    for (int j = 0; j < 10; ++j) lattice.push_back({i * 0.1, j * 0.1});
+  }
+  expect_matches_predicate(lattice, 0.1, "lattice");
+}
+
+TEST(DiscGraph, ConnectedPrefix) {
+  // 0 and 1 meet only through 2: the whole graph is connected, the prefix
+  // {0, 1} is not; node 3 is isolated.
+  const DiscGraph graph({{0, 0}, {40, 0}, {20, 0}, {500, 0}}, 25.0);
+  EXPECT_FALSE(graph.connected());
+  EXPECT_TRUE(graph.connected(3));
+  EXPECT_FALSE(graph.connected(2));
+  EXPECT_TRUE(graph.connected(1));
+  EXPECT_TRUE(graph.connected(0));
+  EXPECT_THROW((void)graph.connected(5), std::out_of_range);
 }
 
 TEST(SpatialIndex, QueryReturnsAscendingSuperset) {
@@ -262,6 +332,8 @@ TEST(SpatialIndex, QueryReturnsAscendingSuperset) {
 TEST(DiscGraph, OutOfRangeNodeThrows) {
   DiscGraph graph = line_graph(3, 10.0, 15.0);
   EXPECT_THROW((void)graph.shortest_path(0, 7), std::out_of_range);
+  EXPECT_THROW((void)graph.neighbors(3), std::out_of_range);
+  EXPECT_THROW((void)graph.link_distances(7), std::out_of_range);
 }
 
 }  // namespace
